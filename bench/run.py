@@ -33,11 +33,11 @@ ROOT = HERE.parent
 OUT = ROOT / ".bench_out"
 sys.path.insert(0, str(HERE))
 
-from summary import tail  # noqa: E402
+from summary import run_tail  # noqa: E402
 from tracing import LAYER_METRICS  # noqa: E402
 
 WORKLOADS = ("trend", "coupled", "cli")
-SETUP_ONLY_RUNS = 2  # plus the measuring process: set-up time is a median of 3
+SETUP_ONLY_RUNS = 4  # plus the measuring process: set-up time is a median of 5
 TIME_LIMIT_S = 170.0
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -86,10 +86,11 @@ def _worker(mode, workload, seed, seconds, trace, deadline) -> dict:
     return json.loads(lines[-1])
 
 
-def _source_hash() -> str:
+def _source_hash(*dirs: Path) -> str:
     h = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "magphase").glob("*.py")):
-        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    for d in dirs or (ROOT / "src" / "magphase",):
+        for path in sorted(d.glob("*.py")):
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()[:16]
 
 
@@ -126,10 +127,10 @@ def environment(seed: int, worker_env: dict) -> dict:
 
 
 def check_digest(workload: str, seed: int, digest: str) -> bool:
-    """Record the output digest; False if this source and seed gave another one before."""
+    """Record the output digest; False if this source, benchmark and seed gave another one before."""
     store = OUT / "digests.json"
     seen = json.loads(store.read_text()) if store.exists() else {}
-    key = f"{_source_hash()}:{workload}:{seed}"
+    key = f"{_source_hash(ROOT / 'src' / 'magphase', HERE)}:{workload}:{seed}"
     previous = seen.setdefault(key, digest)
     tmp = store.with_suffix(".tmp")
     tmp.write_text(json.dumps(seen, indent=1, sort_keys=True))
@@ -139,11 +140,12 @@ def check_digest(workload: str, seed: int, digest: str) -> bool:
 
 def end_to_end(res: dict, setup_s: list) -> tuple[dict, dict]:
     """The end-to-end metrics, plus the figures printed beside them."""
-    item_ms = [1000.0 * s for s in res["item_s"]]
-    tail_ms, tail_p, beyond = tail(item_ms)
+    rotation_ms = [[1000.0 * s for s in rotation] for rotation in res["item_s"]]
+    item_ms = [ms for rotation in rotation_ms for ms in rotation]
+    tail_ms, tail_p, beyond = run_tail(rotation_ms)
     metrics = {
         "setup_s": statistics.median(setup_s),
-        "items_per_s": statistics.median(res["rotation_items_per_s"]),
+        "items_per_s": len(item_ms) / (math.fsum(item_ms) / 1000.0),
         "item_p50_ms": statistics.median(item_ms),
         "item_tail_ms": tail_ms,
         "peak_rss_mb": res["peak_rss_mb"],

@@ -11,7 +11,7 @@ import pytest
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from summary import percentile, tail  # noqa: E402
+from summary import percentile, run_tail, tail  # noqa: E402
 from tracing import SPAN_METRICS, Tracer, TraceError, check_required, layer_metrics, self_times  # noqa: E402
 
 
@@ -61,6 +61,18 @@ def test_tail_rule_takes_highest_percentile_with_ten_beyond():
     assert tail(list(range(1, 1501)))[1:] == (99.0, 15)
     # too few values for any percentile: the median, with its short count
     assert tail(list(range(1, 11))) == (5.5, 50.0, 5)
+    # ties (a task's items share one time) do not change the percentile taken
+    assert tail([1.0] * 980 + [2.0] * 20)[1:] == (99.0, 10)
+
+
+def test_run_tail_is_median_over_rotations_of_the_run_percentile():
+    rotations = [[float(v) for v in range(1, 101)] for _ in range(3)]
+    rotations[1] = [2.0 * v for v in rotations[1]]
+    value, p, beyond = run_tail(rotations)
+    assert (p, beyond) == (90.0, 30)
+    assert value == pytest.approx(percentile(rotations[0], 90.0))
+    value, p, _ = run_tail(rotations[:1] * 10)  # 1000 items: p99 takes over
+    assert p == 99.0 and value == pytest.approx(percentile(rotations[0], 99.0))
 
 
 def test_tracer_wraps_every_binding_and_restores():

@@ -69,13 +69,13 @@ def run_rotations(tasks, seconds, tracer=None):
 
 
 def summarize(rotations) -> dict:
-    """Item times, checks and the rotation digest of a measured run."""
-    item_s, final_losses, agree, rates = [], [], [], []
+    """Item times (one list per rotation), checks and the rotation digest of a measured run."""
+    item_s, final_losses, agree = [], [], []
     attempted = failed = 0
     for rotation in rotations:
-        rates.append(sum(r.items for _, r in rotation) / _rotation_seconds(rotation))
+        item_s.append([])
         for _, r in rotation:
-            item_s += [r.seconds / r.items] * r.items
+            item_s[-1] += [r.seconds / r.items] * r.items
             attempted += r.items
             failed += 0 if r.ok else r.items
             final_losses += r.final_losses
@@ -89,7 +89,6 @@ def summarize(rotations) -> dict:
     ]
     return {
         "item_s": item_s,
-        "rotation_items_per_s": rates,
         "attempted": attempted,
         "failed": failed,
         "final_losses": final_losses,
