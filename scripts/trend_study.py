@@ -15,18 +15,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from magphase.losses import LossKind, parse_loss_tag
+from magphase.losses import Targets, parse_loss_spec
 from magphase.metrics import format_db
-from magphase.optim import QUAD_L2, QUAD_L2_MAG, Targets, run_trend_experiment
+from magphase.optim import run_trend_experiment
 from magphase.scenes import Interference, SceneSpec, synth_scene
 from magphase.stft import stft
 from magphase.types import StftConfig
-
-
-def parse_loss(name):
-    if name in (QUAD_L2, QUAD_L2_MAG):
-        return name
-    return LossKind(parse_loss_tag(name))
 
 
 def main():
@@ -36,14 +30,14 @@ def main():
     ap.add_argument("--duration", type=float, default=1.0)
     ap.add_argument("--sample-rate", type=int, default=8000)
     ap.add_argument("--steps", type=int, default=300)
-    ap.add_argument("--without", default=QUAD_L2, help="loss for the no-magnitude arm")
-    ap.add_argument("--with-mag", dest="with_mag", default=QUAD_L2_MAG)
+    ap.add_argument("--without", default="l2-complex", help="loss for the no-magnitude arm")
+    ap.add_argument("--with-mag", dest="with_mag", default="l2-complex+mag")
     ap.add_argument("--win-ms", type=float, default=25.0)
     ap.add_argument("--hop-ms", type=float, default=10.0)
     args = ap.parse_args()
 
     cfg = StftConfig.from_ms(args.win_ms, args.hop_ms, args.sample_rate)
-    pair = (parse_loss(args.without), parse_loss(args.with_mag))
+    pair = (parse_loss_spec(args.without), parse_loss_spec(args.with_mag))
 
     print(f"{'seed':>4}  {'si_sdr(no)':>11} {'si_sdr(+m)':>11}  {'msnr(no)':>9} {'msnr(+m)':>9}")
     msnr_wins = si_wins = 0

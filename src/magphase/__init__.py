@@ -12,9 +12,10 @@ from .losses import (
     LossKind,
     LossTag,
     LossValue,
-    SourceTargets,
+    Targets,
     all_loss_kinds,
     evaluate_loss,
+    parse_loss_spec,
     pit_wrap,
 )
 from .masks import MaskKind, MaskMatrix, apply_mask_resynth, iam, masked_magnitude, psa_target, psm
@@ -23,7 +24,6 @@ from .optim import (
     OptimizationProblem,
     OptimizationResult,
     Parameterization,
-    Targets,
     TrajectoryRecord,
     TrendReport,
     optimize,

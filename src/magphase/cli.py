@@ -20,9 +20,9 @@ import numpy as np
 
 from . import compensation, masks, metrics, optim, scenes, wavio
 from .errors import MagphaseError, SpecInvalidError
-from .losses import LossKind, parse_loss_tag
-from .stft import istft, stft
-from .types import MagSpectrogram, StftConfig, TimeSignal, magnitude_of
+from .losses import LossTag, parse_loss_spec
+from .stft import stft
+from .types import StftConfig, magnitude_of
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -38,7 +38,9 @@ def _add_stft_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _stft_config(args, sample_rate_hz: int) -> StftConfig:
-    if args.win is not None and args.hop is not None:
+    if (args.win is None) != (args.hop is None):
+        raise SpecInvalidError("--win and --hop must be given together")
+    if args.win is not None:
         win, hop = args.win, args.hop
     else:
         win_ms = args.win_ms if args.win_ms is not None else 32.0
@@ -140,32 +142,46 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _parse_loss_spec(spec):
-    if isinstance(spec, str):
-        if spec in (optim.QUAD_L2, optim.QUAD_L2_MAG):
-            return spec
-        return LossKind(parse_loss_tag(spec))
-    return LossKind(
-        parse_loss_tag(spec["tag"]),
-        time_weight=spec.get("time_weight"),
-        mag_weight=spec.get("mag_weight", 1.0),
-    )
+_PROBLEM_KEYS = frozenset(
+    ("schema_version", "parameterization", "loss", "phase_source", "init")
+    + ("init_seed", "steps", "step_size", "momentum")
+)
 
 
-def _problem_from_json(doc: dict, targets: optim.Targets, cfg: StftConfig):
-    return optim.OptimizationProblem(
-        parameterization=optim.Parameterization(doc.get("parameterization", "free-mag-fixed-phase")),
-        loss=_parse_loss_spec(doc.get("loss", optim.QUAD_L2)),
-        targets=targets,
-        cfg=cfg,
-        phase_source=doc.get("phase_source", "mixture"),
-        init=doc.get("init", "mixture"),
-        init_seed=int(doc.get("init_seed", 0)),
-        steps=int(doc.get("steps", 2000)),
-        step_size=float(doc.get("step_size", 0.5)),
-        momentum=float(doc.get("momentum", 0.9)),
-        quad_mag_weight=float(doc.get("quad_mag_weight", 1.0)),
-    )
+def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.OptimizationProblem:
+    """The problem JSON of --problem (defaults if absent), with --steps applied."""
+    doc = {}
+    if args.problem:
+        try:
+            doc = json.loads(Path(args.problem).read_text())
+        except json.JSONDecodeError as exc:
+            raise SpecInvalidError(f"problem JSON {args.problem} is malformed: {exc}") from None
+        if not isinstance(doc, dict):
+            raise SpecInvalidError("problem JSON must be an object")
+    unknown = sorted(set(doc) - _PROBLEM_KEYS)
+    if unknown:
+        raise SpecInvalidError(f"unknown problem JSON keys: {', '.join(unknown)}")
+    if doc.get("schema_version", 1) != 1:
+        raise SpecInvalidError(f"unsupported problem schema_version {doc['schema_version']!r}")
+    if args.steps is not None:
+        doc["steps"] = args.steps
+    try:
+        return optim.OptimizationProblem(
+            parameterization=optim.Parameterization(
+                doc.get("parameterization", "free-mag-fixed-phase")
+            ),
+            loss=parse_loss_spec(doc.get("loss", "l2-complex")),
+            targets=targets,
+            cfg=cfg,
+            phase_source=doc.get("phase_source", "mixture"),
+            init=doc.get("init", "mixture"),
+            init_seed=int(doc.get("init_seed", 0)),
+            steps=int(doc.get("steps", 2000)),
+            step_size=float(doc.get("step_size", 0.5)),
+            momentum=float(doc.get("momentum", 0.9)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SpecInvalidError(f"invalid problem JSON value: {exc}") from None
 
 
 def cmd_optimize(args) -> int:
@@ -176,7 +192,7 @@ def cmd_optimize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.trend:
-        pair = tuple(_parse_loss_spec(p) for p in args.pair.split(","))
+        pair = tuple(parse_loss_spec(p) for p in args.pair.split(","))
         if len(pair) != 2:
             raise SpecInvalidError("--pair needs exactly two comma-separated losses")
         report = optim.run_trend_experiment(
@@ -193,12 +209,15 @@ def cmd_optimize(args) -> int:
         print(f"si_sdr_not_better {report.si_sdr_not_better}")
         return EXIT_OK
 
-    doc = {}
-    if args.problem:
-        doc = json.loads(Path(args.problem).read_text())
-    if args.steps is not None:
-        doc["steps"] = args.steps
-    problem = _problem_from_json(doc, targets, cfg)
+    problem = _load_problem(args, targets, cfg)
+    if args.verify_oracle and (
+        problem.parameterization is not optim.Parameterization.FREE_MAG_FIXED_PHASE
+        or problem.loss.tag is not LossTag.L2_COMPLEX
+        or problem.phase_source != "mixture"
+    ):
+        raise SpecInvalidError(
+            "--verify-oracle applies to free-mag-fixed-phase + l2-complex + mixture phase"
+        )
     result = optim.optimize(problem)
     result.trajectory.to_csv(out / "trajectory.csv")
     wavio.write_wav(out / "final.wav", result.signal)
@@ -209,14 +228,6 @@ def cmd_optimize(args) -> int:
         print(f"{key} {metrics.format_db(getattr(rep, key))}")
 
     if args.verify_oracle:
-        if (
-            problem.parameterization is not optim.Parameterization.FREE_MAG_FIXED_PHASE
-            or problem.loss != optim.QUAD_L2
-            or problem.phase_source != "mixture"
-        ):
-            raise SpecInvalidError(
-                "--verify-oracle applies to free-mag-fixed-phase + l2-complex + mixture phase"
-            )
         oracle = compensation.compensated_magnitude(targets.S, targets.Y).data
         worst = float(np.max(np.abs(result.params - oracle)))
         print(f"oracle_max_abs_err {worst:.6g}")
@@ -312,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trend", action="store_true")
     p.add_argument(
         "--pair",
-        default=f"{optim.QUAD_L2},{optim.QUAD_L2_MAG}",
+        default="l2-complex,l2-complex+mag",
         help="comma-separated loss pair for --trend",
     )
     _add_stft_flags(p)

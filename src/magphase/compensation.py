@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import ConfigInvalidError, ShapeMismatchError
 from .types import MagSpectrogram, Spectrogram, phase_of
 
 HIST_BINS = 50
@@ -40,7 +40,7 @@ def optimal_magnitude_along_phase(
         m = mag * np.cos(np.angle(s_unit) - phase) if mag > 0 else 0.0
         return float(max(0.0, m)) if nonneg else float(m)
     if norm != "l1":
-        raise ValueError(f"norm must be 'l1' or 'l2', got {norm!r}")
+        raise ConfigInvalidError(f"norm must be 'l1' or 'l2', got {norm!r}")
     if mag == 0.0:
         return 0.0
     c, d = np.cos(phase), np.sin(phase)

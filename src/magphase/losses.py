@@ -1,15 +1,23 @@
 """Separation losses over spectrograms, magnitudes, and waveforms.
 
-Twelve selectable kinds cover complex-domain regression (with and
+Fourteen selectable kinds cover complex-domain regression (with and
 without a magnitude term, before or after re-synthesis), time-domain
-regression, magnitude-only and phase-only regression, and the
-phase-sensitive target. Every kind reports an exact L1 value (mean over
-elements, so scales are comparable across window/hop settings) and an
-analytic gradient.
+regression, magnitude-only and phase-only regression, the
+phase-sensitive target, and the quadratic complex pair l2-complex /
+l2-complex+mag. Every kind reports a mean over elements (so scales are
+comparable across window/hop settings) and an analytic gradient; the
+values are exact L1 except for the two quadratic kinds, which are mean
+squared errors.
 
-Gradients use the Charbonnier smoothing sqrt(d^2 + eps^2) of |d| with
+L1 gradients use the Charbonnier smoothing sqrt(d^2 + eps^2) of |d| with
 eps = 1e-8, so they are defined everywhere; reported values stay exact
 L1. The gradient of |z| at z = 0 is taken as 0.
+
+The separable kinds (one T-F unit never sees another) are written once,
+as per-unit kernels: unit_kernel binds the reference-side terms and
+returns f(x) -> (value map, gradient map). A loss value is the mean of
+the value map and its gradient is the gradient map over its size;
+optimizers line-search the maps per unit.
 
 Gradients with respect to complex spectrogram parameters are packed as
 dL/dRe + 1j * dL/dIm.
@@ -24,7 +32,7 @@ import numpy as np
 from .errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError
 from .masks import psa_target
 from .stft import istft_adjoint, istft_array, num_frames_for, stft_adjoint, stft_array
-from .types import MagSpectrogram, Spectrogram, TimeSignal, phase_of
+from .types import MagSpectrogram, Spectrogram, TimeSignal
 
 L1_SMOOTH_EPS = 1e-8
 
@@ -42,6 +50,8 @@ class LossTag(Enum):
     MSA = "msa"
     PSA = "psa"
     PHASE = "phase"
+    L2_COMPLEX = "l2-complex"
+    L2_COMPLEX_MAG = "l2-complex+mag"
 
 
 _X0_TAGS = frozenset({LossTag.RI_ISTFT_X0_MAG, LossTag.WAV_X0_MAG})
@@ -55,10 +65,16 @@ SPECTROGRAM_TAGS = frozenset(
         LossTag.MAG_RI_ISTFT,
         LossTag.RI_ISTFT_X0_MAG,
         LossTag.PHASE,
+        LossTag.L2_COMPLEX,
+        LossTag.L2_COMPLEX_MAG,
     }
 )
 MAGNITUDE_TAGS = frozenset({LossTag.MSA, LossTag.PSA})
 WAVEFORM_TAGS = frozenset({LossTag.WAV, LossTag.WAV_MAG, LossTag.WAV_X0_MAG})
+SEPARABLE_TAGS = MAGNITUDE_TAGS | frozenset(
+    {LossTag.RI, LossTag.RI_MAG, LossTag.PHASE, LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG}
+)
+_MAG_TERM_TAGS = frozenset({LossTag.RI_MAG, LossTag.L2_COMPLEX_MAG})
 
 
 @dataclass(frozen=True)
@@ -98,6 +114,24 @@ def parse_loss_tag(name: str) -> LossTag:
     raise ConfigInvalidError(f"unknown loss tag {name!r}")
 
 
+_SPEC_KEYS = frozenset({"tag", "time_weight", "mag_weight"})
+
+
+def parse_loss_spec(spec: str | dict) -> LossKind:
+    """A LossKind from a tag name or a {"tag", "time_weight", "mag_weight"} object."""
+    if isinstance(spec, str):
+        return LossKind(parse_loss_tag(spec))
+    if not isinstance(spec, dict) or "tag" not in spec or set(spec) - _SPEC_KEYS:
+        raise ConfigInvalidError(
+            f"loss spec must be a tag name or {{tag, time_weight, mag_weight}}, got {spec!r}"
+        )
+    return LossKind(
+        parse_loss_tag(spec["tag"]),
+        time_weight=spec.get("time_weight"),
+        mag_weight=spec.get("mag_weight", 1.0),
+    )
+
+
 @dataclass(frozen=True)
 class LossValue:
     value: float
@@ -105,12 +139,22 @@ class LossValue:
 
 
 @dataclass(frozen=True)
-class SourceTargets:
-    """Reference bundle a loss may draw on: clean spectrogram/signal, mixture."""
+class Targets:
+    """Oracle handles a loss, objective or checkpoint metric may need:
+    clean spectrogram/signal and mixture spectrogram/signal."""
 
     S: Spectrogram | None = None
     s: TimeSignal | None = None
     Y: Spectrogram | None = None
+    y: TimeSignal | None = None
+
+
+def _require(targets: Targets, *names: str, context: str = "problem") -> list:
+    values = [getattr(targets, name) for name in names]
+    for name, val in zip(names, values):
+        if val is None:
+            raise MissingTargetError(f"{context} requires target {name!r}")
+    return values
 
 
 def _smooth_l1_grad(d: np.ndarray) -> np.ndarray:
@@ -127,14 +171,110 @@ def _same_shape(a, b) -> None:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def _mag_term(est_data: np.ndarray, ref_mag: np.ndarray, weight: float, want_grad: bool):
-    """weight * mean(||est| - ref_mag|) and its complex gradient."""
-    d = np.abs(est_data) - ref_mag
-    value = weight * float(np.mean(np.abs(d)))
-    grad = None
-    if want_grad:
-        grad = weight * _smooth_l1_grad(d) * _unit(est_data) / d.size
-    return value, grad
+def _ri_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
+    """Per-unit L1 over RI parts, plus mag_weight * ||z| - |S|| when nonzero."""
+    sr, si = S.data.real, S.data.imag
+    mag_ref = np.abs(S.data) if mag_weight else None
+
+    def kernel(z, want_grad=True):
+        dr = z.real - sr
+        di = z.imag - si
+        val = time_weight * (np.abs(dr) + np.abs(di))
+        grad = time_weight * (_smooth_l1_grad(dr) + 1j * _smooth_l1_grad(di)) if want_grad else None
+        if mag_weight:
+            dm = np.abs(z) - mag_ref
+            val = val + mag_weight * np.abs(dm)
+            if want_grad:
+                grad = grad + mag_weight * _smooth_l1_grad(dm) * _unit(z)
+        return val, grad
+
+    return kernel
+
+
+def _l2_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
+    """Per-unit squared complex distance, plus mag_weight * (|z| - |S|)^2."""
+    ref = S.data
+    mag_ref = np.abs(ref) if mag_weight else None
+
+    def kernel(z, want_grad=True):
+        d = z - ref
+        val = time_weight * (d.real**2 + d.imag**2)
+        grad = 2.0 * time_weight * d if want_grad else None
+        if mag_weight:
+            dm = np.abs(z) - mag_ref
+            val = val + mag_weight * dm * dm
+            if want_grad:
+                grad = grad + 2.0 * mag_weight * dm * _unit(z)
+        return val, grad
+
+    return kernel
+
+
+def _phase_kernel(S: Spectrogram, time_weight: float):
+    """Per-unit RI L1 between |S| e^{j angle(z)} and S; see loss_phase."""
+    mag_ref = np.abs(S.data)
+    sr, si = S.data.real, S.data.imag
+
+    def kernel(z, want_grad=True):
+        theta = np.where(z == 0, 0.0, np.angle(z))
+        p_re = mag_ref * np.cos(theta)
+        p_im = mag_ref * np.sin(theta)
+        d_re = p_re - sr
+        d_im = p_im - si
+        val = time_weight * (np.abs(d_re) + np.abs(d_im))
+        if not want_grad:
+            return val, None
+        dl_dtheta = time_weight * (_smooth_l1_grad(d_re) * (-p_im) + _smooth_l1_grad(d_im) * p_re)
+        rho2 = z.real**2 + z.imag**2
+        safe = np.where(rho2 > 0, rho2, 1.0)
+        grad = np.where(rho2 > 0, dl_dtheta * (-z.imag + 1j * z.real) / safe, 0.0 + 0.0j)
+        return val, grad
+
+    return kernel
+
+
+def _magnitude_kernel(ref: np.ndarray, mag_weight: float):
+    """Per-unit L1 between a magnitude and a fixed magnitude target."""
+
+    def kernel(m, want_grad=True):
+        d = m - ref
+        return mag_weight * np.abs(d), mag_weight * _smooth_l1_grad(d) if want_grad else None
+
+    return kernel
+
+
+def unit_kernel(kind: LossKind, targets: Targets):
+    """Per-unit form of a separable kind: f(x) -> (value map, gradient map).
+
+    x is the complex estimate for the spectrogram kinds and the magnitude
+    for msa/psa. The reference-side terms are bound here, once. Gradient
+    maps are per unit (dL/dRe + 1j dL/dIm for complex x), i.e. element
+    count times the gradient of the mean the loss reports;
+    f(x, want_grad=False) skips them and returns None in their place.
+    """
+    tag, tw, mw = kind.tag, kind.time_weight, kind.mag_weight
+    context = f"loss {tag.value}"
+    if tag is LossTag.PSA:
+        S, Y = _require(targets, "S", "Y", context=context)
+        return _magnitude_kernel(psa_target(S, Y).data, mw)
+    (S,) = _require(targets, "S", context=context)
+    if tag is LossTag.MSA:
+        return _magnitude_kernel(np.abs(S.data), mw)
+    if tag is LossTag.PHASE:
+        return _phase_kernel(S, tw)
+    mw = mw if tag in _MAG_TERM_TAGS else 0.0
+    if tag in (LossTag.RI, LossTag.RI_MAG):
+        return _ri_kernel(S, tw, mw)
+    if tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG):
+        return _l2_kernel(S, tw, mw)
+    raise ConfigInvalidError(f"loss {tag.value} is not separable")
+
+
+def _mean_of(kernel, x: np.ndarray, S: Spectrogram, want_grad: bool) -> LossValue:
+    """Mean of a per-unit kernel over x, which must have the shape of S."""
+    _same_shape(x, S.data)
+    val, grad = kernel(x, want_grad)
+    return LossValue(float(np.mean(val)), grad / val.size if want_grad else None)
 
 
 def loss_ri(
@@ -144,15 +284,7 @@ def loss_ri(
     want_grad: bool = False,
 ) -> LossValue:
     """Mean L1 over real and imaginary parts."""
-    _same_shape(est.data, S.data)
-    dr = est.data.real - S.data.real
-    di = est.data.imag - S.data.imag
-    count = dr.size
-    value = time_weight * float(np.mean(np.abs(dr)) + np.mean(np.abs(di)))
-    grad = None
-    if want_grad:
-        grad = time_weight * (_smooth_l1_grad(dr) + 1j * _smooth_l1_grad(di)) / count
-    return LossValue(value, grad)
+    return _mean_of(_ri_kernel(S, time_weight), est.data, S, want_grad)
 
 
 def loss_ri_mag(
@@ -163,10 +295,7 @@ def loss_ri_mag(
     want_grad: bool = False,
 ) -> LossValue:
     """loss_ri plus a magnitude L1 term on |est| vs |S|."""
-    base = loss_ri(est, S, time_weight, want_grad)
-    mag_value, mag_grad = _mag_term(est.data, np.abs(S.data), mag_weight, want_grad)
-    grad = None if not want_grad else base.gradient + mag_grad
-    return LossValue(base.value + mag_value, grad)
+    return _mean_of(_ri_kernel(S, time_weight, mag_weight), est.data, S, want_grad)
 
 
 def _check_istft_shapes(est: Spectrogram, s: TimeSignal) -> None:
@@ -216,15 +345,12 @@ def loss_ri_istft_mag(
     y_hat = istft_array(est.data, cfg, n)
     e = y_hat - s.samples
     proj = stft_array(y_hat, cfg)
-    dm = np.abs(proj) - np.abs(S.data)
-    value = time_weight * float(np.mean(np.abs(e))) + mag_weight * float(
-        np.mean(np.abs(dm))
-    )
+    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(proj), S, want_grad)
+    value = time_weight * float(np.mean(np.abs(e))) + mag.value
     grad = None
     if want_grad:
         g_time = time_weight * _smooth_l1_grad(e) / e.size
-        cot_proj = mag_weight * _smooth_l1_grad(dm) * _unit(proj) / dm.size
-        g_time = g_time + stft_adjoint(cot_proj, cfg, n)
+        g_time = g_time + stft_adjoint(mag.gradient * _unit(proj), cfg, n)
         grad = istft_adjoint(g_time, cfg, est.num_frames)
     return LossValue(value, grad)
 
@@ -238,11 +364,10 @@ def loss_mag_ri_istft(
     want_grad: bool = False,
 ) -> LossValue:
     """Magnitude L1 taken on the raw estimate (before inversion) plus time L1."""
-    _same_shape(est.data, S.data)
     base = loss_ri_istft(est, s, time_weight, want_grad)
-    mag_value, mag_grad = _mag_term(est.data, np.abs(S.data), mag_weight, want_grad)
-    grad = None if not want_grad else base.gradient + mag_grad
-    return LossValue(base.value + mag_value, grad)
+    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(est.data), S, want_grad)
+    grad = None if not want_grad else base.gradient + mag.gradient * _unit(est.data)
+    return LossValue(base.value + mag.value, grad)
 
 
 def loss_wav(
@@ -275,18 +400,13 @@ def loss_wav_mag(
         raise ShapeMismatchError(f"length mismatch: {len(est)} vs {len(s)}")
     cfg = S.config
     X_hat = stft_array(est.samples, cfg)
-    _same_shape(X_hat, S.data)
     e = est.samples - s.samples
-    dm = np.abs(X_hat) - np.abs(S.data)
-    value = time_weight * float(np.mean(np.abs(e))) + mag_weight * float(
-        np.mean(np.abs(dm))
-    )
+    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(X_hat), S, want_grad)
+    value = time_weight * float(np.mean(np.abs(e))) + mag.value
     grad = None
     if want_grad:
-        cot = mag_weight * _smooth_l1_grad(dm) * _unit(X_hat) / dm.size
-        grad = time_weight * _smooth_l1_grad(e) / e.size + stft_adjoint(
-            cot, cfg, len(est)
-        )
+        cot = mag.gradient * _unit(X_hat)
+        grad = time_weight * _smooth_l1_grad(e) / e.size + stft_adjoint(cot, cfg, len(est))
     return LossValue(value, grad)
 
 
@@ -297,13 +417,7 @@ def loss_msa(
     want_grad: bool = False,
 ) -> LossValue:
     """Mean L1 between an estimated magnitude and |S|."""
-    _same_shape(est.data, S.data)
-    d = est.data - np.abs(S.data)
-    value = mag_weight * float(np.mean(np.abs(d)))
-    grad = None
-    if want_grad:
-        grad = mag_weight * _smooth_l1_grad(d) / d.size
-    return LossValue(value, grad)
+    return _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), est.data, S, want_grad)
 
 
 def loss_psa(
@@ -314,13 +428,7 @@ def loss_psa(
     want_grad: bool = False,
 ) -> LossValue:
     """Mean L1 against the truncated phase-sensitive magnitude target."""
-    _same_shape(est.data, S.data)
-    d = est.data - psa_target(S, Y).data
-    value = mag_weight * float(np.mean(np.abs(d)))
-    grad = None
-    if want_grad:
-        grad = mag_weight * _smooth_l1_grad(d) / d.size
-    return LossValue(value, grad)
+    return _mean_of(_magnitude_kernel(psa_target(S, Y).data, mag_weight), est.data, S, want_grad)
 
 
 def loss_phase(
@@ -335,53 +443,20 @@ def loss_phase(
     estimate only through its phase and the gradient flows only through
     angle(est); it vanishes at zero-magnitude estimate bins.
     """
-    _same_shape(est.data, S.data)
-    mag_ref = np.abs(S.data)
-    theta = phase_of(est)
-    p_re = mag_ref * np.cos(theta)
-    p_im = mag_ref * np.sin(theta)
-    d_re = p_re - S.data.real
-    d_im = p_im - S.data.imag
-    count = d_re.size
-    value = time_weight * float(np.mean(np.abs(d_re)) + np.mean(np.abs(d_im)))
-    grad = None
-    if want_grad:
-        dl_dtheta = (
-            time_weight
-            * (_smooth_l1_grad(d_re) * (-p_im) + _smooth_l1_grad(d_im) * p_re)
-            / count
-        )
-        rho2 = est.data.real**2 + est.data.imag**2
-        safe = np.where(rho2 > 0, rho2, 1.0)
-        grad = np.where(
-            rho2 > 0,
-            dl_dtheta * (-est.data.imag + 1j * est.data.real) / safe,
-            0.0 + 0.0j,
-        )
-    return LossValue(value, grad)
-
-
-def _require(targets: SourceTargets, kind: LossKind, *names: str):
-    out = []
-    for name in names:
-        val = getattr(targets, name)
-        if val is None:
-            raise MissingTargetError(f"loss {kind.tag.value} requires target {name!r}")
-        out.append(val)
-    return out
+    return _mean_of(_phase_kernel(S, time_weight), est.data, S, want_grad)
 
 
 def evaluate_loss(
     kind: LossKind,
     estimate: Spectrogram | MagSpectrogram | TimeSignal,
-    targets: SourceTargets,
+    targets: Targets,
     want_grad: bool = False,
 ) -> LossValue:
     """Route a LossKind to its implementation.
 
     The estimate's domain must match the kind: Spectrogram for the
-    complex/consistency/phase kinds, MagSpectrogram for msa/psa,
-    TimeSignal for the waveform kinds.
+    complex/consistency/phase/quadratic kinds, MagSpectrogram for
+    msa/psa, TimeSignal for the waveform kinds.
     """
     tag, tw, mw = kind.tag, kind.time_weight, kind.mag_weight
     if tag in SPECTROGRAM_TAGS and not isinstance(estimate, Spectrogram):
@@ -391,37 +466,22 @@ def evaluate_loss(
     if tag in WAVEFORM_TAGS and not isinstance(estimate, TimeSignal):
         raise MissingTargetError(f"loss {tag.value} expects a TimeSignal estimate")
 
-    if tag is LossTag.RI:
-        (S,) = _require(targets, kind, "S")
-        return loss_ri(estimate, S, tw, want_grad)
-    if tag is LossTag.RI_MAG:
-        (S,) = _require(targets, kind, "S")
-        return loss_ri_mag(estimate, S, tw, mw, want_grad)
+    context = f"loss {tag.value}"
+    if tag in SEPARABLE_TAGS:
+        kernel = unit_kernel(kind, targets)
+        return _mean_of(kernel, estimate.data, targets.S, want_grad)
     if tag is LossTag.RI_ISTFT:
-        (s,) = _require(targets, kind, "s")
+        (s,) = _require(targets, "s", context=context)
         return loss_ri_istft(estimate, s, tw, want_grad)
+    if tag is LossTag.WAV:
+        (s,) = _require(targets, "s", context=context)
+        return loss_wav(estimate, s, tw, want_grad)
+    s, S = _require(targets, "s", "S", context=context)
     if tag in (LossTag.RI_ISTFT_MAG, LossTag.RI_ISTFT_X0_MAG):
-        s, S = _require(targets, kind, "s", "S")
         return loss_ri_istft_mag(estimate, s, S, tw, mw, want_grad)
     if tag is LossTag.MAG_RI_ISTFT:
-        s, S = _require(targets, kind, "s", "S")
         return loss_mag_ri_istft(estimate, s, S, tw, mw, want_grad)
-    if tag is LossTag.WAV:
-        (s,) = _require(targets, kind, "s")
-        return loss_wav(estimate, s, tw, want_grad)
-    if tag in (LossTag.WAV_MAG, LossTag.WAV_X0_MAG):
-        s, S = _require(targets, kind, "s", "S")
-        return loss_wav_mag(estimate, s, S, tw, mw, want_grad)
-    if tag is LossTag.MSA:
-        (S,) = _require(targets, kind, "S")
-        return loss_msa(estimate, S, mw, want_grad)
-    if tag is LossTag.PSA:
-        S, Y = _require(targets, kind, "S", "Y")
-        return loss_psa(estimate, S, Y, mw, want_grad)
-    if tag is LossTag.PHASE:
-        (S,) = _require(targets, kind, "S")
-        return loss_phase(estimate, S, tw, want_grad)
-    raise ConfigInvalidError(f"unhandled loss tag {tag}")
+    return loss_wav_mag(estimate, s, S, tw, mw, want_grad)
 
 
 def pit_wrap(

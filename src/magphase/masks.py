@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import stft as _stft
+from .compensation import compensated_magnitude, phase_diff_map
 from .errors import ShapeMismatchError
 from .types import (
     DEFAULT_SAMPLE_RATE_HZ,
@@ -59,10 +60,6 @@ def _check_same_shape(S: Spectrogram, Y: Spectrogram) -> None:
         raise ShapeMismatchError(f"shape mismatch: {S.data.shape} vs {Y.data.shape}")
 
 
-def _cos_phase_diff(S: Spectrogram, Y: Spectrogram) -> np.ndarray:
-    return np.cos(phase_of(S) - phase_of(Y))
-
-
 def iam(S: Spectrogram, Y: Spectrogram, eps: float = DEFAULT_EPS) -> MaskMatrix:
     """Ideal amplitude mask |S| / max(|Y|, eps)."""
     _check_same_shape(S, Y)
@@ -77,17 +74,19 @@ def psm(
 ) -> MaskMatrix:
     """Phase-sensitive mask; truncate clamps entries to [0, 1]."""
     _check_same_shape(S, Y)
-    m = np.abs(S.data) / np.maximum(np.abs(Y.data), eps) * _cos_phase_diff(S, Y)
+    m = np.abs(S.data) / np.maximum(np.abs(Y.data), eps) * phase_diff_map(S, Y)
     if truncate:
         return MaskMatrix(np.clip(m, 0.0, 1.0), MaskKind.PSM_TRUNCATED)
     return MaskMatrix(m, MaskKind.PSM)
 
 
 def psa_target(S: Spectrogram, Y: Spectrogram) -> MagSpectrogram:
-    """|S| * clamp01(cos(angle(S) - angle(Y))): the phase-sensitive magnitude target."""
-    _check_same_shape(S, Y)
-    target = np.abs(S.data) * np.clip(_cos_phase_diff(S, Y), 0.0, 1.0)
-    return MagSpectrogram(target, S.config)
+    """|S| * clamp01(cos(angle(S) - angle(Y))): the phase-sensitive magnitude target.
+
+    This is the per-unit L2 optimum along the mixture phase, so it is
+    compensation.compensated_magnitude.
+    """
+    return compensated_magnitude(S, Y)
 
 
 def masked_magnitude(

@@ -24,16 +24,19 @@ waveform-parameter runs) use one global step with the same halving rule;
 there step sizes are interpreted per element (mean-normalized losses
 carry a 1/count gradient factor, which the optimizer multiplies back).
 
-Besides the L1 loss kinds, two quadratic objectives are available by
-name ("l2-complex", "l2-complex+mag"); their per-unit optima under a
-fixed phase have closed forms, which the tests verify against.
+Each loss comes from losses.py: coupled ones through evaluate_loss,
+separable ones as per-unit kernels (losses.unit_kernel), except that the
+complex separable kinds under a fixed phase use the magnitude-direction
+restatements in _fixed_phase_kernel. The quadratic pair l2-complex /
+l2-complex+mag (QUAD_L2, QUAD_L2_MAG) has closed-form per-unit optima
+under a fixed phase, which the tests verify against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -45,29 +48,30 @@ from .errors import (
 )
 from .losses import (
     MAGNITUDE_TAGS,
+    SEPARABLE_TAGS,
     SPECTROGRAM_TAGS,
     WAVEFORM_TAGS,
+    _MAG_TERM_TAGS,
     LossKind,
     LossTag,
-    SourceTargets,
+    Targets,
+    _require,
     _smooth_l1_grad,
-    _unit,
     evaluate_loss,
+    unit_kernel,
 )
-from .masks import psa_target
 from .metrics import format_db, msnr, psnr, si_sdr
-from .stft import istft_array, num_frames_for, stft_adjoint, stft_array
+from .stft import istft_array, stft_adjoint, stft_array
 from .types import (
     DEFAULT_SAMPLE_RATE_HZ,
-    MagSpectrogram,
     Spectrogram,
     StftConfig,
     TimeSignal,
     phase_of,
 )
 
-QUAD_L2 = "l2-complex"
-QUAD_L2_MAG = "l2-complex+mag"
+QUAD_L2 = LossKind(LossTag.L2_COMPLEX)
+QUAD_L2_MAG = LossKind(LossTag.L2_COMPLEX_MAG)
 
 
 class Parameterization(Enum):
@@ -76,20 +80,19 @@ class Parameterization(Enum):
     FREE_WAVEFORM = "free-waveform"
 
 
-@dataclass(frozen=True)
-class Targets:
-    """Oracle handles an objective or checkpoint metric may need."""
-
-    S: Optional[Spectrogram] = None
-    s: Optional[TimeSignal] = None
-    Y: Optional[Spectrogram] = None
-    y: Optional[TimeSignal] = None
+# Loss domains each parameterization can feed.
+_DOMAINS = {
+    Parameterization.FREE_RI: SPECTROGRAM_TAGS,
+    Parameterization.FREE_MAG_FIXED_PHASE: SPECTROGRAM_TAGS | MAGNITUDE_TAGS,
+    Parameterization.FREE_WAVEFORM: SPECTROGRAM_TAGS | WAVEFORM_TAGS,
+}
+_INITS = ("mixture", "zeros", "random")
 
 
 @dataclass(frozen=True)
 class OptimizationProblem:
     parameterization: Parameterization
-    loss: LossKind | str
+    loss: LossKind
     targets: Targets
     cfg: StftConfig
     phase_source: str = "mixture"  # "mixture" | "oracle" | "custom"
@@ -99,7 +102,6 @@ class OptimizationProblem:
     steps: int = 2000
     step_size: float = 0.5
     momentum: float = 0.9
-    quad_mag_weight: float = 1.0
 
 
 @dataclass
@@ -141,16 +143,6 @@ class OptimizationResult:
     final_loss: float
 
 
-def _require(targets: Targets, *names: str):
-    out = []
-    for name in names:
-        val = getattr(targets, name)
-        if val is None:
-            raise MissingTargetError(f"problem requires target {name!r}")
-        out.append(val)
-    return out
-
-
 def _fixed_phase(problem: OptimizationProblem) -> np.ndarray:
     if problem.phase_source == "mixture":
         (Y,) = _require(problem.targets, "Y")
@@ -165,39 +157,69 @@ def _fixed_phase(problem: OptimizationProblem) -> np.ndarray:
     raise ConfigInvalidError(f"unknown phase source {problem.phase_source!r}")
 
 
-def _sample_rate(targets: Targets) -> int:
-    for sig in (targets.s, targets.y):
-        if sig is not None:
-            return sig.sample_rate_hz
-    return DEFAULT_SAMPLE_RATE_HZ
+def _fixed_phase_kernel(problem: OptimizationProblem, unit: np.ndarray):
+    """Per-unit kernel of a complex separable loss along the fixed phase `unit`.
 
-
-def _out_len(targets: Targets, cfg: StftConfig, num_frames: int) -> int:
-    if targets.s is not None:
-        return len(targets.s)
-    if targets.y is not None:
-        return len(targets.y)
-    return (num_frames - 1) * cfg.hop_length_samples
-
-
-def _quad_value_grad(est_data, problem):
-    """Mean squared complex distance to S, optionally plus a magnitude term."""
+    The free parameter is the magnitude m, and the estimate is m * unit.
+    These kernels restate losses.unit_kernel for that direction (a test
+    holds them equal) rather than calling it with the chain rule
+    Re(conj(unit) * g), for two measured reasons (benchmark trend
+    workload, seeds 101/102, on a shared 2-core x86 host):
+    - speed: the complex kernels plus the chain rule made a trend scene
+      1.6-2.2x slower (l2 pair 0.59-0.79 s -> 1.00-1.74 s, L1 pair
+      2.4-3.0 s -> 4.0-5.1 s);
+    - the gradient at m = 0: the complex form takes the gradient of |z|
+      as 0 at z = 0, while d|m * unit|/dm = 1 for m >= 0, so a unit the
+      descent drives to 0 cannot be pulled back by the magnitude term.
+      That moved the with-mag arm's mSNR from 18.70 dB to 17.47 dB.
+    """
+    loss = problem.loss
+    tw = loss.time_weight
+    mw = loss.mag_weight if loss.tag in _MAG_TERM_TAGS else 0.0
     (S,) = _require(problem.targets, "S")
-    d = est_data - S.data
-    count = d.size
-    value = float(np.mean(d.real**2 + d.imag**2))
-    grad = 2.0 * d / count
-    if problem.loss == QUAD_L2_MAG:
-        w = problem.quad_mag_weight
-        dm = np.abs(est_data) - np.abs(S.data)
-        value += w * float(np.mean(dm**2))
-        r = np.abs(est_data)
-        unit = np.where(r > 0, est_data / np.where(r > 0, r, 1.0), 0.0 + 0.0j)
-        grad = grad + 2.0 * w * dm * unit / count
-    return value, grad
+    mag_ref = np.abs(S.data)
 
+    if loss.tag is LossTag.PHASE:
+        # The fixed phase makes this loss constant in the magnitude.
+        p = mag_ref * unit
+        const = tw * (np.abs(p.real - S.data.real) + np.abs(p.imag - S.data.imag))
 
-_SEPARABLE_TAGS = frozenset({LossTag.RI, LossTag.RI_MAG, LossTag.PHASE})
+        def per_unit(m):
+            return const.copy(), np.zeros_like(m)
+
+        return per_unit
+
+    if loss.tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG):
+        proj = (np.conj(unit) * S.data).real  # |S| cos(angle S - phase)
+        orth = (np.conj(unit) * S.data).imag
+
+        def per_unit(m):
+            d = m - proj
+            val = tw * (d * d + orth * orth)
+            grad = 2.0 * tw * d
+            if mw:
+                dm = m - mag_ref
+                val = val + mw * dm * dm
+                grad = grad + 2.0 * mw * dm
+            return val, grad
+
+        return per_unit
+
+    cos_p, sin_p = unit.real, unit.imag
+    sr, si = S.data.real, S.data.imag
+
+    def per_unit(m):
+        a = m * cos_p - sr
+        b = m * sin_p - si
+        val = tw * (np.abs(a) + np.abs(b))
+        grad = tw * (_smooth_l1_grad(a) * cos_p + _smooth_l1_grad(b) * sin_p)
+        if mw:
+            dm = m - mag_ref  # m >= 0, so |m e^{j phase}| = m
+            val = val + mw * np.abs(dm)
+            grad = grad + mw * _smooth_l1_grad(dm)
+        return val, grad
+
+    return per_unit
 
 
 def _per_unit_objective(problem: OptimizationProblem):
@@ -206,147 +228,16 @@ def _per_unit_objective(problem: OptimizationProblem):
     Totals are the mean of the value matrix and match evaluate_loss;
     gradients here are per unit, i.e. element-count times the global ones.
     """
-    loss = problem.loss
-    is_quad = isinstance(loss, str)
-    if not is_quad and loss.tag not in (_SEPARABLE_TAGS | MAGNITUDE_TAGS):
+    loss, param = problem.loss, problem.parameterization
+    if loss.tag not in SEPARABLE_TAGS or param is Parameterization.FREE_WAVEFORM:
         return None
-    targets = problem.targets
+    if param is Parameterization.FREE_RI or loss.tag in MAGNITUDE_TAGS:
+        return unit_kernel(loss, problem.targets)
+    return _fixed_phase_kernel(problem, np.exp(1j * _fixed_phase(problem)))
 
-    if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:
-        phase = _fixed_phase(problem)
-        unit = np.exp(1j * phase)
-        cos_p, sin_p = unit.real, unit.imag
-        if is_quad:
-            (S,) = _require(targets, "S")
-            proj = (np.conj(unit) * S.data).real  # |S| cos(angle S - phase)
-            orth = (np.conj(unit) * S.data).imag
-            w = problem.quad_mag_weight if loss == QUAD_L2_MAG else 0.0
-            mag_ref = np.abs(S.data)
 
-            def per_unit(m):
-                d = m - proj
-                val = d * d + orth * orth
-                grad = 2.0 * d
-                if w:
-                    dm = m - mag_ref
-                    val = val + w * dm * dm
-                    grad = grad + 2.0 * w * dm
-                return val, grad
-
-            return per_unit
-        if loss.tag is LossTag.MSA:
-            (S,) = _require(targets, "S")
-            ref = np.abs(S.data)
-            mw = loss.mag_weight
-
-            def per_unit(m):
-                d = m - ref
-                return mw * np.abs(d), mw * _smooth_l1_grad(d)
-
-            return per_unit
-        if loss.tag is LossTag.PSA:
-            S, Y = _require(targets, "S", "Y")
-            ref = psa_target(S, Y).data
-            mw = loss.mag_weight
-
-            def per_unit(m):
-                d = m - ref
-                return mw * np.abs(d), mw * _smooth_l1_grad(d)
-
-            return per_unit
-        if loss.tag in (LossTag.RI, LossTag.RI_MAG):
-            (S,) = _require(targets, "S")
-            sr, si = S.data.real, S.data.imag
-            mag_ref = np.abs(S.data)
-            tw = loss.time_weight
-            mw = loss.mag_weight if loss.tag is LossTag.RI_MAG else 0.0
-
-            def per_unit(m):
-                a = m * cos_p - sr
-                b = m * sin_p - si
-                val = tw * (np.abs(a) + np.abs(b))
-                grad = tw * (_smooth_l1_grad(a) * cos_p + _smooth_l1_grad(b) * sin_p)
-                if mw:
-                    dm = m - mag_ref  # m >= 0, so |m e^{j phase}| = m
-                    val = val + mw * np.abs(dm)
-                    grad = grad + mw * _smooth_l1_grad(dm)
-                return val, grad
-
-            return per_unit
-        if loss.tag is LossTag.PHASE:
-            # The fixed phase makes this loss constant in the magnitude.
-            (S,) = _require(targets, "S")
-            mag_ref = np.abs(S.data)
-            p = mag_ref * unit
-            const = loss.time_weight * (
-                np.abs(p.real - S.data.real) + np.abs(p.imag - S.data.imag)
-            )
-
-            def per_unit(m):
-                return const.copy(), np.zeros_like(m)
-
-            return per_unit
-        return None
-
-    if problem.parameterization is Parameterization.FREE_RI:
-        if is_quad:
-            (S,) = _require(targets, "S")
-            w = problem.quad_mag_weight if loss == QUAD_L2_MAG else 0.0
-            mag_ref = np.abs(S.data)
-
-            def per_unit(z):
-                d = z - S.data
-                val = d.real**2 + d.imag**2
-                grad = 2.0 * d
-                if w:
-                    dm = np.abs(z) - mag_ref
-                    val = val + w * dm * dm
-                    grad = grad + 2.0 * w * dm * _unit(z)
-                return val, grad
-
-            return per_unit
-        if loss.tag in (LossTag.RI, LossTag.RI_MAG):
-            (S,) = _require(targets, "S")
-            tw = loss.time_weight
-            mw = loss.mag_weight if loss.tag is LossTag.RI_MAG else 0.0
-            mag_ref = np.abs(S.data)
-
-            def per_unit(z):
-                dr = z.real - S.data.real
-                di = z.imag - S.data.imag
-                val = tw * (np.abs(dr) + np.abs(di))
-                grad = tw * (_smooth_l1_grad(dr) + 1j * _smooth_l1_grad(di))
-                if mw:
-                    dm = np.abs(z) - mag_ref
-                    val = val + mw * np.abs(dm)
-                    grad = grad + mw * _smooth_l1_grad(dm) * _unit(z)
-                return val, grad
-
-            return per_unit
-        if loss.tag is LossTag.PHASE:
-            (S,) = _require(targets, "S")
-            mag_ref = np.abs(S.data)
-            tw = loss.time_weight
-
-            def per_unit(z):
-                theta = np.where(z == 0, 0.0, np.angle(z))
-                p_re = mag_ref * np.cos(theta)
-                p_im = mag_ref * np.sin(theta)
-                d_re = p_re - S.data.real
-                d_im = p_im - S.data.imag
-                val = tw * (np.abs(d_re) + np.abs(d_im))
-                dl_dtheta = tw * (
-                    _smooth_l1_grad(d_re) * (-p_im) + _smooth_l1_grad(d_im) * p_re
-                )
-                rho2 = z.real**2 + z.imag**2
-                safe = np.where(rho2 > 0, rho2, 1.0)
-                grad = np.where(
-                    rho2 > 0, dl_dtheta * (-z.imag + 1j * z.real) / safe, 0.0 + 0.0j
-                )
-                return val, grad
-
-            return per_unit
-    return None
+def _identity(x):
+    return x
 
 
 def _build_objective(problem: OptimizationProblem):
@@ -354,11 +245,8 @@ def _build_objective(problem: OptimizationProblem):
     cfg = problem.cfg
     targets = problem.targets
     loss = problem.loss
-    is_quad = isinstance(loss, str)
-    if is_quad and loss not in (QUAD_L2, QUAD_L2_MAG):
-        raise ConfigInvalidError(f"unknown objective {loss!r}")
-    rate = _sample_rate(targets)
-    src = SourceTargets(S=targets.S, s=targets.s, Y=targets.Y)
+    sig = targets.s if targets.s is not None else targets.y  # output rate and length
+    rate = sig.sample_rate_hz if sig is not None else DEFAULT_SAMPLE_RATE_HZ
     rng = np.random.Generator(np.random.Philox(key=problem.init_seed))
 
     if problem.parameterization is Parameterization.FREE_WAVEFORM:
@@ -376,23 +264,11 @@ def _build_objective(problem: OptimizationProblem):
             x0 = rng.standard_normal(n) * scale
 
         def value_and_grad(x):
-            if is_quad:
-                spec = stft_array(x, cfg)
-                value, g_spec = _quad_value_grad(spec, problem)
-                return value, stft_adjoint(g_spec, cfg, x.shape[0])
             if loss.tag in WAVEFORM_TAGS:
-                lv = evaluate_loss(loss, TimeSignal(x, rate), src, want_grad=True)
+                lv = evaluate_loss(loss, TimeSignal(x, rate), targets, want_grad=True)
                 return lv.value, lv.gradient
-            if loss.tag in SPECTROGRAM_TAGS:
-                est = Spectrogram(stft_array(x, cfg), cfg)
-                lv = evaluate_loss(loss, est, src, want_grad=True)
-                return lv.value, stft_adjoint(lv.gradient, cfg, x.shape[0])
-            raise MissingTargetError(
-                f"loss {loss.tag.value} unsupported for waveform parameters"
-            )
-
-        def project(x):
-            return x
+            lv = evaluate_loss(loss, to_spec(x), targets, want_grad=True)
+            return lv.value, stft_adjoint(lv.gradient, cfg, x.shape[0])
 
         def to_spec(x):
             return Spectrogram(stft_array(x, cfg), cfg)
@@ -400,8 +276,11 @@ def _build_objective(problem: OptimizationProblem):
         def to_sig(x):
             return TimeSignal(x, rate)
 
-        return x0, value_and_grad, project, to_spec, to_sig
+        return x0, value_and_grad, _identity, to_spec, to_sig
 
+    # Spectrogram parameters: free magnitudes along a fixed phase, or free
+    # complex entries. Both feed the complex estimate to_complex(x) to the
+    # loss and chain its gradient back to x.
     if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:
         phase = _fixed_phase(problem)
         unit = np.exp(1j * phase)
@@ -415,34 +294,16 @@ def _build_objective(problem: OptimizationProblem):
             scale = float(np.mean(np.abs(ref.data))) if ref is not None else 1.0
             x0 = np.abs(rng.standard_normal(phase.shape)) * (scale or 1.0)
 
-        def value_and_grad(x):
-            if is_quad:
-                value, g_spec = _quad_value_grad(x * unit, problem)
-                return value, (np.conj(unit) * g_spec).real
-            if loss.tag in MAGNITUDE_TAGS:
-                lv = evaluate_loss(loss, MagSpectrogram(x, cfg), src, want_grad=True)
-                return lv.value, lv.gradient
-            if loss.tag in SPECTROGRAM_TAGS:
-                est = Spectrogram(x * unit, cfg)
-                lv = evaluate_loss(loss, est, src, want_grad=True)
-                return lv.value, (np.conj(unit) * lv.gradient).real
-            raise MissingTargetError(
-                f"loss {loss.tag.value} unsupported for magnitude parameters"
-            )
+        def to_complex(x):
+            return x * unit
+
+        def chain(g):
+            return (np.conj(unit) * g).real
 
         def project(x):
             return np.maximum(x, 0.0)
 
-        def to_spec(x):
-            return Spectrogram(x * unit, cfg)
-
-        def to_sig(x):
-            n = _out_len(targets, cfg, x.shape[0])
-            return TimeSignal(istft_array(x * unit, cfg, n), rate)
-
-        return x0, value_and_grad, project, to_spec, to_sig
-
-    if problem.parameterization is Parameterization.FREE_RI:
+    else:
         ref = targets.Y if targets.Y is not None else targets.S
         if ref is None:
             raise MissingTargetError("free-ri parameters need Y or S for shape")
@@ -455,33 +316,20 @@ def _build_objective(problem: OptimizationProblem):
         else:
             scale = float(np.mean(np.abs(ref.data))) or 1.0
             x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+        to_complex = chain = project = _identity
 
-        def value_and_grad(x):
-            if is_quad:
-                return _quad_value_grad(x, problem)
-            if loss.tag in SPECTROGRAM_TAGS:
-                lv = evaluate_loss(loss, Spectrogram(x, cfg), src, want_grad=True)
-                return lv.value, lv.gradient
-            raise MissingTargetError(
-                f"loss {loss.tag.value} unsupported for free complex parameters"
-            )
+    def value_and_grad(x):
+        lv = evaluate_loss(loss, Spectrogram(to_complex(x), cfg), targets, want_grad=True)
+        return lv.value, chain(lv.gradient)
 
-        def project(x):
-            return x
+    def to_spec(x):
+        return Spectrogram(to_complex(x), cfg)
 
-        def to_spec(x):
-            return Spectrogram(x, cfg)
+    def to_sig(x):
+        n = len(sig) if sig is not None else (x.shape[0] - 1) * cfg.hop_length_samples
+        return TimeSignal(istft_array(to_complex(x), cfg, n), rate)
 
-        def to_sig(x):
-            n = _out_len(targets, cfg, x.shape[0])
-            return TimeSignal(istft_array(x, cfg, n), rate)
-
-        return x0, value_and_grad, project, to_spec, to_sig
-
-    raise ConfigInvalidError(
-        f"unsupported parameterization/loss combination: "
-        f"{problem.parameterization} with {loss}"
-    )
+    return x0, value_and_grad, project, to_spec, to_sig
 
 
 def _checkpoint(traj, step, f, x, problem, to_spec, to_sig):
@@ -580,6 +428,16 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         raise ConfigInvalidError("step_size must be positive")
     if not (0.0 <= problem.momentum < 1.0):
         raise ConfigInvalidError("momentum must lie in [0, 1)")
+    if problem.init not in _INITS:
+        raise ConfigInvalidError(f"init must be one of {', '.join(_INITS)}, got {problem.init!r}")
+    loss = problem.loss
+    if not isinstance(loss, LossKind):
+        raise ConfigInvalidError(f"loss must be a LossKind, got {loss!r}")
+    param = problem.parameterization
+    if not isinstance(param, Parameterization):
+        raise ConfigInvalidError(f"unknown parameterization {param!r}")
+    if loss.tag not in _DOMAINS[param]:
+        raise MissingTargetError(f"loss {loss.tag.value} unsupported for {param.value} parameters")
     x0, value_and_grad, project, to_spec, to_sig = _build_objective(problem)
     x = project(np.array(x0))
     traj = TrajectoryRecord()
@@ -630,10 +488,6 @@ class TrendReport:
                 )
 
 
-def _loss_label(loss) -> str:
-    return loss if isinstance(loss, str) else loss.tag.value
-
-
 def run_trend_experiment(
     targets: Targets,
     cfg: StftConfig,
@@ -641,7 +495,6 @@ def run_trend_experiment(
     steps: int = 400,
     step_size: float = 0.5,
     momentum: float = 0.9,
-    quad_mag_weight: float = 1.0,
 ) -> TrendReport:
     """Optimize a magnitude under the mixture phase for two objectives.
 
@@ -663,12 +516,11 @@ def run_trend_experiment(
             steps=steps,
             step_size=step_size,
             momentum=momentum,
-            quad_mag_weight=quad_mag_weight,
         )
         result = optimize(problem)
         rows.append(
             TrendRow(
-                label=_loss_label(loss),
+                label=loss.tag.value,
                 final_loss=result.final_loss,
                 si_sdr_db=si_sdr(result.signal, targets.s),
                 msnr_db=msnr(result.spectrogram, targets.S),

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from magphase.losses import LossKind, LossTag, SourceTargets, evaluate_loss
+from magphase.losses import LossKind, LossTag, Targets, evaluate_loss
 from magphase.stft import istft_array, num_frames_for, stft_array
 from magphase.types import MagSpectrogram, Spectrogram, StftConfig, TimeSignal
 
@@ -31,7 +31,7 @@ def bounded_complex(rng, shape, lo=0.1, hi=1.0):
 @dataclass
 class LossCase:
     kind: LossKind
-    targets: SourceTargets
+    targets: Targets
     x0: np.ndarray
     wrap: Callable[[np.ndarray], object]
     complex_param: bool
@@ -58,7 +58,13 @@ def make_loss_case(tag: LossTag, seed: int) -> LossCase:
         S = Spectrogram(est - delta, cfg)
         if tag is LossTag.RI_MAG:
             assert np.min(np.abs(np.abs(est) - np.abs(S.data))) > MARGIN
-        return LossCase(LossKind(tag), SourceTargets(S=S), est, spec_wrap, True)
+        return LossCase(LossKind(tag), Targets(S=S), est, spec_wrap, True)
+
+    if tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG):
+        # Smooth except where |est| = 0, which bounded_complex excludes.
+        est = bounded_complex(rng, shape)
+        S = Spectrogram(bounded_complex(rng, shape, 0.3, 1.0), cfg)
+        return LossCase(LossKind(tag), Targets(S=S), est, spec_wrap, True)
 
     if tag is LossTag.PHASE:
         est = bounded_complex(rng, shape, 0.2, 1.0)
@@ -76,13 +82,13 @@ def make_loss_case(tag: LossTag, seed: int) -> LossCase:
         else:
             raise AssertionError("could not condition the phase-loss case")
         S = Spectrogram(S_data, cfg)
-        return LossCase(LossKind(tag), SourceTargets(S=S), est, spec_wrap, True)
+        return LossCase(LossKind(tag), Targets(S=S), est, spec_wrap, True)
 
     if tag is LossTag.RI_ISTFT:
         est = bounded_complex(rng, shape)
         resid = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
         s = TimeSignal(istft_array(est, cfg, n) - resid, CASE_RATE)
-        return LossCase(LossKind(tag), SourceTargets(s=s), est, spec_wrap, True)
+        return LossCase(LossKind(tag), Targets(s=s), est, spec_wrap, True)
 
     if tag in (LossTag.RI_ISTFT_MAG, LossTag.RI_ISTFT_X0_MAG, LossTag.MAG_RI_ISTFT):
         est = bounded_complex(rng, shape)
@@ -95,19 +101,19 @@ def make_loss_case(tag: LossTag, seed: int) -> LossCase:
             assert base_mag.min() > MARGIN
         mag_ref = base_mag + rng.uniform(0.5, 1.5, shape)
         S = Spectrogram(mag_ref * np.exp(1j * rng.uniform(-np.pi, np.pi, shape)), cfg)
-        return LossCase(LossKind(tag), SourceTargets(s=s, S=S), est, spec_wrap, True)
+        return LossCase(LossKind(tag), Targets(s=s, S=S), est, spec_wrap, True)
 
     if tag in (LossTag.WAV, LossTag.WAV_MAG, LossTag.WAV_X0_MAG):
         est = rng.uniform(0.2, 1.0, n) * rng.choice([-1.0, 1.0], n)
         resid = rng.uniform(0.5, 1.5, n) * rng.choice([-1.0, 1.0], n)
         s = TimeSignal(est - resid, CASE_RATE)
         if tag is LossTag.WAV:
-            return LossCase(LossKind(tag), SourceTargets(s=s), est, sig_wrap, False)
+            return LossCase(LossKind(tag), Targets(s=s), est, sig_wrap, False)
         base_mag = np.abs(stft_array(est, cfg))
         assert base_mag.min() > MARGIN
         mag_ref = base_mag + rng.uniform(0.5, 1.5, shape)
         S = Spectrogram(mag_ref * np.exp(1j * rng.uniform(-np.pi, np.pi, shape)), cfg)
-        return LossCase(LossKind(tag), SourceTargets(s=s, S=S), est, sig_wrap, False)
+        return LossCase(LossKind(tag), Targets(s=s, S=S), est, sig_wrap, False)
 
     if tag is LossTag.MSA:
         est = rng.uniform(0.2, 1.0, shape)
@@ -115,7 +121,7 @@ def make_loss_case(tag: LossTag, seed: int) -> LossCase:
         mag_ref = np.clip(mag_ref, 0.05, None)
         assert np.min(np.abs(est - mag_ref)) > MARGIN
         S = Spectrogram(mag_ref * np.exp(1j * rng.uniform(-np.pi, np.pi, shape)), cfg)
-        return LossCase(LossKind(tag), SourceTargets(S=S), est, mag_wrap, False)
+        return LossCase(LossKind(tag), Targets(S=S), est, mag_wrap, False)
 
     if tag is LossTag.PSA:
         S = Spectrogram(bounded_complex(rng, shape, 0.2, 1.0), cfg)
@@ -124,7 +130,7 @@ def make_loss_case(tag: LossTag, seed: int) -> LossCase:
 
         target = psa_target(S, Y).data
         est = target + rng.uniform(0.3, 1.0, shape)
-        return LossCase(LossKind(tag), SourceTargets(S=S, Y=Y), est, mag_wrap, False)
+        return LossCase(LossKind(tag), Targets(S=S, Y=Y), est, mag_wrap, False)
 
     raise ValueError(f"no case builder for {tag}")
 

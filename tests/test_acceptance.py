@@ -13,7 +13,7 @@ from magphase.compensation import compensated_magnitude, histogram2d
 from magphase.losses import (
     LossKind,
     LossTag,
-    SourceTargets,
+    Targets,
     evaluate_loss,
     loss_msa,
     pit_wrap,
@@ -24,7 +24,6 @@ from magphase.optim import (
     QUAD_L2,
     OptimizationProblem,
     Parameterization,
-    Targets,
     optimize,
     run_trend_experiment,
 )
@@ -218,7 +217,8 @@ def test_criterion_07_gradient_correctness():
     _report(
         7,
         worst < 1e-5 and elapsed < 30.0,
-        f"12 kinds x 5 points: worst FD rel err {worst:.2e} ({worst_tag}), {elapsed:.1f}s",
+        f"{len(LossTag)} kinds x 5 points: worst FD rel err {worst:.2e} ({worst_tag}), "
+        f"{elapsed:.1f}s",
     )
 
 
@@ -291,7 +291,7 @@ def test_criterion_10_pit_brute_force():
             return Spectrogram(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), cfg)
 
         ests = [rand_spec(), rand_spec()]
-        tgts = [SourceTargets(S=rand_spec()), SourceTargets(S=rand_spec())]
+        tgts = [Targets(S=rand_spec()), Targets(S=rand_spec())]
         value, perm = pit_wrap(kind, ests, tgts)
         direct = (
             evaluate_loss(kind, ests[0], tgts[0]).value

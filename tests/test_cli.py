@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from magphase.cli import main
+from magphase.cli import build_parser, main
+from magphase.errors import SpecInvalidError
 from magphase.wavio import read_wav, write_wav
 from magphase.scenes import SceneSpec, synth_scene
 from magphase.types import TimeSignal
@@ -188,6 +189,61 @@ def test_optimize_problem_json_msa(scene_dir, tmp_path):
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     final_msnr = lines[-1].split(",")[3]
     assert final_msnr == "inf" or float(final_msnr) > 80
+
+
+def test_optimize_problem_json_weighted_quadratic(scene_dir, tmp_path):
+    problem = tmp_path / "p.json"
+    problem.write_text(
+        json.dumps({"loss": {"tag": "l2-complex+mag", "mag_weight": 2.0}, "steps": 20})
+    )
+    code = run(
+        "optimize", "--scene", scene_dir, "--problem", problem,
+        "--out", tmp_path / "o", "--win", 200, "--hop", 80,
+    )
+    assert code == 0
+
+
+def _expect_spec_error(capsys, argv, match):
+    """The command raises SpecInvalidError; main turns it into exit 1 without a traceback."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    with pytest.raises(SpecInvalidError, match=match):
+        args.func(args)
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        # The magnitude weight belongs inside "loss" ({"tag": ..., "mag_weight": ...}).
+        ('{"mag_weight": 2.0}', "unknown problem JSON keys: mag_weight"),
+        ('{"stpes": 10}', "unknown problem JSON keys: stpes"),
+        ('{"schema_version": 2}', "schema_version 2"),
+        ('{"parameterization": "free-phase"}', "free-phase"),
+        ('{"steps": 10', "malformed"),
+    ],
+    ids=["top_level_mag_weight", "typo", "schema_version", "parameterization", "malformed"],
+)
+def test_optimize_problem_json_fails_loudly(scene_dir, tmp_path, capsys, text, match):
+    problem = tmp_path / "p.json"
+    problem.write_text(text)
+    argv = ["optimize", "--scene", scene_dir, "--problem", problem, "--out", tmp_path / "o"]
+    _expect_spec_error(capsys, argv, match)
+
+
+def test_optimize_problem_json_rejects_unknown_loss_key(scene_dir, tmp_path):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"loss": {"tag": "msa", "weight": 2.0}}))
+    assert run("optimize", "--scene", scene_dir, "--problem", problem, "--out", tmp_path / "o") == 1
+
+
+@pytest.mark.parametrize("flag", [("--win", 200), ("--hop", 80)], ids=["win", "hop"])
+def test_win_and_hop_must_come_together(scene_dir, capsys, flag):
+    # Either flag alone used to be dropped silently in favour of 32/8 ms.
+    argv = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav", *flag]
+    _expect_spec_error(capsys, argv, "--win and --hop")
 
 
 def test_optimize_trend_csv(scene_dir, tmp_path):

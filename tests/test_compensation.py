@@ -7,7 +7,7 @@ from magphase.compensation import (
     optimal_magnitude_along_phase,
     phase_diff_map,
 )
-from magphase.errors import ShapeMismatchError
+from magphase.errors import ConfigInvalidError, ShapeMismatchError
 from magphase.scenes import SceneSpec, synth_scene
 from magphase.stft import stft
 from magphase.types import MagSpectrogram, Spectrogram, StftConfig, magnitude_of
@@ -80,7 +80,7 @@ def test_optimum_zero_input():
 
 
 def test_optimum_rejects_unknown_norm():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigInvalidError):
         optimal_magnitude_along_phase(1 + 1j, 0.0, "l3")
 
 

@@ -6,7 +6,7 @@ from magphase.errors import ConfigInvalidError, MissingTargetError, ShapeMismatc
 from magphase.losses import (
     LossKind,
     LossTag,
-    SourceTargets,
+    Targets,
     all_loss_kinds,
     evaluate_loss,
     loss_mag_ri_istft,
@@ -98,7 +98,7 @@ def test_zero_at_ground_truth(tag):
     s = TimeSignal(rng.standard_normal(n), 8000)
     S = stft(s, cfg)
     Y = Spectrogram(S.data + bounded_complex(rng, S.data.shape, 0.05, 0.2), cfg)
-    targets = SourceTargets(S=S, s=s, Y=Y)
+    targets = Targets(S=S, s=s, Y=Y)
     kind = LossKind(tag)
     if tag in (LossTag.MSA,):
         est = MagSpectrogram(np.abs(S.data), cfg)
@@ -170,13 +170,13 @@ def test_x0_variants_equal_pure_magnitude_terms():
     est = Spectrogram(bounded_complex(rng, shape), cfg)
     s = TimeSignal(rng.standard_normal(n), 8000)
     S = stft(TimeSignal(rng.standard_normal(n), 8000), cfg)
-    x0 = evaluate_loss(LossKind(LossTag.RI_ISTFT_X0_MAG), est, SourceTargets(S=S, s=s))
+    x0 = evaluate_loss(LossKind(LossTag.RI_ISTFT_X0_MAG), est, Targets(S=S, s=s))
     proj = consistency_project(est, n)
     pure = float(np.mean(np.abs(np.abs(proj.data) - np.abs(S.data))))
     assert x0.value == pytest.approx(pure, abs=1e-12)
 
     est_w = TimeSignal(rng.standard_normal(n), 8000)
-    x0w = evaluate_loss(LossKind(LossTag.WAV_X0_MAG), est_w, SourceTargets(S=S, s=s))
+    x0w = evaluate_loss(LossKind(LossTag.WAV_X0_MAG), est_w, Targets(S=S, s=s))
     pure_w = float(np.mean(np.abs(np.abs(stft_array(est_w.samples, cfg)) - np.abs(S.data))))
     assert x0w.value == pytest.approx(pure_w, abs=1e-12)
 
@@ -238,16 +238,16 @@ def test_shape_mismatch_errors():
 def test_dispatcher_domain_and_targets():
     est = unit_spec(1, 2, 3)
     with pytest.raises(MissingTargetError):
-        evaluate_loss(LossKind(LossTag.RI), est, SourceTargets())
+        evaluate_loss(LossKind(LossTag.RI), est, Targets())
     with pytest.raises(MissingTargetError):
-        evaluate_loss(LossKind(LossTag.MSA), est, SourceTargets(S=est))
+        evaluate_loss(LossKind(LossTag.MSA), est, Targets(S=est))
 
 
 def test_parse_loss_tag():
     assert parse_loss_tag("ri+mag") is LossTag.RI_MAG
     with pytest.raises(ConfigInvalidError):
         parse_loss_tag("nope")
-    assert len(all_loss_kinds()) == 12
+    assert len(all_loss_kinds()) == 14
 
 
 def test_gradient_of_magnitude_at_zero_is_zero():
@@ -273,14 +273,14 @@ def _pit_case(seed):
         )
 
     ests = [rand_spec(), rand_spec()]
-    tgts = [SourceTargets(S=rand_spec()), SourceTargets(S=rand_spec())]
+    tgts = [Targets(S=rand_spec()), Targets(S=rand_spec())]
     return ests, tgts
 
 
 def test_pit_identity_and_swap():
     ests, tgts = _pit_case(0)
     kind = LossKind(LossTag.RI)
-    aligned = [SourceTargets(S=ests[0]), SourceTargets(S=ests[1])]
+    aligned = [Targets(S=ests[0]), Targets(S=ests[1])]
     value, perm = pit_wrap(kind, ests, aligned)
     assert perm == (0, 1) and value.value == 0.0
     value, perm = pit_wrap(kind, ests, aligned[::-1])

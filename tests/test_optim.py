@@ -5,7 +5,7 @@ import pytest
 
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
 from magphase.errors import ConfigInvalidError, MissingTargetError
-from magphase.losses import LossKind, LossTag, SourceTargets, evaluate_loss
+from magphase.losses import SEPARABLE_TAGS, LossKind, LossTag, evaluate_loss
 from magphase.metrics import msnr, si_sdr
 from magphase.optim import (
     QUAD_L2,
@@ -84,11 +84,16 @@ def test_fixed_phase_l2_matches_compensation_closed_form():
 
 
 def test_fixed_phase_l2_mag_balances_toward_oracle_magnitude():
+    # Per unit, (m - |S| cos d)^2 + w (m - |S|)^2 is least at
+    # m* = (|S| cos d + w |S|) / (1 + w), which is >= 0 for d <= pi/2.
     deltas = np.linspace(0.0, np.pi / 2, 100).reshape(10, 10)
-    problem, mags = grid_problem(QUAD_L2_MAG, deltas, quad_mag_weight=1.0)
-    result = optimize(problem)
-    oracle = np.maximum((mags * np.cos(deltas) + mags) / 2.0, 0.0)
-    assert np.max(np.abs(result.params - oracle)) < 1e-4
+    assert QUAD_L2_MAG == LossKind(LossTag.L2_COMPLEX_MAG, mag_weight=1.0)
+    for w in (0.5, 1.0, 2.0):
+        loss = LossKind(LossTag.L2_COMPLEX_MAG, mag_weight=w)
+        problem, mags = grid_problem(loss, deltas)
+        result = optimize(problem)
+        oracle = (mags * np.cos(deltas) + w * mags) / (1.0 + w)
+        assert np.max(np.abs(result.params - oracle)) < 1e-4, w
 
 
 def test_msa_converges_to_oracle_magnitude_despite_phase_error(scene_targets):
@@ -313,6 +318,30 @@ def test_validation_errors(scene_targets):
         )
 
 
+def test_loss_must_be_a_loss_kind(scene_targets):
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss="l2-complex",  # a bare tag name is not a LossKind
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+    )
+    with pytest.raises(ConfigInvalidError):
+        optimize(problem)
+
+
+def test_unknown_init_rejected(scene_targets):
+    # An unknown init used to fall through to the random init silently.
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss=QUAD_L2,
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        init="mixtrue",
+    )
+    with pytest.raises(ConfigInvalidError):
+        optimize(problem)
+
+
 def test_nonfinite_objective_raises_diverged(scene_targets):
     from magphase.errors import DivergedError
 
@@ -345,31 +374,49 @@ def test_waveform_params_with_spectral_loss(scene_targets):
     assert result.final_loss < result.trajectory.loss[0]
 
 
-def test_separable_totals_match_loss_contract(scene_targets):
-    # The per-unit fast path must score exactly like the public losses.
+@pytest.mark.parametrize(
+    "param",
+    [Parameterization.FREE_RI, Parameterization.FREE_MAG_FIXED_PHASE],
+    ids=lambda p: p.value,
+)
+@pytest.mark.parametrize(
+    "tag", sorted(SEPARABLE_TAGS, key=lambda t: t.value), ids=lambda t: t.value
+)
+def test_separable_kernels_match_loss_contract(scene_targets, tag, param):
+    # The per-unit descent must score exactly like the public losses:
+    # mean of the value map = evaluate_loss value, and the gradient map is
+    # the element count times the loss gradient, chained through the
+    # fixed phase (Re(conj(u) g)) for magnitude parameters.
     from magphase.optim import _per_unit_objective
+    from magphase.types import phase_of
 
-    for loss in (LossKind(LossTag.RI), LossKind(LossTag.RI_MAG), LossKind(LossTag.MSA)):
-        problem = OptimizationProblem(
-            parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
-            loss=loss,
-            targets=scene_targets,
-            cfg=CFG_SCENE,
-            phase_source="mixture",
-        )
-        per_unit = _per_unit_objective(problem)
-        m = np.abs(scene_targets.Y.data) * 0.9
-        L, _ = per_unit(m)
-        if loss.tag is LossTag.MSA:
-            est = MagSpectrogram(m, CFG_SCENE)
-        else:
-            from magphase.types import phase_of
-
-            est = Spectrogram(m * np.exp(1j * phase_of(scene_targets.Y)), CFG_SCENE)
-        expected = evaluate_loss(
-            loss, est, SourceTargets(S=scene_targets.S, Y=scene_targets.Y)
-        ).value
-        assert float(np.mean(L)) == pytest.approx(expected, abs=1e-12)
+    loss = LossKind(tag, mag_weight=0.7) if tag is not LossTag.PHASE else LossKind(tag)
+    problem = OptimizationProblem(
+        parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE
+    )
+    if param is Parameterization.FREE_RI and tag in (LossTag.MSA, LossTag.PSA):
+        with pytest.raises(MissingTargetError):  # magnitude loss on complex params
+            optimize(problem)
+        return
+    per_unit = _per_unit_objective(problem)
+    m = np.abs(scene_targets.Y.data) * 0.9
+    u = np.exp(1j * phase_of(scene_targets.Y))
+    if tag in (LossTag.MSA, LossTag.PSA):
+        x, est = m, MagSpectrogram(m, CFG_SCENE)
+    elif param is Parameterization.FREE_RI:
+        x = m * u * np.exp(0.3j)  # off the mixture phase: a generic complex point
+        est = Spectrogram(x, CFG_SCENE)
+    else:
+        x, est = m, Spectrogram(m * u, CFG_SCENE)
+    L, G = per_unit(x)
+    lv = evaluate_loss(loss, est, scene_targets, want_grad=True)
+    assert float(np.mean(L)) == pytest.approx(lv.value, abs=1e-12)
+    g = lv.gradient * L.size
+    if param is Parameterization.FREE_MAG_FIXED_PHASE and tag not in (LossTag.MSA, LossTag.PSA):
+        g = (np.conj(u) * g).real
+    live = m > 0
+    # atol only for the phase loss, whose chained gradient is 0 up to rounding.
+    np.testing.assert_allclose(G[live], g[live], rtol=1e-10, atol=1e-12)
 
 
 def test_compensated_magnitude_helper(scene_targets):
