@@ -88,6 +88,10 @@ def cmd_synth(args) -> int:
 def cmd_metrics(args) -> int:
     est = wavio.read_wav(Path(args.est))
     ref = wavio.read_wav(Path(args.ref))
+    if est.sample_rate_hz != ref.sample_rate_hz:
+        raise SpecInvalidError(
+            f"estimate is at {est.sample_rate_hz} Hz, reference at {ref.sample_rate_hz} Hz"
+        )
     cfg = _stft_config(args, ref.sample_rate_hz)
     rep = metrics.report(est, ref, stft(est, cfg), stft(ref, cfg))
     if args.json_out:

@@ -15,9 +15,10 @@ L1. The gradient of |z| at z = 0 is taken as 0.
 
 The separable kinds (one T-F unit never sees another) are written once,
 as per-unit kernels: unit_kernel binds the reference-side terms and
-returns f(x) -> (value map, gradient map). A loss value is the mean of
-the value map and its gradient is the gradient map over its size;
-optimizers line-search the maps per unit.
+returns f(x) -> (value map, gradient map), or the maps at chosen units
+only with f(values, at=flat_idx). A loss value is the mean of the value
+map and its gradient is the gradient map over its size; optimizers
+line-search the maps per unit.
 
 Gradients with respect to complex spectrogram parameters are packed as
 dL/dRe + 1j * dL/dIm.
@@ -171,12 +172,30 @@ def _same_shape(a, b) -> None:
         raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
+def _bind(body, *refs):
+    """Per-unit kernel f(x, want_grad=True, at=None) from an elementwise body.
+
+    body(x, want_grad, *refs) maps x and the reference maps refs (None
+    where unused) to (value map, gradient map or None). f(x) takes x and
+    refs whole. f(values, want_grad, at=flat_idx) takes the values at the
+    flat unit indices at and reads every reference map there; since body
+    is elementwise, its maps equal the whole maps at at bit for bit.
+    body must return new arrays: the per-unit descent writes into them.
+    """
+    flat = [None if r is None else r.reshape(-1) for r in refs]
+
+    def kernel(x, want_grad=True, at=None):
+        if at is None:
+            return body(x, want_grad, *refs)
+        return body(x, want_grad, *(None if r is None else r[at] for r in flat))
+
+    return kernel
+
+
 def _ri_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
     """Per-unit L1 over RI parts, plus mag_weight * ||z| - |S|| when nonzero."""
-    sr, si = S.data.real, S.data.imag
-    mag_ref = np.abs(S.data) if mag_weight else None
 
-    def kernel(z, want_grad=True):
+    def body(z, want_grad, sr, si, mag_ref):
         dr = z.real - sr
         di = z.imag - si
         val = time_weight * (np.abs(dr) + np.abs(di))
@@ -188,15 +207,13 @@ def _ri_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
                 grad = grad + mag_weight * _smooth_l1_grad(dm) * _unit(z)
         return val, grad
 
-    return kernel
+    return _bind(body, S.data.real, S.data.imag, np.abs(S.data) if mag_weight else None)
 
 
 def _l2_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
     """Per-unit squared complex distance, plus mag_weight * (|z| - |S|)^2."""
-    ref = S.data
-    mag_ref = np.abs(ref) if mag_weight else None
 
-    def kernel(z, want_grad=True):
+    def body(z, want_grad, ref, mag_ref):
         d = z - ref
         val = time_weight * (d.real**2 + d.imag**2)
         grad = 2.0 * time_weight * d if want_grad else None
@@ -207,15 +224,13 @@ def _l2_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
                 grad = grad + 2.0 * mag_weight * dm * _unit(z)
         return val, grad
 
-    return kernel
+    return _bind(body, S.data, np.abs(S.data) if mag_weight else None)
 
 
 def _phase_kernel(S: Spectrogram, time_weight: float):
     """Per-unit RI L1 between |S| e^{j angle(z)} and S; see loss_phase."""
-    mag_ref = np.abs(S.data)
-    sr, si = S.data.real, S.data.imag
 
-    def kernel(z, want_grad=True):
+    def body(z, want_grad, mag_ref, sr, si):
         theta = np.where(z == 0, 0.0, np.angle(z))
         p_re = mag_ref * np.cos(theta)
         p_im = mag_ref * np.sin(theta)
@@ -230,17 +245,17 @@ def _phase_kernel(S: Spectrogram, time_weight: float):
         grad = np.where(rho2 > 0, dl_dtheta * (-z.imag + 1j * z.real) / safe, 0.0 + 0.0j)
         return val, grad
 
-    return kernel
+    return _bind(body, np.abs(S.data), S.data.real, S.data.imag)
 
 
 def _magnitude_kernel(ref: np.ndarray, mag_weight: float):
     """Per-unit L1 between a magnitude and a fixed magnitude target."""
 
-    def kernel(m, want_grad=True):
-        d = m - ref
+    def body(m, want_grad, target):
+        d = m - target
         return mag_weight * np.abs(d), mag_weight * _smooth_l1_grad(d) if want_grad else None
 
-    return kernel
+    return _bind(body, ref)
 
 
 def unit_kernel(kind: LossKind, targets: Targets):
@@ -251,6 +266,8 @@ def unit_kernel(kind: LossKind, targets: Targets):
     maps are per unit (dL/dRe + 1j dL/dIm for complex x), i.e. element
     count times the gradient of the mean the loss reports;
     f(x, want_grad=False) skips them and returns None in their place.
+    f(values, at=flat_idx) evaluates only the units at those flat indices
+    (values holds x there) and returns their entries of both maps.
     """
     tag, tw, mw = kind.tag, kind.time_weight, kind.mag_weight
     context = f"loss {tag.value}"

@@ -1,7 +1,8 @@
 """Evaluation metrics: SI-SDR, plain SNR, magnitude SNR, phase SNR.
 
 All return dB. A perfect estimate yields +inf, which serializes as the
-literal string "inf"; results are never NaN.
+literal string "inf"; results are never NaN: a NaN or Inf in either
+signal, or in the spectrogram estimate, raises NonFiniteError.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from .errors import (
     LengthMismatchError,
+    NonFiniteError,
     ShapeMismatchError,
     SilentReferenceError,
     ZeroSignalError,
@@ -22,6 +24,11 @@ from .types import MagSpectrogram, Spectrogram, TimeSignal, phase_of
 # Energy ratios whose denominator falls below this yield +inf instead of
 # overflowing the log.
 _DENOM_FLOOR = 1e-300
+
+
+def _require_finite(a: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(a)):
+        raise NonFiniteError(f"{what} contains NaN or Inf")
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -42,6 +49,8 @@ def si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
     e = est.samples
     if len(s) != len(e):
         raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(s)}")
+    _require_finite(e, "estimate signal")
+    _require_finite(s, "reference signal")
     ref_energy = float(np.dot(s, s))
     if ref_energy == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
@@ -60,6 +69,8 @@ def snr(est: TimeSignal, ref: TimeSignal) -> float:
     e = est.samples
     if len(s) != len(e):
         raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(s)}")
+    _require_finite(e, "estimate signal")
+    _require_finite(s, "reference signal")
     num = float(np.dot(s, s))
     if num == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
@@ -79,6 +90,7 @@ def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram) -> float:
     mag_ref = np.abs(S.data)
     if mag_est.shape != mag_ref.shape:
         raise ShapeMismatchError(f"shape mismatch: {mag_est.shape} vs {mag_ref.shape}")
+    _require_finite(mag_est, "estimate spectrogram")
     num = float(np.sum(mag_ref**2))
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
@@ -99,6 +111,7 @@ def psnr(est: Spectrogram, S: Spectrogram) -> float:
     """
     if est.data.shape != S.data.shape:
         raise ShapeMismatchError(f"shape mismatch: {est.data.shape} vs {S.data.shape}")
+    _require_finite(est.data, "estimate spectrogram")
     mag2 = np.abs(S.data) ** 2
     num = float(np.sum(mag2))
     if num == 0.0:

@@ -19,7 +19,9 @@ loss without an iSTFT inside) are line-searched per unit, each unit
 halving its own step independently; this is what makes pointwise
 convergence possible at all, since under a single global step the many
 already-converged units veto any move large enough to help a distant
-straggler. Losses coupled across units by an iSTFT/STFT (and all
+straggler. A retry evaluates only the units whose step failed, so a step
+costs one full evaluation plus work in proportion to the failing units;
+the results equal those of re-evaluating every unit bit for bit. Losses coupled across units by an iSTFT/STFT (and all
 waveform-parameter runs) use one global step with the same halving rule;
 there step sizes are interpreted per element (mean-normalized losses
 carry a 1/count gradient factor, which the optimizer multiplies back).
@@ -55,6 +57,7 @@ from .losses import (
     LossKind,
     LossTag,
     Targets,
+    _bind,
     _require,
     _smooth_l1_grad,
     evaluate_loss,
@@ -172,6 +175,9 @@ def _fixed_phase_kernel(problem: OptimizationProblem, unit: np.ndarray):
       as 0 at z = 0, while d|m * unit|/dm = 1 for m >= 0, so a unit the
       descent drives to 0 cannot be pulled back by the magnitude term.
       That moved the with-mag arm's mSNR from 18.70 dB to 17.47 dB.
+
+    Like unit_kernel's, they are called as f(m) or f(values, at=flat_idx)
+    (losses._bind), and they always return the gradient map.
     """
     loss = problem.loss
     tw = loss.time_weight
@@ -180,20 +186,15 @@ def _fixed_phase_kernel(problem: OptimizationProblem, unit: np.ndarray):
     mag_ref = np.abs(S.data)
 
     if loss.tag is LossTag.PHASE:
-        # The fixed phase makes this loss constant in the magnitude.
+        # The fixed phase makes this loss constant in the magnitude; the
+        # copy keeps the descent's in-place writes off the bound map.
         p = mag_ref * unit
         const = tw * (np.abs(p.real - S.data.real) + np.abs(p.imag - S.data.imag))
-
-        def per_unit(m):
-            return const.copy(), np.zeros_like(m)
-
-        return per_unit
+        return _bind(lambda m, want_grad, c: (c.copy(), np.zeros_like(m)), const)
 
     if loss.tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG):
-        proj = (np.conj(unit) * S.data).real  # |S| cos(angle S - phase)
-        orth = (np.conj(unit) * S.data).imag
 
-        def per_unit(m):
+        def l2_body(m, want_grad, proj, orth, mag_ref):
             d = m - proj
             val = tw * (d * d + orth * orth)
             grad = 2.0 * tw * d
@@ -203,12 +204,10 @@ def _fixed_phase_kernel(problem: OptimizationProblem, unit: np.ndarray):
                 grad = grad + 2.0 * mw * dm
             return val, grad
 
-        return per_unit
+        along = np.conj(unit) * S.data  # |S| e^{j(angle S - phase)}
+        return _bind(l2_body, along.real, along.imag, mag_ref if mw else None)
 
-    cos_p, sin_p = unit.real, unit.imag
-    sr, si = S.data.real, S.data.imag
-
-    def per_unit(m):
+    def l1_body(m, want_grad, cos_p, sin_p, sr, si, mag_ref):
         a = m * cos_p - sr
         b = m * sin_p - si
         val = tw * (np.abs(a) + np.abs(b))
@@ -219,7 +218,7 @@ def _fixed_phase_kernel(problem: OptimizationProblem, unit: np.ndarray):
             grad = grad + mw * _smooth_l1_grad(dm)
         return val, grad
 
-    return per_unit
+    return _bind(l1_body, unit.real, unit.imag, S.data.real, S.data.imag, mag_ref if mw else None)
 
 
 def _per_unit_objective(problem: OptimizationProblem):
@@ -349,8 +348,19 @@ def _checkpoint(traj, step, f, x, problem, to_spec, to_sig):
     traj.append(step, f, si, ms, ps)
 
 
+def _failed(Lc, Gc, L):
+    """Units whose candidate raised the loss or is not finite."""
+    return ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
+
+
 def _descend_separable(problem, x, per_unit, project, traj, record):
-    """Per-unit momentum GD: every T-F unit line-searches its own step."""
+    """Per-unit momentum GD: every T-F unit line-searches its own step.
+
+    A retry evaluates only the units whose step failed, through the
+    kernel's per_unit(values, at=flat_idx) form; the step then commits
+    the candidate everywhere except at the units still failing, which
+    keep their point and drop their momentum.
+    """
     L, G = per_unit(x)
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(G))):
         raise DivergedError("objective non-finite at the initial point")
@@ -359,22 +369,30 @@ def _descend_separable(problem, x, per_unit, project, traj, record):
     record(0, float(np.mean(L)), x)
     for k in range(1, problem.steps + 1):
         lr = np.minimum(lr * 2.0, problem.step_size)  # recover between steps
-        vel_try = problem.momentum * vel - lr * G
-        cand = project(x + vel_try)
+        vel = problem.momentum * vel - lr * G
+        cand = project(x + vel)
         Lc, Gc = per_unit(cand)
-        bad = ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
+        # Flat views: every array here is a fresh C-contiguous result.
+        x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_ = (
+            a.reshape(-1) for a in (x, L, G, lr, vel, cand, Lc, Gc)
+        )
+        idx = np.flatnonzero(_failed(Lc, Gc, L))
         tries = 0
-        while bad.any() and tries < 60:
-            lr = np.where(bad, 0.5 * lr, lr)
-            vel_try = np.where(bad, -lr * G, vel_try)  # momentum dropped
-            cand = project(x + vel_try)
-            Lc, Gc = per_unit(cand)
-            bad = ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
+        while idx.size and tries < 60:
+            # No named temporaries: they would stay alive through the next retry.
+            lr_[idx] *= 0.5
+            vel_[idx] = -lr_[idx] * G_[idx]  # momentum dropped
+            cand_[idx] = project(x_[idx] + vel_[idx])
+            Lc_[idx], Gc_[idx] = per_unit(cand_[idx], at=idx)
+            idx = idx[_failed(Lc_[idx], Gc_[idx], L_[idx])]
             tries += 1
-        x = np.where(bad, x, cand)
-        vel = np.where(bad, 0.0, vel_try)
-        L = np.where(bad, L, Lc)
-        G = np.where(bad, G, Gc)
+        cand_[idx] = x_[idx]
+        vel_[idx] = 0.0
+        Lc_[idx] = L_[idx]
+        Gc_[idx] = G_[idx]
+        # Drop the views, or they would keep this step's arrays alive into the next.
+        del x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_
+        x, L, G = cand, Lc, Gc
         if k % record.every == 0 or k == problem.steps:
             record(k, float(np.mean(L)), x)
     return x, float(np.mean(L))

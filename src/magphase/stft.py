@@ -9,6 +9,17 @@ hop, so reconstruction is exact even for non-dyadic hop ratios
 window overlap, which equals 1 in the fully-overlapped interior and
 corrects the partially covered edge frames.
 
+The plan of a transform (the analysis window, the window pair, and the
+overlap coverage for a frame count) is built once per config, or per
+(config, frame count), and kept in small bounded caches; the cached
+arrays are read-only. A config that window_pair rejects is never
+cached, so it raises on every call.
+
+Overlap-add runs over the ceil(win / hop) hop-wide column blocks of the
+frames, in descending block order, so every output sample adds its
+frames earliest first: the summation order is fixed, and the results
+are deterministic and equal those of a per-frame loop bit for bit.
+
 The module also exposes the adjoints of both linear maps (with respect
 to the real inner product, complex matrices read as Re/Im pairs); loss
 gradients that travel through an iSTFT or STFT are built on them.
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -34,6 +46,13 @@ from .types import (
 
 # Overlap weights below this are treated as uncovered (padding only).
 _COVERAGE_TINY = 1e-12
+# Entries per plan cache: far more configs and frame counts than one run uses.
+_PLAN_CACHE_SIZE = 16
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -48,15 +67,18 @@ class WindowPair:
     synthesis: np.ndarray
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def analysis_window(cfg: StftConfig) -> np.ndarray:
+    """Periodic square-root Hann window (cached, read-only)."""
     if cfg.window_kind is not WindowKind.SQRT_HANN:
         raise ConfigInvalidError(f"unsupported window kind {cfg.window_kind}")
     n = np.arange(cfg.win_length_samples)
-    return np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.win_length_samples))
+    return _frozen(np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.win_length_samples)))
 
 
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def window_pair(cfg: StftConfig) -> WindowPair:
-    """Analysis window plus least-squares canonical dual for cfg's hop."""
+    """Analysis window plus least-squares canonical dual for cfg's hop (cached, read-only)."""
     w = analysis_window(cfg)
     hop = cfg.hop_length_samples
     lattice = np.zeros(hop)
@@ -67,7 +89,7 @@ def window_pair(cfg: StftConfig) -> WindowPair:
             "window/hop combination has zero overlap power; reconstruction impossible"
         )
     synthesis = w / lattice[np.arange(cfg.win_length_samples) % hop]
-    return WindowPair(analysis=w, synthesis=synthesis)
+    return WindowPair(analysis=w, synthesis=_frozen(synthesis))
 
 
 def num_frames_for(num_samples: int, cfg: StftConfig) -> int:
@@ -82,13 +104,49 @@ def _buffer_len(num_frames: int, cfg: StftConfig) -> int:
     return (num_frames - 1) * cfg.hop_length_samples + cfg.win_length_samples
 
 
-def _coverage(num_frames: int, cfg: StftConfig, pair: WindowPair) -> np.ndarray:
+def _overlap_add(segs: np.ndarray, hop: int) -> np.ndarray:
+    """Sum of frame t's segment placed at t * hop, earliest frame first.
+
+    The buffer is viewed as hop-wide rows; column block j of every frame
+    lands on the rows from j on. Taking the blocks in descending order
+    adds each sample's frames in ascending frame order, the order a
+    per-frame loop uses, so the sums equal that loop's bit for bit.
+    """
+    frames, wl = segs.shape
+    blocks = -(-wl // hop)
+    buf = np.zeros((frames + blocks - 1, hop))
+    for j in reversed(range(blocks)):
+        cols = min(hop, wl - j * hop)
+        buf[j : j + frames, :cols] += segs[:, j * hop : j * hop + cols]
+    return buf.reshape(-1)[: (frames - 1) * hop + wl]
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _coverage(cfg: StftConfig, num_frames: int) -> tuple[np.ndarray, np.ndarray]:
+    """Overlap-add normalizer: per-sample window overlap, with 1 at the
+    uncovered samples, and those samples' indices (cached, read-only)."""
+    pair = window_pair(cfg)
     wd = pair.analysis * pair.synthesis
-    cov = np.zeros(_buffer_len(num_frames, cfg))
-    hop = cfg.hop_length_samples
-    for t in range(num_frames):
-        cov[t * hop : t * hop + cfg.win_length_samples] += wd
-    return cov
+    cov = _overlap_add(np.broadcast_to(wd, (num_frames, wd.shape[0])), cfg.hop_length_samples)
+    uncovered = np.flatnonzero(~(cov > _COVERAGE_TINY))
+    cov[uncovered] = 1.0
+    return _frozen(cov), _frozen(uncovered)
+
+
+def _normalize(buf: np.ndarray, cfg: StftConfig, num_frames: int) -> None:
+    """Divide an overlap-add buffer by the coverage in place; uncovered samples become 0."""
+    cov, uncovered = _coverage(cfg, num_frames)
+    buf /= cov
+    buf[uncovered] = 0.0
+
+
+def _trim(buf: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
+    """The out_len samples after the edge pad, zero-padded past the buffer's end."""
+    pad = _edge_pad(cfg)
+    out = np.zeros(out_len)
+    avail = min(out_len, buf.shape[0] - pad)
+    out[:avail] = buf[pad : pad + avail]
+    return out
 
 
 def stft(x: TimeSignal, cfg: StftConfig) -> Spectrogram:
@@ -107,8 +165,7 @@ def stft_array(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     buf[pad : pad + n] = samples
     segs = sliding_window_view(buf, wl)[::hop]
     assert segs.shape[0] == frames
-    w = analysis_window(cfg)
-    return np.fft.rfft(segs * w, n=cfg.fft_size, axis=1)
+    return np.fft.rfft(segs * analysis_window(cfg), n=cfg.fft_size, axis=1)
 
 
 def istft(
@@ -131,21 +188,12 @@ def istft_array(data: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
         )
     if out_len < 0:
         raise ShapeMismatchError("out_len must be nonnegative")
-    frames, wl, hop = data.shape[0], cfg.win_length_samples, cfg.hop_length_samples
-    pair = window_pair(cfg)
-    segs = np.fft.irfft(data, n=cfg.fft_size, axis=1)[:, :wl] * pair.synthesis
-    buf = np.zeros(_buffer_len(frames, cfg))
-    for t in range(frames):  # fixed frame order keeps the sum deterministic
-        buf[t * hop : t * hop + wl] += segs[t]
-    cov = _coverage(frames, cfg, pair)
-    covered = cov > _COVERAGE_TINY
-    buf[covered] /= cov[covered]
-    buf[~covered] = 0.0
-    pad = _edge_pad(cfg)
-    out = np.zeros(out_len)
-    avail = min(out_len, buf.shape[0] - pad)
-    out[:avail] = buf[pad : pad + avail]
-    return out
+    frames, wl = data.shape[0], cfg.win_length_samples
+    synthesis = window_pair(cfg).synthesis
+    segs = np.fft.irfft(data, n=cfg.fft_size, axis=1)[:, :wl] * synthesis
+    buf = _overlap_add(segs, cfg.hop_length_samples)
+    _normalize(buf, cfg, frames)
+    return _trim(buf, cfg, out_len)
 
 
 def consistency_project(X: Spectrogram, out_len: int | None = None) -> Spectrogram:
@@ -174,18 +222,13 @@ def istft_adjoint(g_time: np.ndarray, cfg: StftConfig, num_frames: int) -> np.nd
     complex entries packed as dL/dRe + 1j * dL/dIm.
     """
     wl, hop, nfft = cfg.win_length_samples, cfg.hop_length_samples, cfg.fft_size
-    pair = window_pair(cfg)
-    cov = _coverage(num_frames, cfg, pair)
-    buf = np.zeros(cov.shape[0])
+    synthesis = window_pair(cfg).synthesis
+    buf = np.zeros(_buffer_len(num_frames, cfg))
     pad = _edge_pad(cfg)
     avail = min(g_time.shape[0], buf.shape[0] - pad)
     buf[pad : pad + avail] = g_time[:avail]
-    covered = cov > _COVERAGE_TINY
-    buf[covered] /= cov[covered]
-    buf[~covered] = 0.0
-    segs = np.zeros((num_frames, nfft))
-    for t in range(num_frames):
-        segs[t, :wl] = buf[t * hop : t * hop + wl] * pair.synthesis
+    _normalize(buf, cfg, num_frames)
+    segs = sliding_window_view(buf, wl)[::hop] * synthesis
     spec = np.fft.rfft(segs, n=nfft, axis=1)
     # Adjoint of irfft: interior bins carry weight 2/N (they stand for a
     # conjugate pair), DC and Nyquist carry 1/N with no imaginary part.
@@ -202,8 +245,7 @@ def istft_adjoint(g_time: np.ndarray, cfg: StftConfig, num_frames: int) -> np.nd
 
 def stft_adjoint(g_spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
     """Adjoint of stft_array(., cfg) for an input of out_len samples."""
-    wl, hop, nfft = cfg.win_length_samples, cfg.hop_length_samples, cfg.fft_size
-    frames = g_spec.shape[0]
+    wl, nfft = cfg.win_length_samples, cfg.fft_size
     # Adjoint of rfft: unpack the one-sided cotangent (irfft halves the
     # interior bins and drops Im at DC/Nyquist, exactly matching the
     # forward map's sensitivities).
@@ -211,13 +253,5 @@ def stft_adjoint(g_spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarra
     c[0] = 1.0
     if nfft % 2 == 0:
         c[-1] = 1.0
-    segs = np.fft.irfft(g_spec * c, n=nfft, axis=1) * nfft
-    w = analysis_window(cfg)
-    buf = np.zeros(_buffer_len(frames, cfg))
-    for t in range(frames):
-        buf[t * hop : t * hop + wl] += segs[t, :wl] * w
-    pad = _edge_pad(cfg)
-    out = np.zeros(out_len)
-    avail = min(out_len, buf.shape[0] - pad)
-    out[:avail] = buf[pad : pad + avail]
-    return out
+    segs = np.fft.irfft(g_spec * c, n=nfft, axis=1)[:, :wl] * nfft * analysis_window(cfg)
+    return _trim(_overlap_add(segs, cfg.hop_length_samples), cfg, out_len)

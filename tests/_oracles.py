@@ -1,4 +1,6 @@
-"""Shared test oracles: loss-case builders and finite-difference checks.
+"""Shared test oracles: loss-case builders, finite-difference checks, and
+per-frame-loop and full-evaluation references for the STFT maps and the
+per-unit descent.
 
 Each loss case pins a random but well-conditioned evaluation point:
 every free entry and every residual the loss sees is bounded away from
@@ -13,7 +15,14 @@ from typing import Callable
 import numpy as np
 
 from magphase.losses import LossKind, LossTag, Targets, evaluate_loss
-from magphase.stft import istft_array, num_frames_for, stft_array
+from magphase.stft import (
+    _COVERAGE_TINY,
+    analysis_window,
+    istft_array,
+    num_frames_for,
+    stft_array,
+    window_pair,
+)
 from magphase.types import MagSpectrogram, Spectrogram, StftConfig, TimeSignal
 
 CASE_CFG = StftConfig(32, 8, 32)
@@ -163,3 +172,114 @@ def fd_gradient_rel_err(case: LossCase, n_coords: int = 24, h: float = 1e-6, see
     fd_vec = np.array(fd_vals)
     an_vec = np.array(an_vals)
     return float(np.linalg.norm(fd_vec - an_vec) / np.linalg.norm(fd_vec))
+
+
+# --- per-frame-loop references for the STFT maps ----------------------------
+
+
+def _loop_overlap_add(segs, hop, wl):
+    frames = segs.shape[0]
+    buf = np.zeros((frames - 1) * hop + wl)
+    for t in range(frames):  # earliest frame first
+        buf[t * hop : t * hop + wl] += segs[t, :wl]
+    return buf
+
+
+def _loop_normalize(buf, cfg, frames):
+    pair = window_pair(cfg)
+    wd = pair.analysis * pair.synthesis
+    cov = _loop_overlap_add(np.broadcast_to(wd, (frames, wd.shape[0])), *_hop_win(cfg))
+    covered = cov > _COVERAGE_TINY
+    buf[covered] /= cov[covered]
+    buf[~covered] = 0.0
+
+
+def _hop_win(cfg):
+    return cfg.hop_length_samples, cfg.win_length_samples
+
+
+def _trim(buf, cfg, out_len):
+    pad = cfg.win_length_samples - cfg.hop_length_samples
+    out = np.zeros(out_len)
+    avail = min(out_len, buf.shape[0] - pad)
+    out[:avail] = buf[pad : pad + avail]
+    return out
+
+
+def loop_istft_array(data, cfg, out_len):
+    """istft_array with a per-frame overlap-add loop."""
+    hop, wl = _hop_win(cfg)
+    segs = np.fft.irfft(data, n=cfg.fft_size, axis=1)[:, :wl] * window_pair(cfg).synthesis
+    buf = _loop_overlap_add(segs, hop, wl)
+    _loop_normalize(buf, cfg, data.shape[0])
+    return _trim(buf, cfg, out_len)
+
+
+def loop_istft_adjoint(g_time, cfg, num_frames):
+    """istft_adjoint with a per-frame gather loop."""
+    hop, wl = _hop_win(cfg)
+    nfft = cfg.fft_size
+    buf = np.zeros((num_frames - 1) * hop + wl)
+    pad = wl - hop
+    avail = min(g_time.shape[0], buf.shape[0] - pad)
+    buf[pad : pad + avail] = g_time[:avail]
+    _loop_normalize(buf, cfg, num_frames)
+    segs = np.zeros((num_frames, nfft))
+    for t in range(num_frames):
+        segs[t, :wl] = buf[t * hop : t * hop + wl] * window_pair(cfg).synthesis
+    spec = np.fft.rfft(segs, n=nfft, axis=1)
+    scale = np.full(cfg.num_bins, 2.0 / nfft)
+    scale[0] = 1.0 / nfft
+    if nfft % 2 == 0:
+        scale[-1] = 1.0 / nfft
+    g_spec = spec * scale
+    g_spec[:, 0] = g_spec[:, 0].real
+    if nfft % 2 == 0:
+        g_spec[:, -1] = g_spec[:, -1].real
+    return g_spec
+
+
+def loop_stft_adjoint(g_spec, cfg, out_len):
+    """stft_adjoint with a per-frame overlap-add loop."""
+    hop, wl = _hop_win(cfg)
+    nfft = cfg.fft_size
+    c = np.full(cfg.num_bins, 0.5)
+    c[0] = 1.0
+    if nfft % 2 == 0:
+        c[-1] = 1.0
+    segs = np.fft.irfft(g_spec * c, n=nfft, axis=1) * nfft
+    buf = _loop_overlap_add(segs[:, :wl] * analysis_window(cfg), hop, wl)
+    return _trim(buf, cfg, out_len)
+
+
+# --- full-evaluation reference for the per-unit descent ---------------------
+
+
+def full_eval_descend_separable(problem, x, per_unit, project, traj, record):
+    """optim._descend_separable as a full-map search: every backtracking
+    retry re-evaluates all units, and the step commits through np.where."""
+    L, G = per_unit(x)
+    lr = np.full(L.shape, problem.step_size)
+    vel = np.zeros_like(G)
+    record(0, float(np.mean(L)), x)
+    for k in range(1, problem.steps + 1):
+        lr = np.minimum(lr * 2.0, problem.step_size)
+        vel_try = problem.momentum * vel - lr * G
+        cand = project(x + vel_try)
+        Lc, Gc = per_unit(cand)
+        bad = ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
+        tries = 0
+        while bad.any() and tries < 60:
+            lr = np.where(bad, 0.5 * lr, lr)
+            vel_try = np.where(bad, -lr * G, vel_try)
+            cand = project(x + vel_try)
+            Lc, Gc = per_unit(cand)
+            bad = ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
+            tries += 1
+        x = np.where(bad, x, cand)
+        vel = np.where(bad, 0.0, vel_try)
+        L = np.where(bad, L, Lc)
+        G = np.where(bad, G, Gc)
+        if k % record.every == 0 or k == problem.steps:
+            record(k, float(np.mean(L)), x)
+    return x, float(np.mean(L))

@@ -316,6 +316,50 @@ def test_missing_scene_dir_is_io_error(tmp_path):
     assert code == 1
 
 
+def test_metrics_rejects_sample_rate_mismatch(scene_dir, tmp_path, capsys):
+    # Same samples, labelled 16 kHz against the 8 kHz reference: the
+    # lengths agree, so only the rate check can catch it.
+    ref = read_wav(scene_dir / "s.wav")
+    est = tmp_path / "s16k.wav"
+    write_wav(est, TimeSignal(ref.samples, 16000))
+    argv = ["metrics", "--est", est, "--ref", scene_dir / "s.wav", "--win", 200, "--hop", 80]
+    _expect_spec_error(capsys, argv, "16000 Hz")
+
+
+def test_metrics_rejects_truncated_wav(scene_dir, tmp_path, capsys):
+    # Cut after 84 bytes, the data chunk header still declares 8000 samples;
+    # scipy alone would read the 6 that remain, with only a warning.
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes((scene_dir / "s.wav").read_bytes()[:84])
+    argv = ["metrics", "--est", cut, "--ref", scene_dir / "s.wav"]
+    with pytest.warns(Warning):
+        _expect_spec_error(capsys, argv, "cut off")
+
+
+def test_metrics_rejects_non_wav(scene_dir, tmp_path, capsys):
+    bogus = tmp_path / "bogus.wav"
+    bogus.write_bytes(b"RIFF\x00\x00")
+    argv = ["metrics", "--est", bogus, "--ref", scene_dir / "s.wav"]
+    _expect_spec_error(capsys, argv, "not a readable WAV")
+
+
+def test_metrics_reads_wav_with_unknown_chunk(scene_dir, tmp_path, capsys):
+    import struct
+
+    raw = (scene_dir / "s.wav").read_bytes()
+    at = raw.index(b"data")
+    extra = raw[:at] + b"zzzz" + struct.pack("<I", 3) + b"abc\x00" + raw[at:]
+    extra = extra[:4] + struct.pack("<I", len(extra) - 8) + extra[8:]
+    path = tmp_path / "extra.wav"
+    path.write_bytes(extra)
+    with pytest.warns(Warning, match="not understood"):
+        assert read_wav(path).samples.tobytes() == read_wav(scene_dir / "s.wav").samples.tobytes()
+    with pytest.warns(Warning):
+        code = run("metrics", "--est", path, "--ref", scene_dir / "s.wav", "--win", 200, "--hop", 80)
+    assert code == 0
+    assert "si_sdr_db inf" in capsys.readouterr().out
+
+
 def test_wav_roundtrip_int16(tmp_path):
     # 16-bit PCM input is accepted and scaled to [-1, 1).
     from scipy.io import wavfile

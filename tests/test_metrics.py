@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from magphase.errors import (
     LengthMismatchError,
+    NonFiniteError,
     ShapeMismatchError,
     SilentReferenceError,
     ZeroSignalError,
@@ -73,7 +74,28 @@ def test_si_sdr_errors():
         si_sdr(sig([1.0]), sig([1.0, 2.0]))
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+def test_si_sdr_rejects_non_finite_input(bad):
+    ref = sig([1.0, 2.0, 3.0])
+    with pytest.raises(NonFiniteError):
+        si_sdr(sig([bad, 1.0, 2.0]), ref)
+    with pytest.raises(NonFiniteError):
+        si_sdr(ref, sig([bad, 1.0, 2.0]))
+
+
 # --- SNR ----------------------------------------------------------------------
+
+
+@NON_FINITE
+def test_snr_rejects_non_finite_input(bad):
+    ref = sig([1.0, 2.0, 3.0])
+    with pytest.raises(NonFiniteError):
+        snr(sig([bad, 1.0, 2.0]), ref)
+    with pytest.raises(NonFiniteError):
+        snr(ref, sig([bad, 1.0, 2.0]))
 
 
 def test_snr_values():
@@ -114,7 +136,27 @@ def test_msnr_errors():
         msnr(spec(np.zeros((1, 3))), spec(np.ones((2, 3))))
 
 
+@NON_FINITE
+def test_msnr_rejects_non_finite_estimate(bad):
+    S = spec(np.ones((2, 3)))
+    est = np.ones((2, 3))
+    est[1, 2] = bad
+    with pytest.raises(NonFiniteError):
+        msnr(MagSpectrogram(est, CFG), S)
+    with pytest.raises(NonFiniteError):
+        msnr(spec(est), S)
+
+
 # --- pSNR ---------------------------------------------------------------------
+
+
+@NON_FINITE
+def test_psnr_rejects_non_finite_estimate(bad):
+    S = spec(np.ones((2, 3)))
+    est = np.ones((2, 3), dtype=complex)
+    est[1, 2] = complex(bad, 0.0)  # angle(inf) is finite: the phase alone would not show it
+    with pytest.raises(NonFiniteError):
+        psnr(spec(est), S)
 
 
 def test_psnr_perfect_phase():

@@ -419,6 +419,69 @@ def test_separable_kernels_match_loss_contract(scene_targets, tag, param):
     np.testing.assert_allclose(G[live], g[live], rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "param",
+    [Parameterization.FREE_RI, Parameterization.FREE_MAG_FIXED_PHASE],
+    ids=lambda p: p.value,
+)
+@pytest.mark.parametrize(
+    "tag", sorted(SEPARABLE_TAGS, key=lambda t: t.value), ids=lambda t: t.value
+)
+def test_separable_kernels_at_units_match_full_maps(scene_targets, tag, param):
+    # f(values, at=idx) must give the whole maps' entries at idx bit for
+    # bit: the per-unit descent retries only the failing units this way.
+    from magphase.optim import _per_unit_objective
+    from magphase.types import phase_of
+
+    loss = LossKind(tag, mag_weight=0.7) if tag is not LossTag.PHASE else LossKind(tag)
+    problem = OptimizationProblem(
+        parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE
+    )
+    per_unit = _per_unit_objective(problem)
+    m = np.abs(scene_targets.Y.data) * 0.9
+    m.reshape(-1)[::97] = 0.0  # the kernels' zero-magnitude branches
+    if tag in (LossTag.MSA, LossTag.PSA):
+        x = m
+    elif param is Parameterization.FREE_RI:
+        x = m * np.exp(1j * (phase_of(scene_targets.Y) + 0.3))
+    else:
+        x = m
+    L, G = per_unit(x)
+    rng = np.random.default_rng(7)
+    for at in (
+        rng.choice(x.size, size=x.size // 10, replace=False),
+        np.array([], dtype=np.intp),
+        np.arange(x.size),
+    ):
+        La, Ga = per_unit(x.reshape(-1)[at], at=at)
+        assert La.tobytes() == L.reshape(-1)[at].tobytes()
+        assert Ga.tobytes() == G.reshape(-1)[at].tobytes()
+
+
+@pytest.mark.parametrize("tag", [LossTag.RI, LossTag.RI_MAG], ids=lambda t: t.value)
+def test_retrying_failed_units_matches_full_evaluation(scene_targets, tag, monkeypatch):
+    # The L1 pair of the trend comparison backtracks on a few percent of
+    # the units per step; retrying only those must reproduce the
+    # full-evaluation descent exactly, checkpoints included.
+    from _oracles import full_eval_descend_separable
+
+    from magphase import optim
+
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss=LossKind(tag),
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        steps=150,
+    )
+    got = optimize(problem)
+    monkeypatch.setattr(optim, "_descend_separable", full_eval_descend_separable)
+    want = optimize(problem)
+    assert got.params.tobytes() == want.params.tobytes()
+    assert got.final_loss == want.final_loss
+    assert got.trajectory == want.trajectory
+
+
 def test_compensated_magnitude_helper(scene_targets):
     mag = compensated_magnitude(scene_targets.S, scene_targets.Y)
     assert np.all(mag.data >= 0)

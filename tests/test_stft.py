@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from _oracles import loop_istft_adjoint, loop_istft_array, loop_stft_adjoint
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from magphase.errors import ConfigInvalidError, ShapeMismatchError
 from magphase.stft import (
+    _coverage,
     analysis_window,
     consistency_project,
     istft,
@@ -98,8 +102,12 @@ def test_window_pair_overlap_sums_to_one():
 
 
 def test_window_pair_rejects_no_overlap():
+    cfg = StftConfig(64, 64, 64)  # sqrt-hann has w[0] = 0
+    for _ in range(3):  # a rejected config is never cached
+        with pytest.raises(ConfigInvalidError):
+            window_pair(cfg)
     with pytest.raises(ConfigInvalidError):
-        window_pair(StftConfig(64, 64, 64))  # sqrt-hann has w[0] = 0
+        istft_array(np.zeros((3, cfg.num_bins), dtype=complex), cfg, 100)
 
 
 def test_istft_shape_mismatch():
@@ -176,3 +184,96 @@ def test_istft_pads_when_out_len_exceeds_coverage():
     y = istft(X, 10_000)
     assert len(y) == 10_000
     assert np.all(y.samples[-100:] == 0)
+
+
+def test_window_pair_is_cached_and_read_only():
+    cfg = StftConfig(48, 12, 64)
+    pair = window_pair(cfg)
+    assert window_pair(StftConfig(48, 12, 64)) is pair  # equal configs share the plan
+    assert pair.analysis is analysis_window(cfg)
+    cov, uncovered = _coverage(cfg, 10)
+    assert _coverage(cfg, 10)[0] is cov
+    for arr in (pair.analysis, pair.synthesis, cov, uncovered):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@st.composite
+def stft_cases(draw):
+    """A random (config, length) whose hop window_pair accepts, and a data seed."""
+    win = draw(st.integers(2, 72))
+    hop = draw(st.integers(1, win))
+    fft = draw(st.integers(win, win + 20))
+    cfg = StftConfig(win, hop, fft)
+    try:
+        window_pair(cfg)
+    except ConfigInvalidError:
+        hop = win - 1  # only hop = win has zero overlap power for sqrt-hann
+        cfg = StftConfig(win, hop, fft)
+    return cfg, draw(st.integers(1, 400)), draw(st.integers(0, 2**31 - 1))
+
+
+def _random_maps_input(cfg, n, seed):
+    rng = np.random.default_rng(seed)
+    frames = num_frames_for(n, cfg)
+    shape = (frames, cfg.num_bins)
+    Z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(n), Z, frames
+
+
+_EXAMPLES = [
+    (StftConfig(200, 80, 256), 1000, 0),
+    (StftConfig(512, 128, 512), 1777, 1),
+    (StftConfig(7, 3, 8), 50, 2),
+    (StftConfig(16, 8, 16), 33, 3),
+    (StftConfig(10, 1, 16), 25, 4),
+    (StftConfig(9, 4, 9), 40, 5),
+]
+
+
+def _with_examples(test):
+    for case in _EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None)
+@_with_examples
+@given(stft_cases())
+def test_maps_equal_per_frame_loops_bitwise(case):
+    cfg, n, seed = case
+    x, Z, frames = _random_maps_input(cfg, n, seed)
+    for out_len in (n, n + 3 * cfg.win_length_samples):
+        assert istft_array(Z, cfg, out_len).tobytes() == loop_istft_array(Z, cfg, out_len).tobytes()
+        assert stft_adjoint(Z, cfg, out_len).tobytes() == loop_stft_adjoint(Z, cfg, out_len).tobytes()
+    assert istft_adjoint(x, cfg, frames).tobytes() == loop_istft_adjoint(x, cfg, frames).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@_with_examples
+@given(stft_cases())
+def test_round_trip_exact_property(case):
+    cfg, n, seed = case
+    x, _, _ = _random_maps_input(cfg, n, seed)
+    back = istft_array(stft_array(x, cfg), cfg, n)
+    assert np.max(np.abs(back - x)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@_with_examples
+@given(stft_cases())
+def test_adjoint_identities_property(case):
+    # <A u, v> = <u, A* v> to 1e-10 relative to |A u| |v| (Re/Im pairs for complex).
+    cfg, n, seed = case
+    x, Z, frames = _random_maps_input(cfg, n, seed)
+    g, G, _ = _random_maps_input(cfg, n, seed + 1)
+
+    def dot(a, b):
+        return float(np.sum(a.real * b.real + a.imag * b.imag))
+
+    X = stft_array(x, cfg)
+    lhs, rhs = dot(X, G), dot(x, stft_adjoint(G, cfg, n))
+    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(X) * np.linalg.norm(G)
+    y = istft_array(Z, cfg, n)
+    lhs, rhs = dot(y, g), dot(Z, istft_adjoint(g, cfg, frames))
+    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(y) * np.linalg.norm(g)
