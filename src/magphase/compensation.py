@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalidError, ShapeMismatchError
-from .types import MagSpectrogram, Spectrogram, phase_of
+from .errors import ConfigInvalidError
+from .types import MagSpectrogram, Spectrogram, phase_of, same_shape
 
 HIST_BINS = 50
 DEFAULT_FLOOR_DB = 60.0
@@ -63,8 +63,7 @@ def optimal_magnitude_along_phase(
 
 def phase_diff_map(S: Spectrogram, Y: Spectrogram) -> np.ndarray:
     """cos(angle(S) - angle(Y)) per T-F unit."""
-    if S.data.shape != Y.data.shape:
-        raise ShapeMismatchError(f"shape mismatch: {S.data.shape} vs {Y.data.shape}")
+    same_shape(S.data, Y.data)
     return np.cos(phase_of(S) - phase_of(Y))
 
 
@@ -122,10 +121,7 @@ def histogram2d(
     highest-energy unit are discarded (which also removes all |S| = 0
     units, where the ratio is undefined).
     """
-    if est_mag.data.shape != S.data.shape or S.data.shape != Y.data.shape:
-        raise ShapeMismatchError(
-            f"shape mismatch: {est_mag.data.shape} vs {S.data.shape} vs {Y.data.shape}"
-        )
+    same_shape(est_mag.data, S.data, Y.data)
     mag_ref = np.abs(S.data)
     threshold = mag_ref.max() * 10.0 ** (-floor_db / 20.0)
     keep = mag_ref > threshold

@@ -13,12 +13,17 @@ L1 gradients use the Charbonnier smoothing sqrt(d^2 + eps^2) of |d| with
 eps = 1e-8, so they are defined everywhere; reported values stay exact
 L1. The gradient of |z| at z = 0 is taken as 0.
 
-The separable kinds (one T-F unit never sees another) are written once,
-as per-unit kernels: unit_kernel binds the reference-side terms and
-returns f(x) -> (value map, gradient map), or the maps at chosen units
-only with f(values, at=flat_idx). A loss value is the mean of the value
-map and its gradient is the gradient map over its size; optimizers
-line-search the maps per unit.
+evaluate_loss is the one entry point: it scores every kind. The
+separable kinds (one T-F unit never sees another) are written once, as
+per-unit kernels: unit_kernel binds the reference-side terms and returns
+f(x) -> (value map, gradient map), or the maps at chosen units only with
+f(values, at=flat_idx). A loss value is the mean of the value map and its
+gradient is the gradient map over its size; optimizers line-search the
+maps per unit. The waveform kinds are one body, time L1 of y plus, when
+the kind has one, the magnitude term of STFT(y). The iSTFT kinds are the
+waveform kinds of y = iSTFT(estimate), their gradient carried back by
+istft_adjoint; mag+ri-istft takes its magnitude term on the estimate
+itself rather than on STFT(y).
 
 Gradients with respect to complex spectrogram parameters are packed as
 dL/dRe + 1j * dL/dIm.
@@ -33,7 +38,7 @@ import numpy as np
 from .errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError
 from .masks import psa_target
 from .stft import istft_adjoint, istft_array, num_frames_for, stft_adjoint, stft_array
-from .types import MagSpectrogram, Spectrogram, TimeSignal
+from .types import MagSpectrogram, Spectrogram, TimeSignal, same_shape
 
 L1_SMOOTH_EPS = 1e-8
 
@@ -167,11 +172,6 @@ def _unit(z: np.ndarray) -> np.ndarray:
     return np.where(r > 0, z / np.where(r > 0, r, 1.0), 0.0 + 0.0j)
 
 
-def _same_shape(a, b) -> None:
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
 def _bind(body, *refs):
     """Per-unit kernel f(x, want_grad=True, at=None) from an elementwise body.
 
@@ -228,7 +228,12 @@ def _l2_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
 
 
 def _phase_kernel(S: Spectrogram, time_weight: float):
-    """Per-unit RI L1 between |S| e^{j angle(z)} and S; see loss_phase."""
+    """Per-unit RI L1 between |S| e^{j angle(z)} and S.
+
+    The oracle magnitude |S| is supplied, so the value depends on z only
+    through its phase and the gradient flows only through angle(z); it
+    vanishes at zero-magnitude units.
+    """
 
     def body(z, want_grad, mag_ref, sr, si):
         theta = np.where(z == 0, 0.0, np.angle(z))
@@ -289,30 +294,28 @@ def unit_kernel(kind: LossKind, targets: Targets):
 
 def _mean_of(kernel, x: np.ndarray, S: Spectrogram, want_grad: bool) -> LossValue:
     """Mean of a per-unit kernel over x, which must have the shape of S."""
-    _same_shape(x, S.data)
+    same_shape(x, S.data)
     val, grad = kernel(x, want_grad)
     return LossValue(float(np.mean(val)), grad / val.size if want_grad else None)
 
 
-def loss_ri(
-    est: Spectrogram,
-    S: Spectrogram,
-    time_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Mean L1 over real and imaginary parts."""
-    return _mean_of(_ri_kernel(S, time_weight), est.data, S, want_grad)
+def _magnitude_term(X: np.ndarray, S: Spectrogram, mag_weight: float, want_grad: bool):
+    """Mean magnitude L1 of |X| vs |S|: (value, gradient w.r.t. complex X or None)."""
+    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(X), S, want_grad)
+    return mag.value, (mag.gradient * _unit(X) if want_grad else None)
 
 
-def loss_ri_mag(
-    est: Spectrogram,
-    S: Spectrogram,
-    time_weight: float = 1.0,
-    mag_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """loss_ri plus a magnitude L1 term on |est| vs |S|."""
-    return _mean_of(_ri_kernel(S, time_weight, mag_weight), est.data, S, want_grad)
+def _waveform_loss(y, s, S, cfg, time_weight, mag_weight, want_grad) -> LossValue:
+    """Mean time L1 of samples y vs s, plus the magnitude term of STFT(y) unless S is None."""
+    e = y - s.samples
+    value = time_weight * float(np.mean(np.abs(e)))
+    grad = time_weight * _smooth_l1_grad(e) / e.size if want_grad else None
+    if S is not None:
+        mag, cot = _magnitude_term(stft_array(y, cfg), S, mag_weight, want_grad)
+        value = value + mag
+        if want_grad:
+            grad = grad + stft_adjoint(cot, cfg, len(y))
+    return LossValue(value, grad)
 
 
 def _check_istft_shapes(est: Spectrogram, s: TimeSignal) -> None:
@@ -323,153 +326,13 @@ def _check_istft_shapes(est: Spectrogram, s: TimeSignal) -> None:
         )
 
 
-def loss_ri_istft(
-    est: Spectrogram,
-    s: TimeSignal,
-    time_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Mean L1 in the time domain after inverting the estimated spectrogram."""
-    _check_istft_shapes(est, s)
-    cfg = est.config
-    e = istft_array(est.data, cfg, len(s)) - s.samples
-    value = time_weight * float(np.mean(np.abs(e)))
-    grad = None
-    if want_grad:
-        g_time = time_weight * _smooth_l1_grad(e) / e.size
-        grad = istft_adjoint(g_time, cfg, est.num_frames)
-    return LossValue(value, grad)
-
-
-def loss_ri_istft_mag(
-    est: Spectrogram,
-    s: TimeSignal,
-    S: Spectrogram,
-    time_weight: float = 1.0,
-    mag_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Time-domain L1 plus a magnitude L1 on the re-analyzed inverse.
-
-    The magnitude term compares |STFT(iSTFT(est))| (the consistency
-    projection of the estimate) against |S|, so it scores the magnitude
-    of the signal actually produced.
-    """
-    _check_istft_shapes(est, s)
-    _same_shape(est.data, S.data)
-    cfg = est.config
-    n = len(s)
-    y_hat = istft_array(est.data, cfg, n)
-    e = y_hat - s.samples
-    proj = stft_array(y_hat, cfg)
-    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(proj), S, want_grad)
-    value = time_weight * float(np.mean(np.abs(e))) + mag.value
-    grad = None
-    if want_grad:
-        g_time = time_weight * _smooth_l1_grad(e) / e.size
-        g_time = g_time + stft_adjoint(mag.gradient * _unit(proj), cfg, n)
-        grad = istft_adjoint(g_time, cfg, est.num_frames)
-    return LossValue(value, grad)
-
-
-def loss_mag_ri_istft(
-    est: Spectrogram,
-    s: TimeSignal,
-    S: Spectrogram,
-    time_weight: float = 1.0,
-    mag_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Magnitude L1 taken on the raw estimate (before inversion) plus time L1."""
-    base = loss_ri_istft(est, s, time_weight, want_grad)
-    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(est.data), S, want_grad)
-    grad = None if not want_grad else base.gradient + mag.gradient * _unit(est.data)
-    return LossValue(base.value + mag.value, grad)
-
-
-def loss_wav(
-    est: TimeSignal,
-    s: TimeSignal,
-    time_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Mean L1 between waveforms."""
-    if len(est) != len(s):
-        raise ShapeMismatchError(f"length mismatch: {len(est)} vs {len(s)}")
-    e = est.samples - s.samples
-    value = time_weight * float(np.mean(np.abs(e)))
-    grad = None
-    if want_grad:
-        grad = time_weight * _smooth_l1_grad(e) / e.size
-    return LossValue(value, grad)
-
-
-def loss_wav_mag(
-    est: TimeSignal,
-    s: TimeSignal,
-    S: Spectrogram,
-    time_weight: float = 1.0,
-    mag_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Waveform L1 plus a magnitude L1 on |STFT(est)| vs |S|."""
-    if len(est) != len(s):
-        raise ShapeMismatchError(f"length mismatch: {len(est)} vs {len(s)}")
-    cfg = S.config
-    X_hat = stft_array(est.samples, cfg)
-    e = est.samples - s.samples
-    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(X_hat), S, want_grad)
-    value = time_weight * float(np.mean(np.abs(e))) + mag.value
-    grad = None
-    if want_grad:
-        cot = mag.gradient * _unit(X_hat)
-        grad = time_weight * _smooth_l1_grad(e) / e.size + stft_adjoint(cot, cfg, len(est))
-    return LossValue(value, grad)
-
-
-def loss_msa(
-    est: MagSpectrogram,
-    S: Spectrogram,
-    mag_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Mean L1 between an estimated magnitude and |S|."""
-    return _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), est.data, S, want_grad)
-
-
-def loss_psa(
-    est: MagSpectrogram,
-    S: Spectrogram,
-    Y: Spectrogram,
-    mag_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """Mean L1 against the truncated phase-sensitive magnitude target."""
-    return _mean_of(_magnitude_kernel(psa_target(S, Y).data, mag_weight), est.data, S, want_grad)
-
-
-def loss_phase(
-    est: Spectrogram,
-    S: Spectrogram,
-    time_weight: float = 1.0,
-    want_grad: bool = False,
-) -> LossValue:
-    """L1 between |S| e^{j angle(est)} and S over RI parts.
-
-    The oracle magnitude |S| is supplied, so the value depends on the
-    estimate only through its phase and the gradient flows only through
-    angle(est); it vanishes at zero-magnitude estimate bins.
-    """
-    return _mean_of(_phase_kernel(S, time_weight), est.data, S, want_grad)
-
-
 def evaluate_loss(
     kind: LossKind,
     estimate: Spectrogram | MagSpectrogram | TimeSignal,
     targets: Targets,
     want_grad: bool = False,
 ) -> LossValue:
-    """Route a LossKind to its implementation.
+    """Value (and gradient, if want_grad) of a loss kind at an estimate.
 
     The estimate's domain must match the kind: Spectrogram for the
     complex/consistency/phase/quadratic kinds, MagSpectrogram for
@@ -483,22 +346,36 @@ def evaluate_loss(
     if tag in WAVEFORM_TAGS and not isinstance(estimate, TimeSignal):
         raise MissingTargetError(f"loss {tag.value} expects a TimeSignal estimate")
 
-    context = f"loss {tag.value}"
     if tag in SEPARABLE_TAGS:
         kernel = unit_kernel(kind, targets)
         return _mean_of(kernel, estimate.data, targets.S, want_grad)
-    if tag is LossTag.RI_ISTFT:
+    context = f"loss {tag.value}"
+    if tag in (LossTag.RI_ISTFT, LossTag.WAV):
         (s,) = _require(targets, "s", context=context)
-        return loss_ri_istft(estimate, s, tw, want_grad)
-    if tag is LossTag.WAV:
-        (s,) = _require(targets, "s", context=context)
-        return loss_wav(estimate, s, tw, want_grad)
-    s, S = _require(targets, "s", "S", context=context)
-    if tag in (LossTag.RI_ISTFT_MAG, LossTag.RI_ISTFT_X0_MAG):
-        return loss_ri_istft_mag(estimate, s, S, tw, mw, want_grad)
-    if tag is LossTag.MAG_RI_ISTFT:
-        return loss_mag_ri_istft(estimate, s, S, tw, mw, want_grad)
-    return loss_wav_mag(estimate, s, S, tw, mw, want_grad)
+        S = None
+    else:
+        s, S = _require(targets, "s", "S", context=context)
+    if tag in WAVEFORM_TAGS:
+        if len(estimate) != len(s):
+            raise ShapeMismatchError(f"length mismatch: {len(estimate)} vs {len(s)}")
+        cfg = None if S is None else S.config
+        return _waveform_loss(estimate.samples, s, S, cfg, tw, mw, want_grad)
+
+    _check_istft_shapes(estimate, s)
+    if S is not None:
+        same_shape(estimate.data, S.data)
+    cfg = estimate.config
+    on_estimate = tag is LossTag.MAG_RI_ISTFT
+    y = istft_array(estimate.data, cfg, len(s))
+    wav = _waveform_loss(y, s, None if on_estimate else S, cfg, tw, mw, want_grad)
+    value = wav.value
+    grad = istft_adjoint(wav.gradient, cfg, estimate.num_frames) if want_grad else None
+    if on_estimate:
+        mag, cot = _magnitude_term(estimate.data, S, mw, want_grad)
+        value = value + mag
+        if want_grad:
+            grad = grad + cot
+    return LossValue(value, grad)
 
 
 def pit_wrap(

@@ -28,6 +28,7 @@ from .types import (
     Spectrogram,
     TimeSignal,
     phase_of,
+    same_shape,
 )
 
 # Guards division at near-silent mixture bins.
@@ -55,14 +56,9 @@ class MaskMatrix:
         object.__setattr__(self, "data", arr)
 
 
-def _check_same_shape(S: Spectrogram, Y: Spectrogram) -> None:
-    if S.data.shape != Y.data.shape:
-        raise ShapeMismatchError(f"shape mismatch: {S.data.shape} vs {Y.data.shape}")
-
-
 def iam(S: Spectrogram, Y: Spectrogram, eps: float = DEFAULT_EPS) -> MaskMatrix:
     """Ideal amplitude mask |S| / max(|Y|, eps)."""
-    _check_same_shape(S, Y)
+    same_shape(S.data, Y.data)
     return MaskMatrix(np.abs(S.data) / np.maximum(np.abs(Y.data), eps), MaskKind.IAM)
 
 
@@ -73,7 +69,7 @@ def psm(
     truncate: bool = False,
 ) -> MaskMatrix:
     """Phase-sensitive mask; truncate clamps entries to [0, 1]."""
-    _check_same_shape(S, Y)
+    same_shape(S.data, Y.data)
     m = np.abs(S.data) / np.maximum(np.abs(Y.data), eps) * phase_diff_map(S, Y)
     if truncate:
         return MaskMatrix(np.clip(m, 0.0, 1.0), MaskKind.PSM_TRUNCATED)
@@ -105,7 +101,7 @@ def masked_magnitude(
     into a merely huge one. The phase-sensitive variants carry no such
     exactness claim and use the literal mask product.
     """
-    _check_same_shape(S, Y)
+    same_shape(S.data, Y.data)
     absY = np.abs(Y.data)
     if kind is MaskKind.IAM:
         mag = np.abs(S.data) * (absY / np.maximum(absY, eps))
@@ -131,8 +127,7 @@ def apply_mask_resynth(
     [0, iam_clamp] unless iam_clamp is None); a MagSpectrogram is combined
     with the mixture phase as M * exp(1j * angle(Y)).
     """
-    if M.data.shape != Y.data.shape:
-        raise ShapeMismatchError(f"shape mismatch: {M.data.shape} vs {Y.data.shape}")
+    same_shape(M.data, Y.data)
     if isinstance(M, MagSpectrogram):
         masked = M.data * np.exp(1j * phase_of(Y))
     else:

@@ -2,7 +2,7 @@
 
 All return dB. A perfect estimate yields +inf, which serializes as the
 literal string "inf"; results are never NaN: a NaN or Inf in either
-signal, or in the spectrogram estimate, raises NonFiniteError.
+signal or either spectrogram raises NonFiniteError.
 """
 from __future__ import annotations
 
@@ -15,11 +15,10 @@ import numpy as np
 from .errors import (
     LengthMismatchError,
     NonFiniteError,
-    ShapeMismatchError,
     SilentReferenceError,
     ZeroSignalError,
 )
-from .types import MagSpectrogram, Spectrogram, TimeSignal, phase_of
+from .types import MagSpectrogram, Spectrogram, TimeSignal, phase_of, same_shape
 
 # Energy ratios whose denominator falls below this yield +inf instead of
 # overflowing the log.
@@ -29,6 +28,17 @@ _DENOM_FLOOR = 1e-300
 def _require_finite(a: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{what} contains NaN or Inf")
+
+
+def _require_finite_energy(energy: float, mags: np.ndarray) -> None:
+    """Raise if the reference spectrogram holds a NaN or Inf.
+
+    energy is the sum over mags (|S|^2 terms, or |S|^2 itself), which is
+    not finite whenever mags holds a NaN or Inf, so mags is only scanned
+    then: an energy that overflows while mags stay finite still passes.
+    """
+    if not math.isfinite(energy):
+        _require_finite(mags, "reference spectrogram")
 
 
 def _ratio_db(num: float, den: float) -> float:
@@ -88,10 +98,10 @@ def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram) -> float:
     """Magnitude SNR: 10*log10(sum |S|^2 / sum (|S| - |est|)^2)."""
     mag_est = _as_magnitude(est)
     mag_ref = np.abs(S.data)
-    if mag_est.shape != mag_ref.shape:
-        raise ShapeMismatchError(f"shape mismatch: {mag_est.shape} vs {mag_ref.shape}")
+    same_shape(mag_est, mag_ref)
     _require_finite(mag_est, "estimate spectrogram")
     num = float(np.sum(mag_ref**2))
+    _require_finite_energy(num, mag_ref)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
     den = float(np.sum((mag_ref - mag_est) ** 2))
@@ -109,11 +119,11 @@ def psnr(est: Spectrogram, S: Spectrogram) -> float:
     merely large number. Bins with |S| = 0 contribute zero to both sums,
     so the estimated phase there is irrelevant.
     """
-    if est.data.shape != S.data.shape:
-        raise ShapeMismatchError(f"shape mismatch: {est.data.shape} vs {S.data.shape}")
+    same_shape(est.data, S.data)
     _require_finite(est.data, "estimate spectrogram")
     mag2 = np.abs(S.data) ** 2
     num = float(np.sum(mag2))
+    _require_finite_energy(num, mag2)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
     delta = phase_of(S) - phase_of(est)

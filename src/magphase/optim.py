@@ -424,6 +424,8 @@ def _descend_coupled(problem, x, value_and_grad, project, traj, record):
             fc, gc = value_and_grad(cand)
             ok = math.isfinite(fc) and np.all(np.isfinite(gc))
         if not (ok and fc <= f):
+            if (k - 1) % record.every:
+                record(k - 1, f, x)  # the last checkpoint is the state returned
             break
         x, f, g, vel = cand, fc, gc, vel_try
         if k % record.every == 0 or k == problem.steps:
@@ -434,11 +436,11 @@ def _descend_coupled(problem, x, value_and_grad, project, traj, record):
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Safeguarded momentum gradient descent.
 
-    Checkpoints (including step 0 and the final step) record the loss and
-    any metrics whose targets are present. Recorded loss is monotonically
-    non-increasing. Separable objectives descend per T-F unit; coupled
-    ones use a single global step, and stop early if no step size makes
-    progress.
+    Checkpoints (including step 0 and the step whose state is returned)
+    record the loss and any metrics whose targets are present. Recorded
+    loss is monotonically non-increasing. Separable objectives descend per
+    T-F unit; coupled ones use a single global step, and stop early if no
+    step size makes progress.
     """
     if problem.steps < 1:
         raise ConfigInvalidError("steps must be >= 1")
@@ -518,8 +520,9 @@ def run_trend_experiment(
 
     Both arms share the budget, initialization, and fixed phase, so the
     only difference is whether a magnitude term is present. Reports final
-    metrics per arm plus the comparison flags: msnr(with) >= msnr(without)
-    and si_sdr(with) <= si_sdr(without).
+    metrics per arm, taken from each run's last checkpoint (a silent arm
+    reports si_sdr_db = -inf), plus the comparison flags:
+    msnr(with) >= msnr(without) and si_sdr(with) <= si_sdr(without).
     """
     _require(targets, "S", "s", "Y")
     rows = []
@@ -536,13 +539,14 @@ def run_trend_experiment(
             momentum=momentum,
         )
         result = optimize(problem)
+        traj = result.trajectory  # its last checkpoint is the returned state
         rows.append(
             TrendRow(
                 label=loss.tag.value,
                 final_loss=result.final_loss,
-                si_sdr_db=si_sdr(result.signal, targets.s),
-                msnr_db=msnr(result.spectrogram, targets.S),
-                psnr_db=psnr(result.spectrogram, targets.S),
+                si_sdr_db=traj.si_sdr_db[-1],
+                msnr_db=traj.msnr_db[-1],
+                psnr_db=traj.psnr_db[-1],
             )
         )
     without, with_mag = rows

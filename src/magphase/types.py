@@ -129,6 +129,13 @@ class MagSpectrogram:
         object.__setattr__(self, "data", _readonly(arr))
 
 
+def same_shape(*arrays: np.ndarray) -> None:
+    """Raise ShapeMismatchError unless all arrays have one shape."""
+    shapes = [a.shape for a in arrays]
+    if any(shape != shapes[0] for shape in shapes[1:]):
+        raise ShapeMismatchError("shape mismatch: " + " vs ".join(map(str, shapes)))
+
+
 def validate_signal(x: TimeSignal) -> None:
     """Raise if the signal violates its invariants.
 

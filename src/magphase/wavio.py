@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import struct
+import warnings
 
 import numpy as np
 from scipy.io import wavfile
@@ -38,7 +39,11 @@ def _data_chunk_cut(path) -> bool:
 
 def read_wav(path) -> TimeSignal:
     try:
-        rate, data = wavfile.read(path)
+        # scipy warns on a cut-off file, which the chunk walk below rejects,
+        # and on an unknown chunk, which is valid WAV.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
     except (ValueError, struct.error) as exc:
         raise SpecInvalidError(f"{path} is not a readable WAV file: {exc}") from None
     if _data_chunk_cut(path):

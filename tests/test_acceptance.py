@@ -15,7 +15,6 @@ from magphase.losses import (
     LossTag,
     Targets,
     evaluate_loss,
-    loss_msa,
     pit_wrap,
 )
 from magphase.masks import MaskKind, apply_mask_resynth, iam, masked_magnitude, psa_target, psm
@@ -231,7 +230,7 @@ def test_criterion_08_magnitude_forms_and_psa_clamp():
         z = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
         m = np.abs(rng.standard_normal((6, 5)))
         S = Spectrogram(z, cfg)
-        direct = loss_msa(MagSpectrogram(m, cfg), S).value
+        direct = evaluate_loss(LossKind(LossTag.MSA), MagSpectrogram(m, cfg), Targets(S=S)).value
         phase = np.where(z == 0, 0.0, np.angle(z))
         complex_form = float(np.mean(np.abs((m - np.abs(z)) * np.exp(1j * phase))))
         worst = max(worst, abs(direct - complex_form))

@@ -9,16 +9,6 @@ from magphase.losses import (
     Targets,
     all_loss_kinds,
     evaluate_loss,
-    loss_mag_ri_istft,
-    loss_msa,
-    loss_phase,
-    loss_psa,
-    loss_ri,
-    loss_ri_istft,
-    loss_ri_istft_mag,
-    loss_ri_mag,
-    loss_wav,
-    loss_wav_mag,
     parse_loss_tag,
     pit_wrap,
 )
@@ -36,33 +26,38 @@ def one_unit(z):
     return Spectrogram(np.array([[z]], dtype=complex), StftConfig(2, 1, 2))
 
 
+def loss(tag, est, want_grad=False, **targets):
+    """evaluate_loss for a tag at default weights, targets by keyword."""
+    return evaluate_loss(LossKind(tag), est, Targets(**targets), want_grad)
+
+
 # --- hand-computed values ---------------------------------------------------
 
 
 def test_ri_zero_at_truth():
     S = unit_spec(1 + 2j, -3j, 0.5)
-    assert loss_ri(S, S).value == 0.0
+    assert loss(LossTag.RI, S, S=S).value == 0.0
 
 
 def test_ri_single_unit_hand_value():
     est = one_unit(0)
     S = one_unit(3 + 4j)
-    assert loss_ri(est, S).value == pytest.approx(7.0, abs=1e-12)
+    assert loss(LossTag.RI, est, S=S).value == pytest.approx(7.0, abs=1e-12)
 
 
 def test_ri_mag_sign_flip():
     # est = -S: RI term 2(|Re S| + |Im S|), magnitude term exactly 0.
     S = one_unit(3 + 4j)
     est = one_unit(-3 - 4j)
-    assert loss_ri_mag(est, S).value == pytest.approx(14.0, abs=1e-12)
-    assert loss_ri(est, S).value == pytest.approx(14.0, abs=1e-12)
+    assert loss(LossTag.RI_MAG, est, S=S).value == pytest.approx(14.0, abs=1e-12)
+    assert loss(LossTag.RI, est, S=S).value == pytest.approx(14.0, abs=1e-12)
 
 
 def test_phase_single_unit_hand_value():
     S = one_unit(1 + 0j)
     est = one_unit(-2 + 0j)  # angle pi, magnitude ignored
-    assert loss_phase(est, S).value == pytest.approx(2.0, abs=1e-12)
-    assert loss_phase(S, S).value == 0.0
+    assert loss(LossTag.PHASE, est, S=S).value == pytest.approx(2.0, abs=1e-12)
+    assert loss(LossTag.PHASE, S, S=S).value == 0.0
 
 
 def test_psa_single_unit_hand_value():
@@ -70,21 +65,21 @@ def test_psa_single_unit_hand_value():
     S = one_unit(2 * np.exp(1j * np.pi / 3))
     Y = one_unit(1 + 0j)
     est = MagSpectrogram(np.array([[0.0]]), StftConfig(2, 1, 2))
-    assert loss_psa(est, S, Y).value == pytest.approx(1.0, abs=1e-12)
+    assert loss(LossTag.PSA, est, S=S, Y=Y).value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_msa_zero_at_truth():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     S = Spectrogram(z, CFG1)
-    assert loss_msa(MagSpectrogram(np.abs(z), CFG1), S).value == 0.0
+    assert loss(LossTag.MSA, MagSpectrogram(np.abs(z), CFG1), S=S).value == 0.0
 
 
 def test_wav_values():
     s = TimeSignal([1.0, -2.0, 3.0], 8000)
-    assert loss_wav(s, s).value == 0.0
+    assert loss(LossTag.WAV, s, s=s).value == 0.0
     zero = TimeSignal([0.0, 0.0, 0.0], 8000)
-    assert loss_wav(zero, s).value == pytest.approx(2.0)  # mean |s|
+    assert loss(LossTag.WAV, zero, s=s).value == pytest.approx(2.0)  # mean |s|
 
 
 # --- zero at ground truth for every kind ------------------------------------
@@ -139,7 +134,7 @@ def test_msa_equals_complex_teacher_forcing_form():
         m = np.abs(rng.standard_normal((6, 5)))
         cfg = StftConfig(8, 4, 8)
         S = Spectrogram(z, cfg)
-        direct = loss_msa(MagSpectrogram(m, cfg), S).value
+        direct = loss(LossTag.MSA, MagSpectrogram(m, cfg), S=S).value
         phase = np.where(z == 0, 0.0, np.angle(z))
         complex_form = float(
             np.mean(np.abs(m * np.exp(1j * phase) - np.abs(z) * np.exp(1j * phase)))
@@ -157,9 +152,12 @@ def test_composites_dominate_components():
         s = TimeSignal(rng.standard_normal(n), 8000)
         S = stft(TimeSignal(rng.standard_normal(n), 8000), cfg)
         est_w = TimeSignal(rng.standard_normal(n), 8000)
-        assert loss_ri_mag(est, S).value >= loss_ri(est, S).value
-        assert loss_ri_istft_mag(est, s, S).value >= loss_ri_istft(est, s).value
-        assert loss_wav_mag(est_w, s, S).value >= loss_wav(est_w, s).value
+        assert loss(LossTag.RI_MAG, est, S=S).value >= loss(LossTag.RI, est, S=S).value
+        assert (
+            loss(LossTag.RI_ISTFT_MAG, est, s=s, S=S).value
+            >= loss(LossTag.RI_ISTFT, est, s=s).value
+        )
+        assert loss(LossTag.WAV_MAG, est_w, s=s, S=S).value >= loss(LossTag.WAV, est_w, s=s).value
 
 
 def test_x0_variants_equal_pure_magnitude_terms():
@@ -192,7 +190,7 @@ def test_ri_istft_zero_for_consistent_truth():
     rng = np.random.default_rng(10)
     s = TimeSignal(rng.standard_normal(CASE_LEN), 8000)
     est = stft(s, CASE_CFG)
-    assert loss_ri_istft(est, s).value < 1e-12
+    assert loss(LossTag.RI_ISTFT, est, s=s).value < 1e-12
 
 
 def test_ri_istft_nullspace_invariance():
@@ -202,10 +200,10 @@ def test_ri_istft_nullspace_invariance():
     shape = (num_frames_for(n, cfg), cfg.num_bins)
     est = Spectrogram(bounded_complex(rng, shape), cfg)
     s = TimeSignal(rng.standard_normal(n), 8000)
-    base = loss_ri_istft(est, s).value
+    base = loss(LossTag.RI_ISTFT, est, s=s).value
     X = Spectrogram(bounded_complex(rng, shape, 0.5, 2.0), cfg)
     P = X.data - consistency_project(X, n).data
-    shifted = loss_ri_istft(Spectrogram(est.data + P, cfg), s).value
+    shifted = loss(LossTag.RI_ISTFT, Spectrogram(est.data + P, cfg), s=s).value
     assert abs(shifted - base) < 1e-8
 
 
@@ -218,8 +216,8 @@ def test_mag_before_vs_after_istft_differ_on_inconsistent_input():
     est = Spectrogram(mag * np.exp(1j * rng.uniform(-np.pi, np.pi, shape)), cfg)
     s = TimeSignal(rng.standard_normal(n), 8000)
     S = stft(TimeSignal(rng.standard_normal(n), 8000), cfg)
-    before = loss_mag_ri_istft(est, s, S).value
-    after = loss_ri_istft_mag(est, s, S).value
+    before = loss(LossTag.MAG_RI_ISTFT, est, s=s, S=S).value
+    after = loss(LossTag.RI_ISTFT_MAG, est, s=s, S=S).value
     assert abs(before - after) > 1e-6
 
 
@@ -227,12 +225,12 @@ def test_shape_mismatch_errors():
     a = unit_spec(1, 2, 3)
     b = Spectrogram(np.zeros((2, 3), dtype=complex), CFG1)
     with pytest.raises(ShapeMismatchError):
-        loss_ri(a, b)
+        loss(LossTag.RI, a, S=b)
     with pytest.raises(ShapeMismatchError):
-        loss_wav(TimeSignal([1.0], 8000), TimeSignal([1.0, 2.0], 8000))
+        loss(LossTag.WAV, TimeSignal([1.0], 8000), s=TimeSignal([1.0, 2.0], 8000))
     s100 = TimeSignal(np.zeros(100), 8000)
     with pytest.raises(ShapeMismatchError):
-        loss_ri_istft(Spectrogram(np.zeros((3, 17), dtype=complex), CASE_CFG), s100)
+        loss(LossTag.RI_ISTFT, Spectrogram(np.zeros((3, 17), dtype=complex), CASE_CFG), s=s100)
 
 
 def test_dispatcher_domain_and_targets():
@@ -253,9 +251,9 @@ def test_parse_loss_tag():
 def test_gradient_of_magnitude_at_zero_is_zero():
     est = one_unit(0)
     S = one_unit(1 + 1j)
-    lv = loss_ri_mag(est, S, want_grad=True)
+    lv = loss(LossTag.RI_MAG, est, want_grad=True, S=S)
     assert np.isfinite(lv.gradient).all()
-    lv = loss_phase(est, S, want_grad=True)
+    lv = loss(LossTag.PHASE, est, want_grad=True, S=S)
     assert lv.gradient[0, 0] == 0
 
 

@@ -53,6 +53,21 @@ def test_si_sdr_scale_invariance():
         assert si_sdr(sig(c * est.samples), s) == pytest.approx(base, abs=1e-9)
 
 
+@settings(max_examples=60)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.integers(2, 2000),
+    st.floats(-6.0, 6.0),
+    st.booleans(),
+)
+def test_si_sdr_scale_invariance_property(seed, length, log10_scale, negative):
+    rng = np.random.default_rng(seed)
+    s = sig(rng.standard_normal(length))
+    est = sig(s.samples + rng.uniform(0.01, 1.0) * rng.standard_normal(length))
+    c = (-1.0 if negative else 1.0) * 10.0**log10_scale
+    assert si_sdr(sig(c * est.samples), s) == pytest.approx(si_sdr(est, s), abs=1e-9)
+
+
 def test_si_sdr_alpha_minimizes_residual():
     # The gain applied to the reference is the least-squares minimizer of
     # ||est - g*ref||; verify against a dense grid.
@@ -145,6 +160,8 @@ def test_msnr_rejects_non_finite_estimate(bad):
         msnr(MagSpectrogram(est, CFG), S)
     with pytest.raises(NonFiniteError):
         msnr(spec(est), S)
+    with pytest.raises(NonFiniteError):
+        msnr(MagSpectrogram(np.ones((2, 3)), CFG), spec(est))  # in the reference
 
 
 # --- pSNR ---------------------------------------------------------------------
@@ -157,6 +174,8 @@ def test_psnr_rejects_non_finite_estimate(bad):
     est[1, 2] = complex(bad, 0.0)  # angle(inf) is finite: the phase alone would not show it
     with pytest.raises(NonFiniteError):
         psnr(spec(est), S)
+    with pytest.raises(NonFiniteError):
+        psnr(S, spec(est))  # in the reference
 
 
 def test_psnr_perfect_phase():

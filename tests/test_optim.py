@@ -160,6 +160,26 @@ def test_coupled_loss_trajectory_monotone(scene_targets):
         assert b <= a + 1e-9
 
 
+def test_coupled_early_stop_records_returned_state(scene_targets):
+    # A huge step size leaves the backtracking floor coarse, so the descent
+    # stops long before its budget, at a step that is not a checkpoint.
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_WAVEFORM,
+        loss=LossKind(LossTag.WAV),
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        init="mixture",
+        steps=200,
+        step_size=1e14,
+    )
+    result = optimize(problem)
+    traj = result.trajectory
+    assert traj.steps[-1] < problem.steps
+    assert traj.loss[-1] == result.final_loss
+    assert traj.si_sdr_db[-1] == si_sdr(result.signal, scene_targets.s)
+    assert traj.msnr_db[-1] == msnr(result.spectrogram, scene_targets.S)
+
+
 def test_free_waveform_descends(scene_targets):
     problem = OptimizationProblem(
         parameterization=Parameterization.FREE_WAVEFORM,
