@@ -36,7 +36,6 @@ from .types import (
     Spectrogram,
     StftConfig,
     TimeSignal,
-    WindowKind,
     magnitude_of,
     phase_of,
     validate_magnitude,

@@ -228,6 +228,7 @@ def cmd_optimize(args) -> int:
     rep = metrics.report(result.signal, s, result.spectrogram, targets.S)
     (out / "metrics.json").write_text(rep.to_json())
     print(f"final_loss {result.final_loss:.6g}")
+    print(f"stop_reason {result.stop_reason}")
     for key in ("si_sdr_db", "snr_db", "msnr_db", "psnr_db"):
         print(f"{key} {metrics.format_db(getattr(rep, key))}")
 

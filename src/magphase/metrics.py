@@ -30,21 +30,47 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} contains NaN or Inf")
 
 
-def _require_finite_energy(energy: float, mags: np.ndarray) -> None:
-    """Raise if the reference spectrogram holds a NaN or Inf.
+def _energy_sums(sums, *inputs) -> tuple:
+    """sums(*inputs), a tuple of energy sums, taken so that none overflows.
 
-    energy is the sum over mags (|S|^2 terms, or |S|^2 itself), which is
-    not finite whenever mags holds a NaN or Inf, so mags is only scanned
-    then: an energy that overflows while mags stay finite still passes.
+    A sum that is not finite comes from a NaN or Inf in an input (only the
+    reference spectrogram is not checked up front) or from an overflow;
+    then the sums are taken again on the inputs divided by their largest
+    magnitude, which leaves every ratio of them unchanged up to rounding.
     """
-    if not math.isfinite(energy):
-        _require_finite(mags, "reference spectrogram")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sums(*inputs)
+    if all(map(math.isfinite, out)):
+        return out
+    for a in inputs:
+        _require_finite(a, "reference spectrogram")
+    top = max(float(np.max(np.abs(a))) for a in inputs)
+    return sums(*(a / top for a in inputs))
 
 
 def _ratio_db(num: float, den: float) -> float:
     if den < _DENOM_FLOOR:
         return math.inf
     return 10.0 * math.log10(num / den)
+
+
+def _checked_samples(est: TimeSignal, ref: TimeSignal) -> tuple:
+    """(ref samples, est samples) once they have one length and are finite."""
+    s, e = ref.samples, est.samples
+    if len(s) != len(e):
+        raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(s)}")
+    _require_finite(e, "estimate signal")
+    _require_finite(s, "reference signal")
+    return s, e
+
+
+def _si_sdr_sums(s: np.ndarray, e: np.ndarray) -> tuple:
+    """(||s||^2, ||e||^2, ||a*s||^2, ||a*s - e||^2) with a = <s, e> / ||s||^2."""
+    ref_energy = float(np.dot(s, s))
+    alpha = float(np.dot(s, e)) / ref_energy if ref_energy else 0.0
+    target = alpha * s
+    err = target - e
+    return ref_energy, float(np.dot(e, e)), float(np.dot(target, target)), float(np.dot(err, err))
 
 
 def si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
@@ -55,37 +81,27 @@ def si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
     10*log10(||a*ref||^2 / ||a*ref - est||^2) is taken, which makes the
     result invariant to any nonzero rescaling of the estimate.
     """
-    s = ref.samples
-    e = est.samples
-    if len(s) != len(e):
-        raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(s)}")
-    _require_finite(e, "estimate signal")
-    _require_finite(s, "reference signal")
-    ref_energy = float(np.dot(s, s))
+    s, e = _checked_samples(est, ref)
+    ref_energy, est_energy, num, den = _energy_sums(_si_sdr_sums, s, e)
     if ref_energy == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
-    if float(np.dot(e, e)) == 0.0:
+    if est_energy == 0.0:
         raise ZeroSignalError("estimate signal is all-zero")
-    alpha = float(np.dot(s, e)) / ref_energy
-    target = alpha * s
-    num = float(np.dot(target, target))
-    err = target - e
-    return _ratio_db(num, float(np.dot(err, err)))
+    return _ratio_db(num, den)
+
+
+def _snr_sums(s: np.ndarray, e: np.ndarray) -> tuple:
+    err = s - e
+    return float(np.dot(s, s)), float(np.dot(err, err))
 
 
 def snr(est: TimeSignal, ref: TimeSignal) -> float:
     """Plain SNR: 10*log10(||ref||^2 / ||ref - est||^2)."""
-    s = ref.samples
-    e = est.samples
-    if len(s) != len(e):
-        raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(s)}")
-    _require_finite(e, "estimate signal")
-    _require_finite(s, "reference signal")
-    num = float(np.dot(s, s))
+    s, e = _checked_samples(est, ref)
+    num, den = _energy_sums(_snr_sums, s, e)
     if num == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
-    err = s - e
-    return _ratio_db(num, float(np.dot(err, err)))
+    return _ratio_db(num, den)
 
 
 def _as_magnitude(est: Spectrogram | MagSpectrogram) -> np.ndarray:
@@ -94,17 +110,19 @@ def _as_magnitude(est: Spectrogram | MagSpectrogram) -> np.ndarray:
     return np.abs(est.data)
 
 
+def _msnr_sums(ref: np.ndarray, est: np.ndarray) -> tuple:
+    return float(np.sum(ref**2)), float(np.sum((ref - est) ** 2))
+
+
 def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram) -> float:
     """Magnitude SNR: 10*log10(sum |S|^2 / sum (|S| - |est|)^2)."""
     mag_est = _as_magnitude(est)
     mag_ref = np.abs(S.data)
     same_shape(mag_est, mag_ref)
     _require_finite(mag_est, "estimate spectrogram")
-    num = float(np.sum(mag_ref**2))
-    _require_finite_energy(num, mag_ref)
+    num, den = _energy_sums(_msnr_sums, mag_ref, mag_est)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
-    den = float(np.sum((mag_ref - mag_est) ** 2))
     return _ratio_db(num, den)
 
 
@@ -121,13 +139,16 @@ def psnr(est: Spectrogram, S: Spectrogram) -> float:
     """
     same_shape(est.data, S.data)
     _require_finite(est.data, "estimate spectrogram")
-    mag2 = np.abs(S.data) ** 2
-    num = float(np.sum(mag2))
-    _require_finite_energy(num, mag2)
+    mag = np.abs(S.data)
+    gap = 1.0 - np.cos(phase_of(S) - phase_of(est))
+
+    def sums(mag):
+        mag2 = mag**2
+        return float(np.sum(mag2)), float(np.sum(2.0 * mag2 * gap))
+
+    num, den = _energy_sums(sums, mag)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
-    delta = phase_of(S) - phase_of(est)
-    den = float(np.sum(2.0 * mag2 * (1.0 - np.cos(delta))))
     return _ratio_db(num, den)
 
 

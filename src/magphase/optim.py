@@ -14,6 +14,11 @@ increase the loss is retried with a halved step size (momentum dropped),
 so the recorded loss is non-increasing. Magnitude parameters are clamped
 to be nonnegative after every step.
 
+optimize is the one driver: it composes each loss through the
+parameterization's map to the complex spectrogram and that map's adjoint,
+and the descents yield their states to it, so it alone picks the
+checkpoints and records why the run stopped (stop_reason).
+
 Objectives that decompose per T-F unit (every fixed-phase or free-complex
 loss without an iSTFT inside) are line-searched per unit, each unit
 halving its own step independently; this is what makes pointwise
@@ -144,6 +149,7 @@ class OptimizationResult:
     signal: Optional[TimeSignal]
     trajectory: TrajectoryRecord
     final_loss: float
+    stop_reason: str  # "budget", or "no progress at step k" when a coupled descent stops
 
 
 def _fixed_phase(problem: OptimizationProblem) -> np.ndarray:
@@ -239,11 +245,13 @@ def _identity(x):
     return x
 
 
-def _build_objective(problem: OptimizationProblem):
-    """Returns (x0, value_and_grad, project, to_spectrogram, to_signal)."""
+def _parameterize(problem: OptimizationProblem):
+    """Returns (x0, to_complex, chain, project, to_sig): the initial point,
+    the map to the complex spectrogram and its adjoint (which carries a
+    spectrogram gradient back to the parameters), the feasibility
+    projection, and the map to the waveform."""
     cfg = problem.cfg
     targets = problem.targets
-    loss = problem.loss
     sig = targets.s if targets.s is not None else targets.y  # output rate and length
     rate = sig.sample_rate_hz if sig is not None else DEFAULT_SAMPLE_RATE_HZ
     rng = np.random.Generator(np.random.Philox(key=problem.init_seed))
@@ -262,24 +270,19 @@ def _build_objective(problem: OptimizationProblem):
             scale = float(np.sqrt(np.mean(y_ref.samples**2))) or 1.0
             x0 = rng.standard_normal(n) * scale
 
-        def value_and_grad(x):
-            if loss.tag in WAVEFORM_TAGS:
-                lv = evaluate_loss(loss, TimeSignal(x, rate), targets, want_grad=True)
-                return lv.value, lv.gradient
-            lv = evaluate_loss(loss, to_spec(x), targets, want_grad=True)
-            return lv.value, stft_adjoint(lv.gradient, cfg, x.shape[0])
+        def to_complex(x):
+            return stft_array(x, cfg)
 
-        def to_spec(x):
-            return Spectrogram(stft_array(x, cfg), cfg)
+        def chain(g):
+            return stft_adjoint(g, cfg, n)
 
         def to_sig(x):
             return TimeSignal(x, rate)
 
-        return x0, value_and_grad, _identity, to_spec, to_sig
+        return x0, to_complex, chain, _identity, to_sig
 
-    # Spectrogram parameters: free magnitudes along a fixed phase, or free
-    # complex entries. Both feed the complex estimate to_complex(x) to the
-    # loss and chain its gradient back to x.
+    # Spectrogram parameters, whose waveform is their inverse STFT.
+    ref = targets.Y if targets.Y is not None else targets.S
     if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:
         phase = _fixed_phase(problem)
         unit = np.exp(1j * phase)
@@ -289,7 +292,6 @@ def _build_objective(problem: OptimizationProblem):
         elif problem.init == "zeros":
             x0 = np.zeros(phase.shape)
         else:
-            ref = targets.Y if targets.Y is not None else targets.S
             scale = float(np.mean(np.abs(ref.data))) if ref is not None else 1.0
             x0 = np.abs(rng.standard_normal(phase.shape)) * (scale or 1.0)
 
@@ -303,7 +305,6 @@ def _build_objective(problem: OptimizationProblem):
             return np.maximum(x, 0.0)
 
     else:
-        ref = targets.Y if targets.Y is not None else targets.S
         if ref is None:
             raise MissingTargetError("free-ri parameters need Y or S for shape")
         shape = ref.data.shape
@@ -317,35 +318,11 @@ def _build_objective(problem: OptimizationProblem):
             x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
         to_complex = chain = project = _identity
 
-    def value_and_grad(x):
-        lv = evaluate_loss(loss, Spectrogram(to_complex(x), cfg), targets, want_grad=True)
-        return lv.value, chain(lv.gradient)
-
-    def to_spec(x):
-        return Spectrogram(to_complex(x), cfg)
-
     def to_sig(x):
         n = len(sig) if sig is not None else (x.shape[0] - 1) * cfg.hop_length_samples
         return TimeSignal(istft_array(to_complex(x), cfg, n), rate)
 
-    return x0, value_and_grad, project, to_spec, to_sig
-
-
-def _checkpoint(traj, step, f, x, problem, to_spec, to_sig):
-    targets = problem.targets
-    si = ms = ps = None
-    spec_est = None
-    if targets.S is not None:
-        spec_est = to_spec(x)
-        ms = msnr(spec_est, targets.S)
-        ps = psnr(spec_est, targets.S)
-    if targets.s is not None:
-        sig_est = to_sig(x)
-        try:
-            si = si_sdr(sig_est, targets.s)
-        except ZeroSignalError:
-            si = -math.inf  # silent estimate: metric undefined, floor it
-    traj.append(step, f, si, ms, ps)
+    return x0, to_complex, chain, project, to_sig
 
 
 def _failed(Lc, Gc, L):
@@ -353,9 +330,10 @@ def _failed(Lc, Gc, L):
     return ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
 
 
-def _descend_separable(problem, x, per_unit, project, traj, record):
+def _descend_separable(problem, x, per_unit, project):
     """Per-unit momentum GD: every T-F unit line-searches its own step.
 
+    Yields (step, loss map, params) for step 0 and every step after it.
     A retry evaluates only the units whose step failed, through the
     kernel's per_unit(values, at=flat_idx) form; the step then commits
     the candidate everywhere except at the units still failing, which
@@ -366,7 +344,7 @@ def _descend_separable(problem, x, per_unit, project, traj, record):
         raise DivergedError("objective non-finite at the initial point")
     lr = np.full(L.shape, problem.step_size)
     vel = np.zeros_like(G)
-    record(0, float(np.mean(L)), x)
+    yield 0, L, x
     for k in range(1, problem.steps + 1):
         lr = np.minimum(lr * 2.0, problem.step_size)  # recover between steps
         vel = problem.momentum * vel - lr * G
@@ -393,13 +371,14 @@ def _descend_separable(problem, x, per_unit, project, traj, record):
         # Drop the views, or they would keep this step's arrays alive into the next.
         del x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_
         x, L, G = cand, Lc, Gc
-        if k % record.every == 0 or k == problem.steps:
-            record(k, float(np.mean(L)), x)
-    return x, float(np.mean(L))
+        yield k, L, x
 
 
-def _descend_coupled(problem, x, value_and_grad, project, traj, record):
-    """Single global step with backtracking; for losses coupled across units."""
+def _descend_coupled(problem, x, value_and_grad, project):
+    """Single global step with backtracking; for losses coupled across units.
+
+    Yields (step, loss, params) for step 0 and every accepted step; stops
+    when no step size makes progress."""
     f, g = value_and_grad(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise DivergedError("objective non-finite at the initial point")
@@ -408,7 +387,7 @@ def _descend_coupled(problem, x, value_and_grad, project, traj, record):
     lr0 = problem.step_size * x.size
     floor = lr0 * 1e-18
     vel = np.zeros_like(g)
-    record(0, f, x)
+    yield 0, f, x
     for k in range(1, problem.steps + 1):
         # Fresh step size every iteration; halvings apply within the step
         # only, so one cautious step does not slow the rest of the run.
@@ -424,23 +403,19 @@ def _descend_coupled(problem, x, value_and_grad, project, traj, record):
             fc, gc = value_and_grad(cand)
             ok = math.isfinite(fc) and np.all(np.isfinite(gc))
         if not (ok and fc <= f):
-            if (k - 1) % record.every:
-                record(k - 1, f, x)  # the last checkpoint is the state returned
-            break
+            return
         x, f, g, vel = cand, fc, gc, vel_try
-        if k % record.every == 0 or k == problem.steps:
-            record(k, f, x)
-    return x, f
+        yield k, f, x
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
     """Safeguarded momentum gradient descent.
 
-    Checkpoints (including step 0 and the step whose state is returned)
-    record the loss and any metrics whose targets are present. Recorded
-    loss is monotonically non-increasing. Separable objectives descend per
-    T-F unit; coupled ones use a single global step, and stop early if no
-    step size makes progress.
+    Checkpoints (step 0, every hundredth of the budget, and the state
+    returned) record the loss and any metrics whose targets are present.
+    Recorded loss is monotonically non-increasing. Separable objectives
+    descend per T-F unit; coupled ones use a single global step, and stop
+    early if no step size makes progress, which stop_reason reports.
     """
     if problem.steps < 1:
         raise ConfigInvalidError("steps must be >= 1")
@@ -458,25 +433,56 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         raise ConfigInvalidError(f"unknown parameterization {param!r}")
     if loss.tag not in _DOMAINS[param]:
         raise MissingTargetError(f"loss {loss.tag.value} unsupported for {param.value} parameters")
-    x0, value_and_grad, project, to_spec, to_sig = _build_objective(problem)
-    x = project(np.array(x0))
+    cfg, targets = problem.cfg, problem.targets
+    for spec in (targets.S, targets.Y):
+        if spec is not None and spec.config != cfg:
+            raise ConfigInvalidError(f"a target was taken with {spec.config}, not with {cfg}")
+    x0, to_complex, chain, project, to_sig = _parameterize(problem)
+
+    def to_spec(x):
+        return Spectrogram(to_complex(x), cfg)
+
+    def value_and_grad(x):
+        if loss.tag in WAVEFORM_TAGS:
+            lv = evaluate_loss(loss, to_sig(x), targets, want_grad=True)
+            return lv.value, lv.gradient
+        lv = evaluate_loss(loss, to_spec(x), targets, want_grad=True)
+        return lv.value, chain(lv.gradient)
+
     traj = TrajectoryRecord()
 
-    def record(step, f, params):
-        _checkpoint(traj, step, f, params, problem, to_spec, to_sig)
+    def checkpoint(step, loss_map, x):  # a loss map, or a scalar loss
+        si = ms = ps = None
+        if targets.S is not None:
+            spec_est = to_spec(x)
+            ms = msnr(spec_est, targets.S)
+            ps = psnr(spec_est, targets.S)
+        if targets.s is not None:
+            try:
+                si = si_sdr(to_sig(x), targets.s)
+            except ZeroSignalError:
+                si = -math.inf  # silent estimate: metric undefined, floor it
+        traj.append(step, float(np.mean(loss_map)), si, ms, ps)
 
-    record.every = max(1, problem.steps // 100)
+    x = project(np.array(x0))
     per_unit = _per_unit_objective(problem)
     if per_unit is not None:
-        x, f = _descend_separable(problem, x, per_unit, project, traj, record)
+        states = _descend_separable(problem, x, per_unit, project)
     else:
-        x, f = _descend_coupled(problem, x, value_and_grad, project, traj, record)
+        states = _descend_coupled(problem, x, value_and_grad, project)
+    every = max(1, problem.steps // 100)
+    for k, loss_k, x in states:
+        if k % every == 0:
+            checkpoint(k, loss_k, x)
+    if traj.steps[-1] != k:  # the last checkpoint is the state returned
+        checkpoint(k, loss_k, x)
     return OptimizationResult(
         params=x,
         spectrogram=to_spec(x),
         signal=to_sig(x),
         trajectory=traj,
-        final_loss=f,
+        final_loss=traj.loss[-1],
+        stop_reason="budget" if k == problem.steps else f"no progress at step {k + 1}",
     )
 
 

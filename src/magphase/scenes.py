@@ -14,7 +14,7 @@ scene seed, so identical specs synthesize bit-identical audio anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,29 +62,9 @@ class SceneSpec:
     reverb: Optional[ReverbSpec] = None
 
     def as_dict(self) -> dict:
-        d = {
-            "schema_version": 1,
-            "rng": RNG_ALGORITHM,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "sample_rate_hz": self.sample_rate_hz,
-            "target": {
-                "f0_hz": self.target.f0_hz,
-                "num_harmonics": self.target.num_harmonics,
-                "am_rate_hz": self.target.am_rate_hz,
-                "vibrato_depth": self.target.vibrato_depth,
-                "vibrato_rate_hz": self.target.vibrato_rate_hz,
-            },
-            "interference": {
-                "kind": self.interference.kind,
-                "snr_db": self.interference.snr_db,
-            },
-        }
-        if self.reverb is not None:
-            d["reverb"] = {
-                "rt60_s": self.reverb.rt60_s,
-                "direct_to_reverb_db": self.reverb.direct_to_reverb_db,
-            }
+        d = {"schema_version": 1, "rng": RNG_ALGORITHM, **asdict(self)}
+        if self.reverb is None:
+            del d["reverb"]
         return d
 
     @classmethod

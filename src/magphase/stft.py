@@ -39,7 +39,6 @@ from .types import (
     Spectrogram,
     StftConfig,
     TimeSignal,
-    WindowKind,
     validate_signal,
     validate_spectrogram,
 )
@@ -70,8 +69,6 @@ class WindowPair:
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def analysis_window(cfg: StftConfig) -> np.ndarray:
     """Periodic square-root Hann window (cached, read-only)."""
-    if cfg.window_kind is not WindowKind.SQRT_HANN:
-        raise ConfigInvalidError(f"unsupported window kind {cfg.window_kind}")
     n = np.arange(cfg.win_length_samples)
     return _frozen(np.sqrt(0.5 - 0.5 * np.cos(2.0 * np.pi * n / cfg.win_length_samples)))
 

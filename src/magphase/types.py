@@ -8,7 +8,6 @@ narrow to float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,10 +23,6 @@ from .errors import (
 DEFAULT_SAMPLE_RATE_HZ = 16000
 
 
-class WindowKind(Enum):
-    SQRT_HANN = "sqrt_hann"
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, copy=True)
     a.setflags(write=False)
@@ -41,7 +36,6 @@ class StftConfig:
     win_length_samples: int
     hop_length_samples: int
     fft_size: int
-    window_kind: WindowKind = WindowKind.SQRT_HANN
 
     def __post_init__(self):
         wl = self.win_length_samples

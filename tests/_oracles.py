@@ -255,13 +255,14 @@ def loop_stft_adjoint(g_spec, cfg, out_len):
 # --- full-evaluation reference for the per-unit descent ---------------------
 
 
-def full_eval_descend_separable(problem, x, per_unit, project, traj, record):
+def full_eval_descend_separable(problem, x, per_unit, project):
     """optim._descend_separable as a full-map search: every backtracking
-    retry re-evaluates all units, and the step commits through np.where."""
+    retry re-evaluates all units, and the step commits through np.where.
+    Like it, a generator of (step, loss map, params) from step 0 on."""
     L, G = per_unit(x)
     lr = np.full(L.shape, problem.step_size)
     vel = np.zeros_like(G)
-    record(0, float(np.mean(L)), x)
+    yield 0, L, x
     for k in range(1, problem.steps + 1):
         lr = np.minimum(lr * 2.0, problem.step_size)
         vel_try = problem.momentum * vel - lr * G
@@ -280,6 +281,4 @@ def full_eval_descend_separable(problem, x, per_unit, project, traj, record):
         vel = np.where(bad, 0.0, vel_try)
         L = np.where(bad, L, Lc)
         G = np.where(bad, G, Gc)
-        if k % record.every == 0 or k == problem.steps:
-            record(k, float(np.mean(L)), x)
-    return x, float(np.mean(L))
+        yield k, L, x

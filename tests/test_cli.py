@@ -160,13 +160,16 @@ def test_mask_psa_target_runs(scene_dir, tmp_path):
     assert (out / "enhanced.wav").exists()
 
 
-def test_optimize_verify_oracle(scene_dir, tmp_path):
+def test_optimize_verify_oracle(scene_dir, tmp_path, capsys):
     out = tmp_path / "opt"
     code = run(
         "optimize", "--scene", scene_dir, "--out", out,
         "--steps", 300, "--win", 200, "--hop", 80, "--verify-oracle",
     )
     assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("final_loss ")
+    assert printed[1] == "stop_reason budget"
     traj = (out / "trajectory.csv").read_text().strip().splitlines()
     assert traj[0] == "step,loss,si_sdr_db,msnr_db,psnr_db"
     assert (out / "final.wav").exists()

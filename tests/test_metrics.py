@@ -269,3 +269,30 @@ def test_report_never_nan(seed):
     rep = report(est, s, stft(est, cfg), stft(s, cfg))
     for key in ("si_sdr_db", "snr_db", "msnr_db", "psnr_db"):
         assert not math.isnan(getattr(rep, key))
+
+
+# --- energies that overflow ----------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("metric", [si_sdr, snr, msnr, psnr], ids=lambda f: f.__name__)
+def test_metrics_survive_energy_overflow(metric, scale):
+    # Every energy sum of the scaled pair overflows float64 while its
+    # entries stay finite; each metric is a ratio of such sums, so it must
+    # match the unscaled pair's, with no NaN, no error and no warning.
+    rng = np.random.default_rng(12)
+    ref = rng.standard_normal(400)
+    est = ref + 0.3 * rng.standard_normal(400)
+    if metric in (msnr, psnr):
+        cfg = StftConfig.for_window(32, 8)
+        ref, est = (stft(sig(x), cfg).data for x in (ref, est))
+
+        def make(x):
+            return Spectrogram(x, cfg)
+
+    else:
+        make = sig
+    want = metric(make(est), make(ref))
+    got = metric(make(scale * est), make(scale * ref))
+    assert math.isfinite(want)
+    assert got == pytest.approx(want, rel=0, abs=1e-9)

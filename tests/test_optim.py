@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
 from magphase.errors import ConfigInvalidError, MissingTargetError
@@ -81,6 +83,36 @@ def test_fixed_phase_l2_matches_compensation_closed_form():
             complex(mags[t, f] * np.exp(1j * deltas[t, f])), 0.0, "l2", True
         )
         assert abs(result.params[t, f] - unit_opt) < 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    frames=st.integers(1, 12),
+    half_fft=st.integers(1, 16),
+    top=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fixed_phase_l2_lands_on_compensation_curve_property(frames, half_fft, top, seed):
+    # From zero init, fixed-phase l2-complex on any grid shape, magnitudes
+    # and phase offsets ends at max(0, |S| cos d) in every unit.
+    cfg = StftConfig(2 * half_fft, half_fft, 2 * half_fft)
+    rng = np.random.default_rng(seed)
+    shape = (frames, cfg.num_bins)
+    mags = rng.uniform(0.0, top, shape)
+    phase = rng.uniform(-np.pi, np.pi, shape)
+    deltas = rng.uniform(-np.pi, np.pi, shape)
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss=QUAD_L2,
+        targets=Targets(S=Spectrogram(mags * np.exp(1j * (phase + deltas)), cfg)),
+        cfg=cfg,
+        phase_source="custom",
+        custom_phase=phase,
+        init="zeros",
+        steps=60,
+    )
+    result = optimize(problem)
+    assert np.max(np.abs(result.params - np.maximum(mags * np.cos(deltas), 0.0))) < 1e-6
 
 
 def test_fixed_phase_l2_mag_balances_toward_oracle_magnitude():
@@ -174,10 +206,35 @@ def test_coupled_early_stop_records_returned_state(scene_targets):
     )
     result = optimize(problem)
     traj = result.trajectory
-    assert traj.steps[-1] < problem.steps
+    assert result.stop_reason == "no progress at step 18"
+    assert traj.steps[-1] == 17
     assert traj.loss[-1] == result.final_loss
     assert traj.si_sdr_db[-1] == si_sdr(result.signal, scene_targets.s)
     assert traj.msnr_db[-1] == msnr(result.spectrogram, scene_targets.S)
+
+
+@pytest.mark.parametrize(
+    "loss", [LossKind(LossTag.WAV), QUAD_L2], ids=lambda k: k.tag.value
+)
+def test_stop_reason_budget(scene_targets, loss):
+    # 201 steps checkpoint every 2nd step, so the last step is off that
+    # cadence; both descents spend the whole budget and end on a checkpoint.
+    problem = OptimizationProblem(
+        parameterization=(
+            Parameterization.FREE_WAVEFORM
+            if loss.tag is LossTag.WAV
+            else Parameterization.FREE_MAG_FIXED_PHASE
+        ),
+        loss=loss,
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        init="mixture",
+        steps=201,
+    )
+    result = optimize(problem)
+    assert result.stop_reason == "budget"
+    assert result.trajectory.steps == list(range(0, 201, 2)) + [201]
+    assert result.trajectory.loss[-1] == result.final_loss
 
 
 def test_free_waveform_descends(scene_targets):
@@ -360,6 +417,26 @@ def test_unknown_init_rejected(scene_targets):
     )
     with pytest.raises(ConfigInvalidError):
         optimize(problem)
+
+
+@pytest.mark.parametrize("name", ["S", "Y"])
+def test_targets_taken_with_another_config_rejected(scene_targets, name):
+    # Targets taken at 200/80/256 under a 240/80/256 problem used to run.
+    cfg = StftConfig(240, 80, 256)
+    assert scene_targets.S.config == StftConfig(200, 80, 256) != cfg
+    other = {"S": stft(scene_targets.s, cfg), "Y": stft(scene_targets.y, cfg)}
+    other[name] = getattr(scene_targets, name)
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss=QUAD_L2,
+        targets=Targets(s=scene_targets.s, y=scene_targets.y, **other),
+        cfg=cfg,
+        steps=5,
+    )
+    with pytest.raises(ConfigInvalidError, match="a target was taken with"):
+        optimize(problem)
+    with pytest.raises(ConfigInvalidError, match="a target was taken with"):
+        run_trend_experiment(problem.targets, cfg, steps=5)
 
 
 def test_nonfinite_objective_raises_diverged(scene_targets):
