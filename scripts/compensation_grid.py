@@ -15,6 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from magphase.compensation import optimal_magnitude_along_phase
 from magphase.optim import (
     QUAD_L2,
     OptimizationProblem,
@@ -41,6 +42,7 @@ def main():
     mags = rng.uniform(0.5, 2.0, (frames, cfg.num_bins))
     deltas = np.linspace(0.0, np.pi, total).reshape(frames, cfg.num_bins)
     S = Spectrogram(mags * np.exp(1j * deltas), cfg)
+    phase = np.zeros((frames, cfg.num_bins))
     n = (frames - 1) * cfg.hop_length_samples
     problem = OptimizationProblem(
         parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
@@ -48,12 +50,12 @@ def main():
         targets=Targets(S=S, s=TimeSignal(istft_array(S.data, cfg, n), 8000)),
         cfg=cfg,
         phase_source="custom",
-        custom_phase=np.zeros((frames, cfg.num_bins)),
+        custom_phase=phase,
         init="zeros",
         steps=args.steps,
     )
     got = optimize(problem).params
-    closed = np.maximum(mags * np.cos(deltas), 0.0)
+    closed = optimal_magnitude_along_phase(QUAD_L2, S, phase)
 
     print(f"{'offset':>8} {'ratio got':>10} {'ratio closed':>13}")
     for lo in np.arange(0.0, np.pi, np.pi / 8):

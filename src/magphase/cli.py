@@ -216,11 +216,11 @@ def cmd_optimize(args) -> int:
     problem = _load_problem(args, targets, cfg)
     if args.verify_oracle and (
         problem.parameterization is not optim.Parameterization.FREE_MAG_FIXED_PHASE
-        or problem.loss.tag is not LossTag.L2_COMPLEX
-        or problem.phase_source != "mixture"
+        or problem.loss.tag not in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG)
     ):
         raise SpecInvalidError(
-            "--verify-oracle applies to free-mag-fixed-phase + l2-complex + mixture phase"
+            "--verify-oracle applies to free-mag-fixed-phase + l2-complex(+mag); the L1 "
+            "pair ri(+mag) can have an interval of optimal magnitudes per unit"
         )
     result = optim.optimize(problem)
     result.trajectory.to_csv(out / "trajectory.csv")
@@ -233,7 +233,8 @@ def cmd_optimize(args) -> int:
         print(f"{key} {metrics.format_db(getattr(rep, key))}")
 
     if args.verify_oracle:
-        oracle = compensation.compensated_magnitude(targets.S, targets.Y).data
+        phase = optim.fixed_phase(problem)
+        oracle = compensation.optimal_magnitude_along_phase(problem.loss, targets.S, phase)
         worst = float(np.max(np.abs(result.params - oracle)))
         print(f"oracle_max_abs_err {worst:.6g}")
         if worst > 1e-4:

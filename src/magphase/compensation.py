@@ -3,10 +3,12 @@
 When an estimate is confined to a fixed phase direction, the magnitude
 that best approximates a complex target under an L2 criterion is the
 projection of the target onto that direction: |S| cos(delta) for phase
-offset delta, clamped at zero once the offset exceeds pi/2. This module
-provides that closed form (plus a numerical L1 counterpart) and a 2-D
-histogram of magnitude ratio vs. cosine phase difference for visualizing
-how estimated magnitudes shrink where the phase is wrong.
+offset delta, clamped at zero once the offset exceeds pi/2; under the
+L1 (RI-part) criterion it is a weighted median. This module provides
+one closed form for both, with or without a magnitude term, that every
+caller uses, and a 2-D histogram of magnitude ratio vs. cosine phase
+difference for visualizing how estimated magnitudes shrink where the
+phase is wrong.
 """
 from __future__ import annotations
 
@@ -15,50 +17,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalidError
+from .types import _MAG_TERM_TAGS, LossKind, LossTag
 from .types import MagSpectrogram, Spectrogram, phase_of, same_shape
 
 HIST_BINS = 50
 DEFAULT_FLOOR_DB = 60.0
 
+_L2_TAGS = (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG)
+_L1_TAGS = (LossTag.RI, LossTag.RI_MAG)
 
-def optimal_magnitude_along_phase(
-    s_unit: complex,
-    phase: float,
-    norm: str = "l2",
-    nonneg: bool = True,
-) -> float:
-    """Best magnitude m for approximating s_unit by m * exp(1j * phase).
 
-    L2 has the closed form |s| cos(angle(s) - phase); L1 (sum of RI-part
-    absolute errors) has no closed form and is minimized by ternary
-    search over the bracket [0 or -2|s|, 2|s|], which always contains
-    the optimum of this convex piecewise-linear objective.
+def optimal_magnitude_along_phase(kind: LossKind, S: Spectrogram, phase: np.ndarray) -> np.ndarray:
+    """Per-unit m >= 0 minimizing a fixed-phase complex loss of m e^{j phase}.
+
+    With weights tw and mw (mw for the +mag kinds only), delta = angle(S)
+    - phase, S = a + jb, c = cos phase and d = sin phase, a unit's loss is, for
+    - l2-complex(+mag), a parabola with vertex |S| (tw cos delta + mw) / (tw + mw);
+    - ri(+mag), tw|c| |m - a/c| + tw|d| |m - b/d| + mw |m - |S||, least at
+      the weighted median of a/c, b/d and |S|. Where the cumulative weight
+      is exactly one half the minimizers form an interval; its lower end
+      is returned.
+    Both losses are convex in m, so their optima are clamped at 0.
     """
-    s_unit = complex(s_unit)
-    mag = abs(s_unit)
-    if norm == "l2":
-        m = mag * np.cos(np.angle(s_unit) - phase) if mag > 0 else 0.0
-        return float(max(0.0, m)) if nonneg else float(m)
-    if norm != "l1":
-        raise ConfigInvalidError(f"norm must be 'l1' or 'l2', got {norm!r}")
-    if mag == 0.0:
-        return 0.0
+    tag, tw = kind.tag, kind.time_weight
+    mw = kind.mag_weight if tag in _MAG_TERM_TAGS else 0.0
+    if tag not in _L2_TAGS and tag not in _L1_TAGS:
+        raise ConfigInvalidError(f"loss {tag.value} has no closed-form magnitude optimum")
+    if tw + mw == 0.0:
+        raise ConfigInvalidError(f"loss {tag.value} with zero weights is constant in m")
+    same_shape(S.data, phase)
+    mag = np.abs(S.data)
+    if tag in _L2_TAGS:
+        return mag * np.maximum((tw * np.cos(phase_of(S) - phase) + mw) / (tw + mw), 0.0)
     c, d = np.cos(phase), np.sin(phase)
-    a, b = s_unit.real, s_unit.imag
-
-    def f(m: float) -> float:
-        return abs(m * c - a) + abs(m * d - b)
-
-    lo = 0.0 if nonneg else -2.0 * mag
-    hi = 2.0 * mag
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) < f(m2):
-            hi = m2
-        else:
-            lo = m1
-    return (lo + hi) / 2.0
+    weights = np.stack([tw * np.abs(c), tw * np.abs(d), np.full(mag.shape, mw)], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        points = np.stack([S.data.real / c, S.data.imag / d, mag], axis=-1)
+    points[weights == 0] = 0.0  # a/0 or 0/0 where c or d is 0; weight 0 is never the median
+    order = np.argsort(points, axis=-1)
+    cum = np.cumsum(np.take_along_axis(weights, order, axis=-1), axis=-1)
+    median = np.take_along_axis(order, np.argmax(2.0 * cum >= cum[..., -1:], axis=-1)[..., None], -1)
+    return np.maximum(np.take_along_axis(points, median, -1)[..., 0], 0.0)
 
 
 def phase_diff_map(S: Spectrogram, Y: Spectrogram) -> np.ndarray:
@@ -140,5 +139,5 @@ def histogram2d(
 
 def compensated_magnitude(S: Spectrogram, Y: Spectrogram) -> MagSpectrogram:
     """Per-unit L2-optimal magnitude along the mixture phase: max(0, |S| cos(delta))."""
-    mag = np.abs(S.data) * np.maximum(phase_diff_map(S, Y), 0.0)
+    mag = optimal_magnitude_along_phase(LossKind(LossTag.L2_COMPLEX), S, phase_of(Y))
     return MagSpectrogram(mag, S.config)

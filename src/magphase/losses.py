@@ -31,36 +31,16 @@ dL/dRe + 1j * dL/dIm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError
 from .masks import psa_target
 from .stft import istft_adjoint, istft_array, num_frames_for, stft_adjoint, stft_array
+from .types import _MAG_TERM_TAGS, LossKind, LossTag
 from .types import MagSpectrogram, Spectrogram, TimeSignal, same_shape
 
 L1_SMOOTH_EPS = 1e-8
-
-
-class LossTag(Enum):
-    RI = "ri"
-    RI_MAG = "ri+mag"
-    RI_ISTFT = "ri-istft"
-    RI_ISTFT_MAG = "ri-istft+mag"
-    MAG_RI_ISTFT = "mag+ri-istft"
-    RI_ISTFT_X0_MAG = "(ri-istft)x0+mag"
-    WAV = "wav"
-    WAV_MAG = "wav+mag"
-    WAV_X0_MAG = "wavx0+mag"
-    MSA = "msa"
-    PSA = "psa"
-    PHASE = "phase"
-    L2_COMPLEX = "l2-complex"
-    L2_COMPLEX_MAG = "l2-complex+mag"
-
-
-_X0_TAGS = frozenset({LossTag.RI_ISTFT_X0_MAG, LossTag.WAV_X0_MAG})
 
 SPECTROGRAM_TAGS = frozenset(
     {
@@ -80,33 +60,6 @@ WAVEFORM_TAGS = frozenset({LossTag.WAV, LossTag.WAV_MAG, LossTag.WAV_X0_MAG})
 SEPARABLE_TAGS = MAGNITUDE_TAGS | frozenset(
     {LossTag.RI, LossTag.RI_MAG, LossTag.PHASE, LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG}
 )
-_MAG_TERM_TAGS = frozenset({LossTag.RI_MAG, LossTag.L2_COMPLEX_MAG})
-
-
-@dataclass(frozen=True)
-class LossKind:
-    """Loss selector: tag plus weights on the time/complex and magnitude terms.
-
-    time_weight defaults to 1, except for the x0 variants where it is
-    fixed at 0 (passing a nonzero value there is an error).
-    """
-
-    tag: LossTag
-    time_weight: float | None = None
-    mag_weight: float = 1.0
-
-    def __post_init__(self):
-        tw = self.time_weight
-        if tw is None:
-            tw = 0.0 if self.tag in _X0_TAGS else 1.0
-        tw = float(tw)
-        mw = float(self.mag_weight)
-        if not (np.isfinite(tw) and np.isfinite(mw)) or tw < 0 or mw < 0:
-            raise ConfigInvalidError("loss weights must be finite and nonnegative")
-        if self.tag in _X0_TAGS and tw != 0.0:
-            raise ConfigInvalidError(f"{self.tag.value} fixes time_weight = 0")
-        object.__setattr__(self, "time_weight", tw)
-        object.__setattr__(self, "mag_weight", mw)
 
 
 def all_loss_kinds() -> tuple[LossKind, ...]:

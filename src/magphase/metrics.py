@@ -33,18 +33,19 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 def _energy_sums(sums, *inputs) -> tuple:
     """sums(*inputs), a tuple of energy sums, taken so that none overflows.
 
-    A sum that is not finite comes from a NaN or Inf in an input (only the
-    reference spectrogram is not checked up front) or from an overflow;
-    then the sums are taken again on the inputs divided by their largest
-    magnitude, which leaves every ratio of them unchanged up to rounding.
+    A sum that is not finite comes from a NaN or Inf in an input (the
+    spectrograms, reference then estimate, are not checked up front) or
+    from an overflow; then the sums are taken again on the inputs divided
+    by their largest real or imaginary part (a modulus itself may
+    overflow), which leaves every ratio of them unchanged up to rounding.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = sums(*inputs)
     if all(map(math.isfinite, out)):
         return out
-    for a in inputs:
-        _require_finite(a, "reference spectrogram")
-    top = max(float(np.max(np.abs(a))) for a in inputs)
+    for a, what in zip(inputs, ("reference spectrogram", "estimate spectrogram")):
+        _require_finite(a, what)
+    top = max(float(np.max(np.abs(part))) for a in inputs for part in (a.real, a.imag))
     return sums(*(a / top for a in inputs))
 
 
@@ -104,23 +105,17 @@ def snr(est: TimeSignal, ref: TimeSignal) -> float:
     return _ratio_db(num, den)
 
 
-def _as_magnitude(est: Spectrogram | MagSpectrogram) -> np.ndarray:
-    if isinstance(est, MagSpectrogram):
-        return est.data
-    return np.abs(est.data)
-
-
-def _msnr_sums(ref: np.ndarray, est: np.ndarray) -> tuple:
-    return float(np.sum(ref**2)), float(np.sum((ref - est) ** 2))
+def _msnr_sums(S: np.ndarray, est: np.ndarray) -> tuple:
+    """Energy sums of |S| and |S| - |est|; a real est is already a magnitude."""
+    ref = np.abs(S)
+    mag = np.abs(est) if np.iscomplexobj(est) else est
+    return float(np.sum(ref**2)), float(np.sum((ref - mag) ** 2))
 
 
 def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram) -> float:
     """Magnitude SNR: 10*log10(sum |S|^2 / sum (|S| - |est|)^2)."""
-    mag_est = _as_magnitude(est)
-    mag_ref = np.abs(S.data)
-    same_shape(mag_est, mag_ref)
-    _require_finite(mag_est, "estimate spectrogram")
-    num, den = _energy_sums(_msnr_sums, mag_ref, mag_est)
+    same_shape(est.data, S.data)
+    num, den = _energy_sums(_msnr_sums, S.data, est.data)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
     return _ratio_db(num, den)
@@ -139,14 +134,13 @@ def psnr(est: Spectrogram, S: Spectrogram) -> float:
     """
     same_shape(est.data, S.data)
     _require_finite(est.data, "estimate spectrogram")
-    mag = np.abs(S.data)
     gap = 1.0 - np.cos(phase_of(S) - phase_of(est))
 
-    def sums(mag):
-        mag2 = mag**2
+    def sums(S):
+        mag2 = np.abs(S) ** 2
         return float(np.sum(mag2)), float(np.sum(2.0 * mag2 * gap))
 
-    num, den = _energy_sums(sums, mag)
+    num, den = _energy_sums(sums, S.data)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
     return _ratio_db(num, den)

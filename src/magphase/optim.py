@@ -34,9 +34,10 @@ carry a 1/count gradient factor, which the optimizer multiplies back).
 Each loss comes from losses.py: coupled ones through evaluate_loss,
 separable ones as per-unit kernels (losses.unit_kernel), except that the
 complex separable kinds under a fixed phase use the magnitude-direction
-restatements in _fixed_phase_kernel. The quadratic pair l2-complex /
-l2-complex+mag (QUAD_L2, QUAD_L2_MAG) has closed-form per-unit optima
-under a fixed phase, which the tests verify against.
+restatements in _fixed_phase_kernel. Under a fixed phase, the L1 pair
+ri / ri+mag and the quadratic pair l2-complex / l2-complex+mag (QUAD_L2,
+QUAD_L2_MAG) have closed-form per-unit optima, one function for all four
+(compensation.optimal_magnitude_along_phase), which the tests verify against.
 """
 from __future__ import annotations
 
@@ -152,7 +153,8 @@ class OptimizationResult:
     stop_reason: str  # "budget", or "no progress at step k" when a coupled descent stops
 
 
-def _fixed_phase(problem: OptimizationProblem) -> np.ndarray:
+def fixed_phase(problem: OptimizationProblem) -> np.ndarray:
+    """The phase a free-mag-fixed-phase problem pins its estimate to."""
     if problem.phase_source == "mixture":
         (Y,) = _require(problem.targets, "Y")
         return phase_of(Y)
@@ -238,7 +240,7 @@ def _per_unit_objective(problem: OptimizationProblem):
         return None
     if param is Parameterization.FREE_RI or loss.tag in MAGNITUDE_TAGS:
         return unit_kernel(loss, problem.targets)
-    return _fixed_phase_kernel(problem, np.exp(1j * _fixed_phase(problem)))
+    return _fixed_phase_kernel(problem, np.exp(1j * fixed_phase(problem)))
 
 
 def _identity(x):
@@ -284,7 +286,7 @@ def _parameterize(problem: OptimizationProblem):
     # Spectrogram parameters, whose waveform is their inverse STFT.
     ref = targets.Y if targets.Y is not None else targets.S
     if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:
-        phase = _fixed_phase(problem)
+        phase = fixed_phase(problem)
         unit = np.exp(1j * phase)
         if problem.init == "mixture":
             (Y,) = _require(targets, "Y")

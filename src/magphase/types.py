@@ -8,6 +8,7 @@ narrow to float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -64,6 +65,54 @@ class StftConfig:
         wl = int(round(win_ms * sample_rate_hz / 1000.0))
         hl = int(round(hop_ms * sample_rate_hz / 1000.0))
         return cls.for_window(wl, hl)
+
+
+class LossTag(Enum):
+    RI = "ri"
+    RI_MAG = "ri+mag"
+    RI_ISTFT = "ri-istft"
+    RI_ISTFT_MAG = "ri-istft+mag"
+    MAG_RI_ISTFT = "mag+ri-istft"
+    RI_ISTFT_X0_MAG = "(ri-istft)x0+mag"
+    WAV = "wav"
+    WAV_MAG = "wav+mag"
+    WAV_X0_MAG = "wavx0+mag"
+    MSA = "msa"
+    PSA = "psa"
+    PHASE = "phase"
+    L2_COMPLEX = "l2-complex"
+    L2_COMPLEX_MAG = "l2-complex+mag"
+
+
+_X0_TAGS = frozenset({LossTag.RI_ISTFT_X0_MAG, LossTag.WAV_X0_MAG})
+
+_MAG_TERM_TAGS = frozenset({LossTag.RI_MAG, LossTag.L2_COMPLEX_MAG})
+
+
+@dataclass(frozen=True)
+class LossKind:
+    """Loss selector: tag plus weights on the time/complex and magnitude terms.
+
+    time_weight defaults to 1, except for the x0 variants where it is
+    fixed at 0 (passing a nonzero value there is an error).
+    """
+
+    tag: LossTag
+    time_weight: float | None = None
+    mag_weight: float = 1.0
+
+    def __post_init__(self):
+        tw = self.time_weight
+        if tw is None:
+            tw = 0.0 if self.tag in _X0_TAGS else 1.0
+        tw = float(tw)
+        mw = float(self.mag_weight)
+        if not (np.isfinite(tw) and np.isfinite(mw)) or tw < 0 or mw < 0:
+            raise ConfigInvalidError("loss weights must be finite and nonnegative")
+        if self.tag in _X0_TAGS and tw != 0.0:
+            raise ConfigInvalidError(f"{self.tag.value} fixes time_weight = 0")
+        object.__setattr__(self, "time_weight", tw)
+        object.__setattr__(self, "mag_weight", mw)
 
 
 @dataclass(frozen=True)

@@ -271,14 +271,29 @@ def test_optimize_trend_csv(scene_dir, tmp_path):
     assert len(lines) == 3
 
 
-def test_optimize_verify_oracle_rejects_wrong_problem(scene_dir, tmp_path):
+def test_optimize_verify_oracle_rejects_wrong_problem(scene_dir, tmp_path, capsys):
+    # The L1 pair's optimum can be an interval, so no one magnitude is the oracle.
     problem = tmp_path / "p.json"
-    problem.write_text(json.dumps({"loss": "l2-complex+mag"}))
+    problem.write_text(json.dumps({"loss": "ri+mag"}))
     code = run(
         "optimize", "--scene", scene_dir, "--problem", problem,
         "--out", tmp_path / "o", "--win", 200, "--hop", 80, "--verify-oracle",
     )
     assert code == 1
+    assert "interval" in capsys.readouterr().err
+
+
+def test_optimize_verify_oracle_weighted_l2_mag(scene_dir, tmp_path, capsys):
+    # The oracle is the closed form of the problem's own kind and weights.
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"loss": {"tag": "l2-complex+mag", "mag_weight": 2.0}}))
+    code = run(
+        "optimize", "--scene", scene_dir, "--problem", problem, "--steps", 300,
+        "--out", tmp_path / "o", "--win", 200, "--hop", 80, "--verify-oracle",
+    )
+    assert code == 0
+    (line,) = [x for x in capsys.readouterr().out.splitlines() if x.startswith("oracle_")]
+    assert float(line.split()[1]) < 1e-7  # 1.1e-8 measured
 
 
 def test_histogram_outputs(scene_dir, tmp_path):

@@ -10,7 +10,14 @@ from magphase.compensation import (
 from magphase.errors import ConfigInvalidError, ShapeMismatchError
 from magphase.scenes import SceneSpec, synth_scene
 from magphase.stft import stft
-from magphase.types import MagSpectrogram, Spectrogram, StftConfig, magnitude_of
+from magphase.types import (
+    LossKind,
+    LossTag,
+    MagSpectrogram,
+    Spectrogram,
+    StftConfig,
+    magnitude_of,
+)
 
 CFG = StftConfig(4, 2, 4)
 CFG_SCENE = StftConfig.for_window(200, 80)
@@ -28,60 +35,121 @@ def scene_pair():
 
 # --- closed-form optimum --------------------------------------------------------
 
+L2 = LossKind(LossTag.L2_COMPLEX)
+RI = LossKind(LossTag.RI)
+
+
+def ri_objective(kind, S, phase, m):
+    """Per-unit tw (|m c - a| + |m d - b|) + mw ||m| - |S||, written out by hand."""
+    mw = kind.mag_weight if kind.tag is LossTag.RI_MAG else 0.0
+    c, d = np.cos(phase), np.sin(phase)
+    return kind.time_weight * (np.abs(m * c - S.real) + np.abs(m * d - S.imag)) + mw * np.abs(
+        np.abs(m) - np.abs(S)
+    )
+
 
 def test_l2_optimum_hand_values():
-    s = 1.0 + 0.0j
-    assert optimal_magnitude_along_phase(s, np.pi / 3) == pytest.approx(0.5, abs=1e-12)
-    assert optimal_magnitude_along_phase(s, 2 * np.pi / 3) == 0.0
-    assert optimal_magnitude_along_phase(s, 0.0) == 1.0
-    assert optimal_magnitude_along_phase(s, 2 * np.pi / 3, nonneg=False) == pytest.approx(
-        np.cos(2 * np.pi / 3), abs=1e-12
-    )
+    S = spec([[1.0, 1.0, 1.0, 1.0]])
+    phase = np.array([[np.pi / 3, 2 * np.pi / 3, 0.0, 2 * np.pi / 3]])
+    got = optimal_magnitude_along_phase(L2, S, phase)
+    np.testing.assert_allclose(got[0, :3], [0.5, 0.0, 1.0], rtol=0, atol=1e-12)
+    # With a magnitude term of weight 1: (cos(2 pi / 3) + 1) / 2 = 0.25.
+    mag = optimal_magnitude_along_phase(LossKind(LossTag.L2_COMPLEX_MAG), S, phase)
+    assert mag[0, 3] == pytest.approx(0.25, abs=1e-12)
+    # The time weight alone does not move the L2 optimum.
+    heavy = optimal_magnitude_along_phase(LossKind(LossTag.L2_COMPLEX, time_weight=2.5), S, phase)
+    np.testing.assert_allclose(heavy, got, rtol=0, atol=1e-15)
 
 
 def test_l2_optimum_matches_grid_search():
     rng = np.random.default_rng(0)
-    for _ in range(1000):
-        z = complex(rng.normal(), rng.normal())
-        phase = rng.uniform(-np.pi, np.pi)
-        closed = optimal_magnitude_along_phase(z, phase, "l2", True)
-        step = max(abs(z), 1e-9) * 1e-4
-        grid = np.arange(0.0, 2 * abs(z) + step, step)
-        vals = np.abs(grid * np.exp(1j * phase) - z) ** 2
-        best = grid[np.argmin(vals)]
-        assert abs(closed - best) <= max(abs(z), 1e-9) * 2e-4
+    z = rng.normal(size=(1000, 1)) + 1j * rng.normal(size=(1000, 1))
+    phase = rng.uniform(-np.pi, np.pi, (1000, 1))
+    closed = optimal_magnitude_along_phase(L2, spec(z), phase)
+    for k in range(1000):
+        r = abs(z[k, 0])
+        step = max(r, 1e-9) * 1e-4
+        grid = np.arange(0.0, 2 * r + step, step)
+        best = grid[np.argmin(np.abs(grid * np.exp(1j * phase[k, 0]) - z[k, 0]) ** 2)]
+        assert abs(closed[k, 0] - best) <= max(r, 1e-9) * 2e-4
 
 
 def test_l2_optimum_monotone_in_phase_offset():
-    z = 1.7 + 0.0j
-    offsets = np.linspace(0, np.pi, 50)
-    values = [optimal_magnitude_along_phase(z, d) for d in offsets]
+    offsets = np.linspace(0, np.pi, 50).reshape(1, 50)
+    values = optimal_magnitude_along_phase(L2, spec(np.full((1, 50), 1.7)), -offsets)[0]
     assert values[0] == pytest.approx(1.7, abs=1e-12)
-    assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
-    assert all(v == 0 for d, v in zip(offsets, values) if d > np.pi / 2 + 1e-9)
+    assert np.all(np.diff(values) <= 1e-12)
+    assert np.all(values[offsets[0] > np.pi / 2 + 1e-9] == 0)
 
 
 def test_l1_optimum_matches_brute_force():
+    # The weighted median is no worse than the best of a fine grid, for
+    # the L1 pair with and without their weights.
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        z = complex(rng.normal(), rng.normal())
-        phase = rng.uniform(-np.pi, np.pi)
-        got = optimal_magnitude_along_phase(z, phase, "l1", nonneg=True)
-        c, d = np.cos(phase), np.sin(phase)
-        grid = np.linspace(0.0, 2 * abs(z) + 1e-12, 40001)
-        vals = np.abs(grid * c - z.real) + np.abs(grid * d - z.imag)
-        f_got = abs(got * c - z.real) + abs(got * d - z.imag)
-        assert f_got <= vals.min() + 1e-6
+    z = rng.normal(size=(100, 1)) + 1j * rng.normal(size=(100, 1))
+    phase = rng.uniform(-np.pi, np.pi, (100, 1))
+    for kind in (
+        RI,
+        LossKind(LossTag.RI, time_weight=0.3),
+        LossKind(LossTag.RI_MAG),
+        LossKind(LossTag.RI_MAG, time_weight=2.5, mag_weight=0.5),
+        LossKind(LossTag.RI_MAG, time_weight=0.3, mag_weight=3.0),
+        LossKind(LossTag.RI_MAG, time_weight=0.0),
+    ):
+        got = optimal_magnitude_along_phase(kind, spec(z), phase)
+        assert np.all(got >= 0)
+        f_got = ri_objective(kind, z, phase, got)
+        for k in range(100):
+            grid = np.linspace(0.0, 3 * abs(z[k, 0]) + 1e-12, 40001)
+            best = ri_objective(kind, z[k, 0], phase[k, 0], grid).min()
+            assert f_got[k, 0] <= best + 1e-12, kind
+
+
+def test_l1_optimum_hand_values():
+    # Phase 0 gives the RI loss |m - a| + |b|, least at m = a; phase pi/2
+    # (cos = 6e-17, not 0) gives it least at m = b; ri+mag at phase pi/4
+    # and S = 3: weights 0.71, 0.71, 1 on points 4.24, 0, 3 put the median at 3.
+    S = spec([[2 - 1j, 2 + 5j, -2 + 1j, 3.0]])
+    phase = np.array([[0.0, np.pi / 2, 0.0, np.pi / 4]])
+    got = optimal_magnitude_along_phase(RI, S, phase)
+    np.testing.assert_allclose(got[0, :3], [2.0, 5.0, 0.0], rtol=1e-15, atol=0)
+    assert optimal_magnitude_along_phase(LossKind(LossTag.RI_MAG), S, phase)[0, 3] == 3.0
 
 
 def test_optimum_zero_input():
-    assert optimal_magnitude_along_phase(0j, 1.0, "l2") == 0.0
-    assert optimal_magnitude_along_phase(0j, 1.0, "l1") == 0.0
+    zero = spec(np.zeros((2, 3)))
+    phase = np.random.default_rng(4).uniform(-np.pi, np.pi, (2, 3))
+    phase[0, 0] = 0.0  # a cos or sin of exactly 0 drops its point
+    for tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG, LossTag.RI, LossTag.RI_MAG):
+        got = optimal_magnitude_along_phase(LossKind(tag), zero, phase)
+        assert got.tobytes() == np.zeros((2, 3)).tobytes(), tag
 
 
-def test_optimum_rejects_unknown_norm():
+@pytest.mark.parametrize(
+    "kind",
+    [
+        LossKind(LossTag.MSA),
+        LossKind(LossTag.PHASE),
+        LossKind(LossTag.RI_ISTFT),
+        LossKind(LossTag.RI, time_weight=0.0, mag_weight=5.0),  # mw does not count for ri
+        LossKind(LossTag.L2_COMPLEX_MAG, time_weight=0.0, mag_weight=0.0),
+    ],
+    ids=lambda k: f"{k.tag.value}-{k.time_weight}-{k.mag_weight}",
+)
+def test_optimum_rejects_kind_without_closed_form(kind):
     with pytest.raises(ConfigInvalidError):
-        optimal_magnitude_along_phase(1 + 1j, 0.0, "l3")
+        optimal_magnitude_along_phase(kind, spec(np.ones((1, 3))), np.zeros((1, 3)))
+
+
+def test_optimum_rejects_phase_of_another_shape():
+    with pytest.raises(ShapeMismatchError):
+        optimal_magnitude_along_phase(L2, spec(np.ones((1, 3))), np.zeros((2, 3)))
+
+
+def test_compensated_magnitude_bytes_equal_hand_form(scene_pair):
+    S, Y = scene_pair
+    want = np.abs(S.data) * np.maximum(phase_diff_map(S, Y), 0.0)
+    assert compensated_magnitude(S, Y).data.tobytes() == want.tobytes()
 
 
 # --- phase difference map --------------------------------------------------------

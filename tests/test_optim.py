@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
@@ -15,6 +15,8 @@ from magphase.optim import (
     OptimizationProblem,
     Parameterization,
     Targets,
+    _fixed_phase_kernel,
+    fixed_phase,
     optimize,
     run_trend_experiment,
 )
@@ -77,12 +79,9 @@ def test_fixed_phase_l2_matches_compensation_closed_form():
     assert np.max(np.abs(result.params - oracle)) < 1e-4
     # Offsets beyond pi/2: exactly zero magnitude.
     assert np.all(result.params[deltas > np.pi / 2 + 1e-6] == 0.0)
-    # Per-unit agreement with the closed form from the geometry module.
-    for t, f in ((0, 0), (5, 5), (9, 9)):
-        unit_opt = optimal_magnitude_along_phase(
-            complex(mags[t, f] * np.exp(1j * deltas[t, f])), 0.0, "l2", True
-        )
-        assert abs(result.params[t, f] - unit_opt) < 1e-4
+    # Every unit agrees with the closed form from the geometry module.
+    closed = optimal_magnitude_along_phase(QUAD_L2, problem.targets.S, problem.custom_phase)
+    assert np.max(np.abs(result.params - closed)) < 1e-4
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,6 +125,105 @@ def test_fixed_phase_l2_mag_balances_toward_oracle_magnitude():
         result = optimize(problem)
         oracle = (mags * np.cos(deltas) + w * mags) / (1.0 + w)
         assert np.max(np.abs(result.params - oracle)) < 1e-4, w
+        closed = optimal_magnitude_along_phase(loss, problem.targets.S, problem.custom_phase)
+        assert np.max(np.abs(closed - oracle)) < 1e-12, w
+
+
+CLOSED_FORM_TAGS = (LossTag.RI, LossTag.RI_MAG, LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG)
+
+
+def per_unit_loss(problem):
+    """The descent's own per-unit loss map m -> L(m) under the problem's fixed phase."""
+    kernel = _fixed_phase_kernel(problem, np.exp(1j * fixed_phase(problem)))
+    return lambda m: kernel(m)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    frames=st.integers(1, 6),
+    half_fft=st.integers(1, 8),
+    top=st.floats(1e-3, 1e3),
+    tag=st.sampled_from(CLOSED_FORM_TAGS),
+    time_weight=st.sampled_from([0.0, 0.3, 1.0, 2.5]),
+    mag_weight=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    exact_phase=st.sampled_from([None, 0.0, np.pi / 4, np.pi / 2, np.pi]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(1, 4, 1.0, LossTag.RI_MAG, 1.0, 1.0, 0.0, 0)  # ties: weights 1, 0, 1
+@example(3, 4, 1e3, LossTag.RI, 1.0, 0.0, np.pi / 4, 1)
+@example(3, 4, 1e-3, LossTag.RI_MAG, 0.3, 3.0, np.pi / 2, 2)
+@example(3, 4, 10.0, LossTag.L2_COMPLEX_MAG, 2.5, 0.5, np.pi, 3)
+def test_closed_form_optimum_never_beaten_property(
+    frames, half_fft, top, tag, time_weight, mag_weight, exact_phase, seed
+):
+    # Per unit, the descent's own loss at the closed form is no more than
+    # at any nearby magnitude or at where a short descent ends.
+    loss = LossKind(tag, time_weight=time_weight, mag_weight=mag_weight)
+    mw = mag_weight if tag in (LossTag.RI_MAG, LossTag.L2_COMPLEX_MAG) else 0.0
+    assume(time_weight + mw > 0)
+    cfg = StftConfig(2 * half_fft, half_fft, 2 * half_fft)
+    rng = np.random.default_rng(seed)
+    shape = (frames, cfg.num_bins)
+    S = rng.uniform(0.0, top, shape) * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
+    phase = rng.uniform(-np.pi, np.pi, shape) if exact_phase is None else np.full(shape, exact_phase)
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss=loss,
+        targets=Targets(S=Spectrogram(S, cfg)),
+        cfg=cfg,
+        phase_source="custom",
+        custom_phase=phase,
+        init="zeros",
+        steps=40,
+        step_size=0.05 * top,
+    )
+    best = optimal_magnitude_along_phase(loss, problem.targets.S, phase)
+    f = per_unit_loss(problem)
+    floor = f(best)
+    # Rounding slack: the loss is of order (tw + mw) (top + top^2).
+    slack = 1e-12 * (time_weight + mw) * (top + top * top)
+    eps = 1e-3
+    for other in (
+        best * (1 + eps),
+        best * (1 - eps),
+        best + eps * top,
+        np.maximum(best - eps * top, 0.0),
+        optimize(problem).params,
+    ):
+        assert np.all(floor <= f(other) + slack)
+
+
+@pytest.mark.parametrize(
+    "loss,steps",
+    [
+        (QUAD_L2, 100),
+        (LossKind(LossTag.L2_COMPLEX_MAG, mag_weight=2.0), 100),
+        (LossKind(LossTag.RI), 300),
+        (LossKind(LossTag.RI_MAG), 300),
+    ],
+    ids=lambda v: v.tag.value if isinstance(v, LossKind) else str(v),
+)
+def test_descent_reaches_closed_form_on_scene(scene_targets, loss, steps):
+    # From the mixture under the mixture phase, the descent ends at the
+    # closed form: the L2 pair in magnitude; the L1 pair, whose optimum
+    # can be an interval (ri+mag at DC), in per-unit loss.
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss=loss,
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        steps=steps,
+    )
+    got = optimize(problem).params
+    best = optimal_magnitude_along_phase(loss, scene_targets.S, fixed_phase(problem))
+    top = float(np.max(np.abs(scene_targets.S.data)))
+    f = per_unit_loss(problem)
+    gap = f(got) - f(best)
+    assert np.all(gap >= -1e-12 * top * top)  # the closed form is never beaten
+    if loss.tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG):
+        assert np.max(np.abs(got - best)) < 1e-6 * top
+    else:
+        assert np.max(gap) < 1e-5 * top
 
 
 def test_msa_converges_to_oracle_magnitude_despite_phase_error(scene_targets):
