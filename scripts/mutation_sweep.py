@@ -10,12 +10,11 @@ selector fails on the unmutated copy, or if a mutant's old text does not
 occur exactly once in its file (the source has drifted from the mutant,
 which then has to be rewritten).
 
-    python3 scripts/mutation_sweep.py [--only NAME ...]
+    python3 scripts/mutation_sweep.py
 
 This is not part of Tier-1: it runs a test subset twice per mutant (clean
 and mutated), about a minute and a half in all.
 """
-import argparse
 import os
 import shutil
 import subprocess
@@ -124,16 +123,11 @@ def mutate(tree: Path, mutant: Mutant) -> None:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--only", nargs="*", default=None, help="mutant names to run")
-    args = ap.parse_args()
-    mutants = [m for m in MUTANTS if args.only is None or m.name in args.only]
-
     with tempfile.TemporaryDirectory(prefix="mutation_sweep_") as tmp:
         clean = Path(tmp) / "clean"
         clean.mkdir()
         copy_tree(clean)
-        failing = [m.name for m in mutants if run_pytest(clean, m.selector) != 0]
+        failing = [m.name for m in MUTANTS if run_pytest(clean, m.selector) != 0]
         if failing:
             print(f"selectors fail on the unmutated tree: {', '.join(failing)}")
             return 1
@@ -141,7 +135,7 @@ def main() -> int:
         survived = 0
         print(f"| {'mutant':<34} | {'file':<30} | {'selector':<58} | result   | s    |")
         print(f"|{'-' * 36}|{'-' * 32}|{'-' * 60}|----------|------|")
-        for i, mutant in enumerate(mutants):
+        for i, mutant in enumerate(MUTANTS):
             tree = Path(tmp) / f"m{i}"
             tree.mkdir()
             copy_tree(tree)
@@ -159,7 +153,7 @@ def main() -> int:
                 f"| {result:<8} | {time.monotonic() - t0:4.1f} |"
             )
             shutil.rmtree(tree)
-    print(f"{len(mutants) - survived}/{len(mutants)} mutants killed")
+    print(f"{len(MUTANTS) - survived}/{len(MUTANTS)} mutants killed")
     return 1 if survived else 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import compensation, masks, metrics, optim, scenes, wavio
 from .errors import MagphaseError, SpecInvalidError
-from .losses import LossTag, parse_loss_spec
+from .losses import parse_loss_spec
 from .stft import stft
 from .types import StftConfig, magnitude_of
 
@@ -216,12 +216,14 @@ def cmd_optimize(args) -> int:
     problem = _load_problem(args, targets, cfg)
     if args.verify_oracle and (
         problem.parameterization is not optim.Parameterization.FREE_MAG_FIXED_PHASE
-        or problem.loss.tag not in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG)
+        or problem.loss.tag not in compensation._L2_TAGS
     ):
         raise SpecInvalidError(
             "--verify-oracle applies to free-mag-fixed-phase + l2-complex(+mag); the L1 "
             "pair ri(+mag) can have an interval of optimal magnitudes per unit"
         )
+    if args.verify_oracle:
+        compensation.closed_form_weights(problem.loss)  # refused before the run if constant
     result = optim.optimize(problem)
     result.trajectory.to_csv(out / "trajectory.csv")
     wavio.write_wav(out / "final.wav", result.signal)

@@ -27,6 +27,17 @@ _L2_TAGS = (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG)
 _L1_TAGS = (LossTag.RI, LossTag.RI_MAG)
 
 
+def closed_form_weights(kind: LossKind) -> tuple[float, float]:
+    """(tw, mw) of a kind with a closed-form fixed-phase optimum; ConfigInvalidError if none."""
+    tag, tw = kind.tag, kind.time_weight
+    mw = kind.mag_weight if tag in _MAG_TERM_TAGS else 0.0
+    if tag not in _L2_TAGS and tag not in _L1_TAGS:
+        raise ConfigInvalidError(f"loss {tag.value} has no closed-form magnitude optimum")
+    if tw + mw == 0.0:
+        raise ConfigInvalidError(f"loss {tag.value} with zero weights is constant in m")
+    return tw, mw
+
+
 def optimal_magnitude_along_phase(kind: LossKind, S: Spectrogram, phase: np.ndarray) -> np.ndarray:
     """Per-unit m >= 0 minimizing a fixed-phase complex loss of m e^{j phase}.
 
@@ -39,15 +50,10 @@ def optimal_magnitude_along_phase(kind: LossKind, S: Spectrogram, phase: np.ndar
       is returned.
     Both losses are convex in m, so their optima are clamped at 0.
     """
-    tag, tw = kind.tag, kind.time_weight
-    mw = kind.mag_weight if tag in _MAG_TERM_TAGS else 0.0
-    if tag not in _L2_TAGS and tag not in _L1_TAGS:
-        raise ConfigInvalidError(f"loss {tag.value} has no closed-form magnitude optimum")
-    if tw + mw == 0.0:
-        raise ConfigInvalidError(f"loss {tag.value} with zero weights is constant in m")
+    tw, mw = closed_form_weights(kind)
     same_shape(S.data, phase)
     mag = np.abs(S.data)
-    if tag in _L2_TAGS:
+    if kind.tag in _L2_TAGS:
         return mag * np.maximum((tw * np.cos(phase_of(S) - phase) + mw) / (tw + mw), 0.0)
     c, d = np.cos(phase), np.sin(phase)
     weights = np.stack([tw * np.abs(c), tw * np.abs(d), np.full(mag.shape, mw)], axis=-1)

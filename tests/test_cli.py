@@ -281,6 +281,20 @@ def test_optimize_verify_oracle_rejects_wrong_problem(scene_dir, tmp_path, capsy
     )
     assert code == 1
     assert "interval" in capsys.readouterr().err
+    # A zero-weight L2 loss is constant in m: refused before the descent runs.
+    for loss in (
+        {"tag": "l2-complex", "time_weight": 0},
+        {"tag": "l2-complex+mag", "time_weight": 0, "mag_weight": 0},
+    ):
+        problem.write_text(json.dumps({"loss": loss}))
+        out = tmp_path / loss["tag"]
+        code = run(
+            "optimize", "--scene", scene_dir, "--problem", problem,
+            "--out", out, "--win", 200, "--hop", 80, "--verify-oracle",
+        )
+        assert code == 1
+        assert "constant" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
 
 
 def test_optimize_verify_oracle_weighted_l2_mag(scene_dir, tmp_path, capsys):
