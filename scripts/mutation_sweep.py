@@ -90,9 +90,30 @@ MUTANTS = (
     Mutant(
         "metric rescale by modulus",
         "src/magphase/metrics.py",
-        "for a in inputs for part in (a.real, a.imag))",
-        "for a in inputs for part in (np.abs(a),))",
+        "for part in (a.real, a.imag)) or 1.0",
+        "for part in (np.abs(a),)) or 1.0",
         ("tests/test_metrics.py", "-k", "overflow"),
+    ),
+    Mutant(
+        "metric rescale at shared scale",
+        "src/magphase/metrics.py",
+        "own = sums(*(a / scale for a, scale in zip(inputs, scales)))",
+        "own = sums(*(a / max(scales) for a in inputs))",
+        ("tests/test_metrics.py", "-k", "overflow"),
+    ),
+    Mutant(
+        "loss weight on a missing term kept",
+        "src/magphase/types.py",
+        "            if w and not has_term:\n",
+        "            if False:\n",
+        ("tests/test_losses.py", "-k", "x0_variant_rejects"),
+    ),
+    Mutant(
+        "checkpoint floors silent reference",
+        "src/magphase/optim.py",
+        "si = floored_si_sdr(to_sig(x), targets.s)",
+        "si = floored_si_sdr(to_sig(x), targets.s) if np.any(targets.s.samples) else -math.inf",
+        ("tests/test_optim.py", "-k", "silent"),
     ),
 )
 

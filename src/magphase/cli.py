@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compensation, masks, metrics, optim, scenes, wavio
-from .errors import MagphaseError, SpecInvalidError
+from .errors import ConfigInvalidError, MagphaseError, SpecInvalidError
 from .losses import parse_loss_spec
 from .stft import stft
 from .types import StftConfig, magnitude_of
@@ -146,10 +146,18 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
-_PROBLEM_KEYS = frozenset(
-    ("schema_version", "parameterization", "loss", "phase_source", "init")
-    + ("init_seed", "steps", "step_size", "momentum")
-)
+# Problem JSON key -> converter; a key left out takes OptimizationProblem's default.
+_PROBLEM_FIELDS = {
+    "parameterization": optim.Parameterization,
+    "loss": parse_loss_spec,
+    "phase_source": str,
+    "init": str,
+    "init_seed": int,
+    "steps": int,
+    "step_size": float,
+    "momentum": float,
+}
+_PROBLEM_KEYS = frozenset(_PROBLEM_FIELDS) | {"schema_version"}
 
 
 def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.OptimizationProblem:
@@ -165,27 +173,17 @@ def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.Optimi
     unknown = sorted(set(doc) - _PROBLEM_KEYS)
     if unknown:
         raise SpecInvalidError(f"unknown problem JSON keys: {', '.join(unknown)}")
-    if doc.get("schema_version", 1) != 1:
-        raise SpecInvalidError(f"unsupported problem schema_version {doc['schema_version']!r}")
+    version = doc.pop("schema_version", 1)
+    if version != 1:
+        raise SpecInvalidError(f"unsupported problem schema_version {version!r}")
+    doc = {"parameterization": "free-mag-fixed-phase", "loss": "l2-complex", **doc}
     if args.steps is not None:
         doc["steps"] = args.steps
     try:
-        return optim.OptimizationProblem(
-            parameterization=optim.Parameterization(
-                doc.get("parameterization", "free-mag-fixed-phase")
-            ),
-            loss=parse_loss_spec(doc.get("loss", "l2-complex")),
-            targets=targets,
-            cfg=cfg,
-            phase_source=doc.get("phase_source", "mixture"),
-            init=doc.get("init", "mixture"),
-            init_seed=int(doc.get("init_seed", 0)),
-            steps=int(doc.get("steps", 2000)),
-            step_size=float(doc.get("step_size", 0.5)),
-            momentum=float(doc.get("momentum", 0.9)),
-        )
-    except (TypeError, ValueError) as exc:
+        fields = {key: _PROBLEM_FIELDS[key](value) for key, value in doc.items()}
+    except (TypeError, ValueError, ConfigInvalidError) as exc:
         raise SpecInvalidError(f"invalid problem JSON value: {exc}") from None
+    return optim.OptimizationProblem(targets=targets, cfg=cfg, **fields)
 
 
 def cmd_optimize(args) -> int:

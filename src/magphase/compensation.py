@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigInvalidError
-from .types import _MAG_TERM_TAGS, LossKind, LossTag
+from .types import LossKind, LossTag
 from .types import MagSpectrogram, Spectrogram, phase_of, same_shape
 
 HIST_BINS = 50
@@ -29,8 +29,7 @@ _L1_TAGS = (LossTag.RI, LossTag.RI_MAG)
 
 def closed_form_weights(kind: LossKind) -> tuple[float, float]:
     """(tw, mw) of a kind with a closed-form fixed-phase optimum; ConfigInvalidError if none."""
-    tag, tw = kind.tag, kind.time_weight
-    mw = kind.mag_weight if tag in _MAG_TERM_TAGS else 0.0
+    tag, tw, mw = kind.tag, kind.time_weight, kind.mag_weight
     if tag not in _L2_TAGS and tag not in _L1_TAGS:
         raise ConfigInvalidError(f"loss {tag.value} has no closed-form magnitude optimum")
     if tw + mw == 0.0:
@@ -41,8 +40,9 @@ def closed_form_weights(kind: LossKind) -> tuple[float, float]:
 def optimal_magnitude_along_phase(kind: LossKind, S: Spectrogram, phase: np.ndarray) -> np.ndarray:
     """Per-unit m >= 0 minimizing a fixed-phase complex loss of m e^{j phase}.
 
-    With weights tw and mw (mw for the +mag kinds only), delta = angle(S)
-    - phase, S = a + jb, c = cos phase and d = sin phase, a unit's loss is, for
+    With the kind's weights tw and mw (mw is 0 for ri and l2-complex),
+    delta = angle(S) - phase, S = a + jb, c = cos phase and d = sin phase,
+    a unit's loss is, for
     - l2-complex(+mag), a parabola with vertex |S| (tw cos delta + mw) / (tw + mw);
     - ri(+mag), tw|c| |m - a/c| + tw|d| |m - b/d| + mw |m - |S||, least at
       the weighted median of a/c, b/d and |S|. Where the cumulative weight

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,29 +30,41 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} contains NaN or Inf")
 
 
-def _energy_sums(sums, *inputs) -> tuple:
-    """sums(*inputs), a tuple of energy sums, taken so that none overflows.
+def _energy_sums(sums, *inputs, mixed: bool = True) -> tuple:
+    """(sums(*inputs), shift_db): energy sums taken so none overflows or underflows.
 
-    A sum that is not finite comes from a NaN or Inf in an input (the
-    spectrograms, reference then estimate, are not checked up front) or
-    from an overflow; then the sums are taken again on the inputs divided
-    by their largest real or imaginary part (a modulus itself may
-    overflow), which leaves every ratio of them unchanged up to rounding.
+    The first sum must be the reference's own energy. A sum that is not
+    finite comes from a NaN or Inf in an input (the spectrograms, reference
+    then estimate, are not checked up front) or from an overflow; then each
+    input is divided by a scale, its largest real or imaginary part (a
+    modulus itself may overflow). The first sum is taken on the reference
+    at its own scale; the others on the inputs at their shared scale
+    (mixed=True) or, where no ratio of them changes when one input is
+    scaled alone, at their own (mixed=False). 10 log10(first / other) +
+    shift_db is then the unscaled ratio in dB, however far apart the
+    scales are.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = sums(*inputs)
     if all(map(math.isfinite, out)):
-        return out
+        return out, 0.0
     for a, what in zip(inputs, ("reference spectrogram", "estimate spectrogram")):
         _require_finite(a, what)
-    top = max(float(np.max(np.abs(part))) for a in inputs for part in (a.real, a.imag))
-    return sums(*(a / top for a in inputs))
+    scales = [max(float(np.max(np.abs(part))) for part in (a.real, a.imag)) or 1.0 for a in inputs]
+    own = sums(*(a / scale for a, scale in zip(inputs, scales)))
+    if not mixed:
+        return own, 0.0
+    top = max(scales)
+    shared = sums(*(a / top for a in inputs))
+    return (own[0],) + shared[1:], 20.0 * (math.log10(scales[0]) - math.log10(top))
 
 
-def _ratio_db(num: float, den: float) -> float:
+def _ratio_db(num: float, den: float, shift_db: float = 0.0) -> float:
     if den < _DENOM_FLOOR:
         return math.inf
-    return 10.0 * math.log10(num / den)
+    if num == 0.0:  # e.g. an estimate orthogonal to its reference under SI-SDR
+        return -math.inf
+    return 10.0 * math.log10(num / den) + shift_db
 
 
 def _checked_samples(est: TimeSignal, ref: TimeSignal) -> tuple:
@@ -83,7 +95,8 @@ def si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
     result invariant to any nonzero rescaling of the estimate.
     """
     s, e = _checked_samples(est, ref)
-    ref_energy, est_energy, num, den = _energy_sums(_si_sdr_sums, s, e)
+    # The ratio does not change when s or e is scaled alone.
+    (ref_energy, est_energy, num, den), _ = _energy_sums(_si_sdr_sums, s, e, mixed=False)
     if ref_energy == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
     if est_energy == 0.0:
@@ -99,10 +112,10 @@ def _snr_sums(s: np.ndarray, e: np.ndarray) -> tuple:
 def snr(est: TimeSignal, ref: TimeSignal) -> float:
     """Plain SNR: 10*log10(||ref||^2 / ||ref - est||^2)."""
     s, e = _checked_samples(est, ref)
-    num, den = _energy_sums(_snr_sums, s, e)
+    (num, den), shift_db = _energy_sums(_snr_sums, s, e)
     if num == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
-    return _ratio_db(num, den)
+    return _ratio_db(num, den, shift_db)
 
 
 def _msnr_sums(S: np.ndarray, est: np.ndarray) -> tuple:
@@ -115,10 +128,10 @@ def _msnr_sums(S: np.ndarray, est: np.ndarray) -> tuple:
 def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram) -> float:
     """Magnitude SNR: 10*log10(sum |S|^2 / sum (|S| - |est|)^2)."""
     same_shape(est.data, S.data)
-    num, den = _energy_sums(_msnr_sums, S.data, est.data)
+    (num, den), shift_db = _energy_sums(_msnr_sums, S.data, est.data)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
-    return _ratio_db(num, den)
+    return _ratio_db(num, den, shift_db)
 
 
 def psnr(est: Spectrogram, S: Spectrogram) -> float:
@@ -140,7 +153,7 @@ def psnr(est: Spectrogram, S: Spectrogram) -> float:
         mag2 = np.abs(S) ** 2
         return float(np.sum(mag2)), float(np.sum(2.0 * mag2 * gap))
 
-    num, den = _energy_sums(sums, S.data)
+    (num, den), _ = _energy_sums(sums, S.data, mixed=False)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
     return _ratio_db(num, den)
@@ -166,7 +179,6 @@ class MetricReport:
     snr_db: float
     msnr_db: float
     psnr_db: float
-    metadata: dict = field(default_factory=dict)
 
     _KEYS = ("si_sdr_db", "snr_db", "msnr_db", "psnr_db")
 
@@ -176,8 +188,6 @@ class MetricReport:
         for k in self._KEYS:
             v = getattr(self, k)
             out[k] = format_db(v) if math.isinf(v) else v
-        if self.metadata:
-            out["metadata"] = dict(self.metadata)
         return out
 
     def to_json(self) -> str:
@@ -190,24 +200,26 @@ class MetricReport:
         return ",".join(format_db(getattr(self, k)) for k in self._KEYS)
 
 
+def floored_si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
+    """si_sdr, or -inf for a silent estimate; a silent reference still raises."""
+    try:
+        return si_sdr(est, ref)
+    except ZeroSignalError:
+        if float(np.dot(ref.samples, ref.samples)) == 0.0:
+            raise
+        return -math.inf
+
+
 def report(
     est: TimeSignal,
     ref: TimeSignal,
     est_spec: Spectrogram,
     ref_spec: Spectrogram,
-    metadata: dict | None = None,
 ) -> MetricReport:
     """Compute all four metrics; a silent estimate reports si_sdr_db = -inf."""
-    try:
-        si = si_sdr(est, ref)
-    except ZeroSignalError:
-        if float(np.dot(ref.samples, ref.samples)) == 0.0:
-            raise
-        si = -math.inf
     return MetricReport(
-        si_sdr_db=si,
+        si_sdr_db=floored_si_sdr(est, ref),
         snr_db=snr(est, ref),
         msnr_db=msnr(est_spec, ref_spec),
         psnr_db=psnr(est_spec, ref_spec),
-        metadata=metadata or {},
     )

@@ -26,18 +26,20 @@ convergence possible at all, since under a single global step the many
 already-converged units veto any move large enough to help a distant
 straggler. A retry evaluates only the units whose step failed, so a step
 costs one full evaluation plus work in proportion to the failing units;
-the results equal those of re-evaluating every unit bit for bit. Losses coupled across units by an iSTFT/STFT (and all
-waveform-parameter runs) use one global step with the same halving rule;
-there step sizes are interpreted per element (mean-normalized losses
-carry a 1/count gradient factor, which the optimizer multiplies back).
+the results equal those of re-evaluating every unit bit for bit. Losses
+coupled across units by an iSTFT/STFT (and all waveform-parameter runs)
+use one global step with the same halving rule; there step sizes are
+interpreted per element (mean-normalized losses carry a 1/count gradient
+factor, which the optimizer multiplies back).
 
-Each loss comes from losses.py: coupled ones through evaluate_loss,
-separable ones as per-unit kernels (losses.unit_kernel), except that the
-complex separable kinds under a fixed phase use the magnitude-direction
-restatements in _fixed_phase_kernel. Under a fixed phase, the L1 pair
-ri / ri+mag and the quadratic pair l2-complex / l2-complex+mag (QUAD_L2,
-QUAD_L2_MAG) have closed-form per-unit optima, one function for all four
-(compensation.optimal_magnitude_along_phase), which the tests verify against.
+Every loss comes from losses.py, with the weights its LossKind holds:
+coupled ones through evaluate_loss, separable ones as per-unit kernels
+(losses.unit_kernel, or losses.fixed_phase_kernel for the complex kinds
+under a fixed phase); _per_unit_objective picks which. Under a fixed
+phase, the L1 pair ri / ri+mag and the quadratic pair l2-complex /
+l2-complex+mag (QUAD_L2, QUAD_L2_MAG) have closed-form per-unit optima,
+one function for all four (compensation.optimal_magnitude_along_phase),
+which the tests verify against.
 """
 from __future__ import annotations
 
@@ -52,24 +54,21 @@ from .errors import (
     ConfigInvalidError,
     DivergedError,
     MissingTargetError,
-    ZeroSignalError,
 )
 from .losses import (
     MAGNITUDE_TAGS,
     SEPARABLE_TAGS,
     SPECTROGRAM_TAGS,
     WAVEFORM_TAGS,
-    _MAG_TERM_TAGS,
     LossKind,
     LossTag,
     Targets,
-    _bind,
     _require,
-    _smooth_l1_grad,
     evaluate_loss,
+    fixed_phase_kernel,
     unit_kernel,
 )
-from .metrics import format_db, msnr, psnr, si_sdr
+from .metrics import floored_si_sdr, format_db, msnr, psnr
 from .stft import istft_array, stft_adjoint, stft_array
 from .types import (
     DEFAULT_SAMPLE_RATE_HZ,
@@ -168,67 +167,6 @@ def fixed_phase(problem: OptimizationProblem) -> np.ndarray:
     raise ConfigInvalidError(f"unknown phase source {problem.phase_source!r}")
 
 
-def _fixed_phase_kernel(problem: OptimizationProblem, unit: np.ndarray):
-    """Per-unit kernel of a complex separable loss along the fixed phase `unit`.
-
-    The free parameter is the magnitude m, and the estimate is m * unit.
-    These kernels restate losses.unit_kernel for that direction (a test
-    holds them equal) rather than calling it with the chain rule
-    Re(conj(unit) * g), for two measured reasons (benchmark trend
-    workload, seeds 101/102, on a shared 2-core x86 host):
-    - speed: the complex kernels plus the chain rule made a trend scene
-      1.6-2.2x slower (l2 pair 0.59-0.79 s -> 1.00-1.74 s, L1 pair
-      2.4-3.0 s -> 4.0-5.1 s);
-    - the gradient at m = 0: the complex form takes the gradient of |z|
-      as 0 at z = 0, while d|m * unit|/dm = 1 for m >= 0, so a unit the
-      descent drives to 0 cannot be pulled back by the magnitude term.
-      That moved the with-mag arm's mSNR from 18.70 dB to 17.47 dB.
-
-    Like unit_kernel's, they are called as f(m) or f(values, at=flat_idx)
-    (losses._bind), and they always return the gradient map.
-    """
-    loss = problem.loss
-    tw = loss.time_weight
-    mw = loss.mag_weight if loss.tag in _MAG_TERM_TAGS else 0.0
-    (S,) = _require(problem.targets, "S")
-    mag_ref = np.abs(S.data)
-
-    if loss.tag is LossTag.PHASE:
-        # The fixed phase makes this loss constant in the magnitude; the
-        # copy keeps the descent's in-place writes off the bound map.
-        p = mag_ref * unit
-        const = tw * (np.abs(p.real - S.data.real) + np.abs(p.imag - S.data.imag))
-        return _bind(lambda m, want_grad, c: (c.copy(), np.zeros_like(m)), const)
-
-    if loss.tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG):
-
-        def l2_body(m, want_grad, proj, orth, mag_ref):
-            d = m - proj
-            val = tw * (d * d + orth * orth)
-            grad = 2.0 * tw * d
-            if mw:
-                dm = m - mag_ref
-                val = val + mw * dm * dm
-                grad = grad + 2.0 * mw * dm
-            return val, grad
-
-        along = np.conj(unit) * S.data  # |S| e^{j(angle S - phase)}
-        return _bind(l2_body, along.real, along.imag, mag_ref if mw else None)
-
-    def l1_body(m, want_grad, cos_p, sin_p, sr, si, mag_ref):
-        a = m * cos_p - sr
-        b = m * sin_p - si
-        val = tw * (np.abs(a) + np.abs(b))
-        grad = tw * (_smooth_l1_grad(a) * cos_p + _smooth_l1_grad(b) * sin_p)
-        if mw:
-            dm = m - mag_ref  # m >= 0, so |m e^{j phase}| = m
-            val = val + mw * np.abs(dm)
-            grad = grad + mw * _smooth_l1_grad(dm)
-        return val, grad
-
-    return _bind(l1_body, unit.real, unit.imag, S.data.real, S.data.imag, mag_ref if mw else None)
-
-
 def _per_unit_objective(problem: OptimizationProblem):
     """Per-unit (value matrix, gradient matrix) callable, or None if coupled.
 
@@ -240,7 +178,7 @@ def _per_unit_objective(problem: OptimizationProblem):
         return None
     if param is Parameterization.FREE_RI or loss.tag in MAGNITUDE_TAGS:
         return unit_kernel(loss, problem.targets)
-    return _fixed_phase_kernel(problem, np.exp(1j * fixed_phase(problem)))
+    return fixed_phase_kernel(loss, problem.targets, np.exp(1j * fixed_phase(problem)))
 
 
 def _identity(x):
@@ -460,10 +398,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
             ms = msnr(spec_est, targets.S)
             ps = psnr(spec_est, targets.S)
         if targets.s is not None:
-            try:
-                si = si_sdr(to_sig(x), targets.s)
-            except ZeroSignalError:
-                si = -math.inf  # silent estimate: metric undefined, floor it
+            si = floored_si_sdr(to_sig(x), targets.s)
         traj.append(step, float(np.mean(loss_map)), si, ms, ps)
 
     x = project(np.array(x0))
@@ -521,8 +456,6 @@ def run_trend_experiment(
     cfg: StftConfig,
     loss_pair=(QUAD_L2, QUAD_L2_MAG),
     steps: int = 400,
-    step_size: float = 0.5,
-    momentum: float = 0.9,
 ) -> TrendReport:
     """Optimize a magnitude under the mixture phase for two objectives.
 
@@ -543,8 +476,6 @@ def run_trend_experiment(
             phase_source="mixture",
             init="mixture",
             steps=steps,
-            step_size=step_size,
-            momentum=momentum,
         )
         result = optimize(problem)
         traj = result.trajectory  # its last checkpoint is the returned state

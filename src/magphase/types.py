@@ -84,35 +84,39 @@ class LossTag(Enum):
     L2_COMPLEX_MAG = "l2-complex+mag"
 
 
-_X0_TAGS = frozenset({LossTag.RI_ISTFT_X0_MAG, LossTag.WAV_X0_MAG})
-
-_MAG_TERM_TAGS = frozenset({LossTag.RI_MAG, LossTag.L2_COMPLEX_MAG})
+# The terms each kind has: a time/complex term (RI parts, samples or
+# phase) and a magnitude term.
+_TIME_TERM_TAGS = frozenset(LossTag) - {
+    LossTag.MSA, LossTag.PSA, LossTag.RI_ISTFT_X0_MAG, LossTag.WAV_X0_MAG
+}
+_MAG_TERM_TAGS = frozenset(LossTag) - {
+    LossTag.RI, LossTag.RI_ISTFT, LossTag.WAV, LossTag.PHASE, LossTag.L2_COMPLEX
+}
 
 
 @dataclass(frozen=True)
 class LossKind:
     """Loss selector: tag plus weights on the time/complex and magnitude terms.
 
-    time_weight defaults to 1, except for the x0 variants where it is
-    fixed at 0 (passing a nonzero value there is an error).
+    A weight left at None is 1 where the kind has that term and 0 where it
+    has not; a nonzero weight on a term the kind lacks is an error, so
+    every weight a LossKind holds is one its loss reads.
     """
 
     tag: LossTag
     time_weight: float | None = None
-    mag_weight: float = 1.0
+    mag_weight: float | None = None
 
     def __post_init__(self):
-        tw = self.time_weight
-        if tw is None:
-            tw = 0.0 if self.tag in _X0_TAGS else 1.0
-        tw = float(tw)
-        mw = float(self.mag_weight)
-        if not (np.isfinite(tw) and np.isfinite(mw)) or tw < 0 or mw < 0:
-            raise ConfigInvalidError("loss weights must be finite and nonnegative")
-        if self.tag in _X0_TAGS and tw != 0.0:
-            raise ConfigInvalidError(f"{self.tag.value} fixes time_weight = 0")
-        object.__setattr__(self, "time_weight", tw)
-        object.__setattr__(self, "mag_weight", mw)
+        for name, terms in (("time_weight", _TIME_TERM_TAGS), ("mag_weight", _MAG_TERM_TAGS)):
+            has_term = self.tag in terms
+            w = getattr(self, name)
+            w = float(has_term if w is None else w)
+            if not np.isfinite(w) or w < 0:
+                raise ConfigInvalidError("loss weights must be finite and nonnegative")
+            if w and not has_term:
+                raise ConfigInvalidError(f"loss {self.tag.value} has no term for {name}, got {w:g}")
+            object.__setattr__(self, name, w)
 
 
 @dataclass(frozen=True)

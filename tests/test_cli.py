@@ -236,8 +236,17 @@ def _expect_spec_error(capsys, argv, match):
         ('{"schema_version": 2}', "schema_version 2"),
         ('{"parameterization": "free-phase"}', "free-phase"),
         ('{"steps": 10', "malformed"),
+        # ri has no magnitude term, so a weight on it would be ignored.
+        ('{"loss": {"tag": "ri", "mag_weight": 2.0}}', "ri has no term for mag_weight"),
     ],
-    ids=["top_level_mag_weight", "typo", "schema_version", "parameterization", "malformed"],
+    ids=[
+        "top_level_mag_weight",
+        "typo",
+        "schema_version",
+        "parameterization",
+        "malformed",
+        "weight_on_missing_term",
+    ],
 )
 def test_optimize_problem_json_fails_loudly(scene_dir, tmp_path, capsys, text, match):
     problem = tmp_path / "p.json"

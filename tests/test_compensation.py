@@ -131,7 +131,7 @@ def test_optimum_zero_input():
         LossKind(LossTag.MSA),
         LossKind(LossTag.PHASE),
         LossKind(LossTag.RI_ISTFT),
-        LossKind(LossTag.RI, time_weight=0.0, mag_weight=5.0),  # mw does not count for ri
+        LossKind(LossTag.RI, time_weight=0.0),
         LossKind(LossTag.L2_COMPLEX_MAG, time_weight=0.0, mag_weight=0.0),
     ],
     ids=lambda k: f"{k.tag.value}-{k.time_weight}-{k.mag_weight}",

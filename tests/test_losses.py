@@ -179,11 +179,43 @@ def test_x0_variants_equal_pure_magnitude_terms():
     assert x0w.value == pytest.approx(pure_w, abs=1e-12)
 
 
+# Which terms each kind has: (time/complex term, magnitude term).
+KIND_TERMS = {
+    LossTag.RI: (1, 0),
+    LossTag.RI_MAG: (1, 1),
+    LossTag.RI_ISTFT: (1, 0),
+    LossTag.RI_ISTFT_MAG: (1, 1),
+    LossTag.MAG_RI_ISTFT: (1, 1),
+    LossTag.RI_ISTFT_X0_MAG: (0, 1),
+    LossTag.WAV: (1, 0),
+    LossTag.WAV_MAG: (1, 1),
+    LossTag.WAV_X0_MAG: (0, 1),
+    LossTag.MSA: (0, 1),
+    LossTag.PSA: (0, 1),
+    LossTag.PHASE: (1, 0),
+    LossTag.L2_COMPLEX: (1, 0),
+    LossTag.L2_COMPLEX_MAG: (1, 1),
+}
+
+
 def test_x0_variant_rejects_nonzero_time_weight():
-    with pytest.raises(ConfigInvalidError):
-        LossKind(LossTag.WAV_X0_MAG, time_weight=1.0)
-    assert LossKind(LossTag.WAV_X0_MAG).time_weight == 0.0
-    assert LossKind(LossTag.RI).time_weight == 1.0
+    # The x0 rule, for every kind and both terms: a weight left unset is 1
+    # on a term the kind has and 0 on one it lacks; any nonzero weight on
+    # a missing term is refused, so no kind holds a weight its loss ignores.
+    assert set(KIND_TERMS) == set(LossTag)
+    for tag, (has_time, has_mag) in KIND_TERMS.items():
+        kind = LossKind(tag)
+        assert (kind.time_weight, kind.mag_weight) == (float(has_time), float(has_mag)), tag
+        for name, has in (("time_weight", has_time), ("mag_weight", has_mag)):
+            assert getattr(LossKind(tag, **{name: 0.0}), name) == 0.0
+            if has:
+                assert getattr(LossKind(tag, **{name: 2.5}), name) == 2.5
+            else:
+                for w in (1.0, 0.5, 1e-300):
+                    with pytest.raises(ConfigInvalidError, match=name):
+                        LossKind(tag, **{name: w})
+            with pytest.raises(ConfigInvalidError):
+                LossKind(tag, **{name: -1.0})
 
 
 def test_ri_istft_zero_for_consistent_truth():

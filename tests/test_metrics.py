@@ -274,7 +274,7 @@ def test_report_never_nan(seed):
 # --- energies that overflow ----------------------------------------------------
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e200, "max"])
+@pytest.mark.parametrize("scale", [1e160, 1e200, "max", "estimate"])
 @pytest.mark.parametrize("metric", [si_sdr, snr, msnr, psnr], ids=lambda f: f.__name__)
 def test_metrics_survive_energy_overflow(metric, scale):
     # Every energy sum of the scaled pair overflows float64 while its
@@ -292,6 +292,19 @@ def test_metrics_survive_energy_overflow(metric, scale):
 
     else:
         make = sig
+    if scale == "estimate":
+        # Only the estimate is scaled, to a largest part of 1e308: taken at
+        # the estimate's scale, the unit-scale reference's energy would
+        # underflow to zero.
+        c = 1e308 / max(np.max(np.abs(p)) for p in (est.real, est.imag))
+        got = metric(make(c * est), make(ref))
+        if metric in (si_sdr, psnr):  # blind to the estimate's scale
+            want = metric(make(est), make(ref))
+        else:  # the error is c * est, up to a part in 1e308
+            energy = [float(np.sum(np.abs(x) ** 2)) for x in (ref, est)]
+            want = 10.0 * math.log10(energy[0] / energy[1]) - 20.0 * math.log10(c)
+        assert got == pytest.approx(want, rel=0, abs=1e-9)
+        return
     pairs = [(est, ref)]
     if scale == "max":
         # Every real and imaginary part stays under the float64 maximum,
@@ -309,3 +322,9 @@ def test_metrics_survive_energy_overflow(metric, scale):
         got = metric(make(scale * e), make(scale * r))
         assert math.isfinite(want)
         assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def test_si_sdr_of_an_orthogonal_estimate_is_negative_infinity():
+    # No part of the estimate lies along the reference: the target energy
+    # is 0, so the ratio is -inf rather than a log-of-zero error.
+    assert si_sdr(sig([0.0, 1.0, 0.0]), sig([1.0, 0.0, 0.0])) == -math.inf

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
-from magphase.errors import ConfigInvalidError, MissingTargetError
+from magphase.errors import ConfigInvalidError, MissingTargetError, ZeroSignalError
 from magphase.losses import SEPARABLE_TAGS, LossKind, LossTag, evaluate_loss
 from magphase.metrics import msnr, si_sdr
 from magphase.optim import (
@@ -15,14 +15,14 @@ from magphase.optim import (
     OptimizationProblem,
     Parameterization,
     Targets,
-    _fixed_phase_kernel,
+    _per_unit_objective,
     fixed_phase,
     optimize,
     run_trend_experiment,
 )
 from magphase.scenes import SceneSpec, synth_scene
 from magphase.stft import istft_array, stft
-from magphase.types import MagSpectrogram, Spectrogram, StftConfig, TimeSignal
+from magphase.types import _MAG_TERM_TAGS, MagSpectrogram, Spectrogram, StftConfig, TimeSignal
 
 CFG_GRID = StftConfig(18, 9, 18)  # 10 frames x 10 bins = 100 units
 CFG_SCENE = StftConfig.for_window(200, 80)
@@ -134,7 +134,7 @@ CLOSED_FORM_TAGS = (LossTag.RI, LossTag.RI_MAG, LossTag.L2_COMPLEX, LossTag.L2_C
 
 def per_unit_loss(problem):
     """The descent's own per-unit loss map m -> L(m) under the problem's fixed phase."""
-    kernel = _fixed_phase_kernel(problem, np.exp(1j * fixed_phase(problem)))
+    kernel = _per_unit_objective(problem)
     return lambda m: kernel(m)[0]
 
 
@@ -158,8 +158,8 @@ def test_closed_form_optimum_never_beaten_property(
 ):
     # Per unit, the descent's own loss at the closed form is no more than
     # at any nearby magnitude or at where a short descent ends.
-    loss = LossKind(tag, time_weight=time_weight, mag_weight=mag_weight)
     mw = mag_weight if tag in (LossTag.RI_MAG, LossTag.L2_COMPLEX_MAG) else 0.0
+    loss = LossKind(tag, time_weight=time_weight, mag_weight=mw)
     assume(time_weight + mw > 0)
     cfg = StftConfig(2 * half_fft, half_fft, 2 * half_fft)
     rng = np.random.default_rng(seed)
@@ -460,6 +460,20 @@ def test_silent_init_records_negative_infinity_si_sdr(scene_targets):
     assert not any(math.isnan(v) for v in traj.si_sdr_db)
 
 
+def test_silent_reference_raises_at_a_checkpoint(scene_targets):
+    # A silent estimate floors si_sdr to -inf; a silent reference is an
+    # error, as in metrics.report, not a run full of -inf.
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_WAVEFORM,
+        loss=LossKind(LossTag.WAV),
+        targets=Targets(s=TimeSignal(np.zeros(len(scene_targets.y)), 8000), y=scene_targets.y),
+        cfg=CFG_SCENE,
+        steps=5,
+    )
+    with pytest.raises(ZeroSignalError, match="reference"):
+        optimize(problem)
+
+
 def test_validation_errors(scene_targets):
     base = dict(
         parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
@@ -582,10 +596,9 @@ def test_separable_kernels_match_loss_contract(scene_targets, tag, param):
     # mean of the value map = evaluate_loss value, and the gradient map is
     # the element count times the loss gradient, chained through the
     # fixed phase (Re(conj(u) g)) for magnitude parameters.
-    from magphase.optim import _per_unit_objective
     from magphase.types import phase_of
 
-    loss = LossKind(tag, mag_weight=0.7) if tag is not LossTag.PHASE else LossKind(tag)
+    loss = LossKind(tag, mag_weight=0.7) if tag in _MAG_TERM_TAGS else LossKind(tag)
     problem = OptimizationProblem(
         parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE
     )
@@ -625,10 +638,9 @@ def test_separable_kernels_match_loss_contract(scene_targets, tag, param):
 def test_separable_kernels_at_units_match_full_maps(scene_targets, tag, param):
     # f(values, at=idx) must give the whole maps' entries at idx bit for
     # bit: the per-unit descent retries only the failing units this way.
-    from magphase.optim import _per_unit_objective
     from magphase.types import phase_of
 
-    loss = LossKind(tag, mag_weight=0.7) if tag is not LossTag.PHASE else LossKind(tag)
+    loss = LossKind(tag, mag_weight=0.7) if tag in _MAG_TERM_TAGS else LossKind(tag)
     problem = OptimizationProblem(
         parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE
     )
