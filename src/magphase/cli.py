@@ -197,9 +197,8 @@ def cmd_optimize(args) -> int:
         pair = tuple(parse_loss_spec(p) for p in args.pair.split(","))
         if len(pair) != 2:
             raise SpecInvalidError("--pair needs exactly two comma-separated losses")
-        report = optim.run_trend_experiment(
-            targets, cfg, loss_pair=pair, steps=args.steps
-        )
+        budget = {} if args.steps is None else {"steps": args.steps}
+        report = optim.run_trend_experiment(targets, cfg, loss_pair=pair, **budget)
         report.to_csv(out / "trend.csv")
         for row in (report.without_mag, report.with_mag):
             print(

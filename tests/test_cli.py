@@ -280,6 +280,14 @@ def test_optimize_trend_csv(scene_dir, tmp_path):
     assert len(lines) == 3
 
 
+def test_optimize_trend_without_steps_takes_the_default_budget(scene_dir, tmp_path, capsys):
+    # --steps is optional with --trend too: the budget is then the trend default.
+    out = tmp_path / "trend"
+    code = run("optimize", "--scene", scene_dir, "--out", out, "--trend", "--win", 200, "--hop", 80)
+    assert code == 0, capsys.readouterr().err
+    assert len((out / "trend.csv").read_text().strip().splitlines()) == 3
+
+
 def test_optimize_verify_oracle_rejects_wrong_problem(scene_dir, tmp_path, capsys):
     # The L1 pair's optimum can be an interval, so no one magnitude is the oracle.
     problem = tmp_path / "p.json"
