@@ -13,7 +13,7 @@ which then has to be rewritten).
     python3 scripts/mutation_sweep.py
 
 This is not part of Tier-1: it runs a test subset twice per mutant (clean
-and mutated), about a minute and a half in all.
+and mutated), about two minutes in all.
 """
 import os
 import shutil
@@ -114,6 +114,43 @@ MUTANTS = (
         "si = floored_si_sdr(to_sig(x), targets.s)",
         "si = floored_si_sdr(to_sig(x), targets.s) if np.any(targets.s.samples) else -math.inf",
         ("tests/test_optim.py", "-k", "silent"),
+    ),
+    Mutant(
+        "wav walk stops at the RIFF size",
+        "src/magphase/wavio.py",
+        "    while pos + 8 <= len(buf):",
+        '    while pos + 8 <= min(len(buf), 8 + struct.unpack_from("<I", buf, 4)[0]):',
+        ("tests/test_wavio.py", "-k", "scipy_written"),
+    ),
+    Mutant(
+        "wav data-chunk cut check dropped",
+        "src/magphase/wavio.py",
+        "    if pos + size > len(buf):\n",
+        "    if False:\n",
+        ("tests/test_wavio.py", "-k", "scipy_written"),
+    ),
+    Mutant(
+        "reverb fft length set to n",
+        "src/magphase/scenes.py",
+        "    size = _fft_length(n)",
+        "    size = n",
+        ("tests/test_scenes.py", "-k", "fftconvolve"),
+    ),
+    Mutant(
+        "problem json steps through int",
+        "src/magphase/cli.py",
+        '    "steps": _only(int, "an integer"),',
+        '    "steps": int,',
+        ("tests/test_cli.py", "-k", "fails_loudly"),
+    ),
+    Mutant(
+        "metric rescale on non-finite only",
+        "src/magphase/metrics.py",
+        "    if all(_SUM_FLOOR <= x < math.inf for x in out[:-1]) and (\n"
+        "        out[-1] == 0.0 or _SUM_FLOOR <= out[-1] < math.inf\n"
+        "    ):\n",
+        "    if all(map(math.isfinite, out)):\n",
+        ("tests/test_metrics.py", "-k", "powers_of_two"),
     ),
 )
 

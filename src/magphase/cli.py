@@ -40,6 +40,8 @@ def _add_stft_flags(p: argparse.ArgumentParser) -> None:
 def _stft_config(args, sample_rate_hz: int) -> StftConfig:
     if (args.win is None) != (args.hop is None):
         raise SpecInvalidError("--win and --hop must be given together")
+    if args.win is not None and (args.win_ms is not None or args.hop_ms is not None):
+        raise SpecInvalidError("--win-ms and --hop-ms do not apply with --win and --hop")
     if args.win is not None:
         win, hop = args.win, args.hop
     else:
@@ -63,7 +65,10 @@ def _load_scene_dir(path: Path):
 def cmd_synth(args) -> int:
     reverb = None
     if args.reverb_rt60 is not None:
-        reverb = scenes.ReverbSpec(rt60_s=args.reverb_rt60, direct_to_reverb_db=args.drr)
+        drr = {} if args.drr is None else {"direct_to_reverb_db": args.drr}
+        reverb = scenes.ReverbSpec(rt60_s=args.reverb_rt60, **drr)
+    elif args.drr is not None:
+        raise SpecInvalidError("--drr applies only with --reverb-rt60")
     spec = scenes.SceneSpec(
         seed=args.seed,
         duration_s=args.duration,
@@ -146,16 +151,27 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
+def _only(kind, what: str, convert=None):
+    """A converter that passes a JSON value of type kind, never a bool, and refuses others."""
+
+    def check(value):
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise TypeError(f"expected {what}, got {json.dumps(value)}")
+        return value if convert is None else convert(value)
+
+    return check
+
+
 # Problem JSON key -> converter; a key left out takes OptimizationProblem's default.
 _PROBLEM_FIELDS = {
     "parameterization": optim.Parameterization,
     "loss": parse_loss_spec,
-    "phase_source": str,
-    "init": str,
-    "init_seed": int,
-    "steps": int,
-    "step_size": float,
-    "momentum": float,
+    "phase_source": _only(str, "a string"),
+    "init": _only(str, "a string"),
+    "init_seed": _only(int, "an integer"),
+    "steps": _only(int, "an integer"),
+    "step_size": _only((int, float), "a number", float),
+    "momentum": _only((int, float), "a number", float),
 }
 _PROBLEM_KEYS = frozenset(_PROBLEM_FIELDS) | {"schema_version"}
 
@@ -179,14 +195,23 @@ def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.Optimi
     doc = {"parameterization": "free-mag-fixed-phase", "loss": "l2-complex", **doc}
     if args.steps is not None:
         doc["steps"] = args.steps
-    try:
-        fields = {key: _PROBLEM_FIELDS[key](value) for key, value in doc.items()}
-    except (TypeError, ValueError, ConfigInvalidError) as exc:
-        raise SpecInvalidError(f"invalid problem JSON value: {exc}") from None
+    fields = {}
+    for key, value in doc.items():
+        try:
+            fields[key] = _PROBLEM_FIELDS[key](value)
+        except (TypeError, ValueError, ConfigInvalidError) as exc:
+            raise SpecInvalidError(f"invalid problem JSON value for {key}: {exc}") from None
     return optim.OptimizationProblem(targets=targets, cfg=cfg, **fields)
 
 
 def cmd_optimize(args) -> int:
+    if args.trend:
+        if args.problem is not None:
+            raise SpecInvalidError("--problem does not apply to --trend")
+        if args.verify_oracle:
+            raise SpecInvalidError("--verify-oracle does not apply to --trend")
+    elif args.pair is not None:
+        raise SpecInvalidError("--pair applies only with --trend")
     s, y = _load_scene_dir(Path(args.scene))
     cfg = _stft_config(args, y.sample_rate_hz)
     targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)
@@ -194,11 +219,13 @@ def cmd_optimize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.trend:
-        pair = tuple(parse_loss_spec(p) for p in args.pair.split(","))
-        if len(pair) != 2:
-            raise SpecInvalidError("--pair needs exactly two comma-separated losses")
-        budget = {} if args.steps is None else {"steps": args.steps}
-        report = optim.run_trend_experiment(targets, cfg, loss_pair=pair, **budget)
+        options = {} if args.steps is None else {"steps": args.steps}
+        if args.pair is not None:
+            pair = tuple(parse_loss_spec(p) for p in args.pair.split(","))
+            if len(pair) != 2:
+                raise SpecInvalidError("--pair needs exactly two comma-separated losses")
+            options["loss_pair"] = pair
+        report = optim.run_trend_experiment(targets, cfg, **options)
         report.to_csv(out / "trend.csv")
         for row in (report.without_mag, report.with_mag):
             print(
@@ -246,6 +273,8 @@ _HIST_SOURCES = ("oracle", "mixture", "compensated", "iam-resynth", "psm-resynth
 
 
 def cmd_histogram(args) -> int:
+    if args.est_wav is not None and args.source != "est-wav":
+        raise SpecInvalidError(f"--est-wav applies only with --source est-wav, not {args.source}")
     s, y = _load_scene_dir(Path(args.scene))
     cfg = _stft_config(args, y.sample_rate_hz)
     S, Y = stft(s, cfg), stft(y, cfg)
@@ -293,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interference", choices=("white", "pink", "second_talker"), default="white")
     p.add_argument("--snr", type=float, default=0.0, help="SNR (or SIR) in dB")
     p.add_argument("--reverb-rt60", type=float, default=None)
-    p.add_argument("--drr", type=float, default=0.0, help="direct-to-reverb ratio in dB")
+    p.add_argument(
+        "--drr", type=float, default=None, help="direct-to-reverb ratio in dB (default 0)"
+    )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -328,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trend", action="store_true")
     p.add_argument(
         "--pair",
-        default="l2-complex,l2-complex+mag",
-        help="comma-separated loss pair for --trend",
+        default=None,
+        help="comma-separated loss pair for --trend (default l2-complex,l2-complex+mag)",
     )
     _add_stft_flags(p)
     p.set_defaults(func=cmd_optimize)

@@ -20,9 +20,10 @@ from .errors import (
 )
 from .types import MagSpectrogram, Spectrogram, TimeSignal, phase_of, same_shape
 
-# Energy ratios whose denominator falls below this yield +inf instead of
-# overflowing the log.
-_DENOM_FLOOR = 1e-300
+# An energy sum at or above this (2^-970) holds a subnormal term only where
+# the term's rounding is worth less than 2^-105 of the sum; a smaller sum
+# may have lost bits, or all of itself, to underflow.
+_SUM_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
@@ -33,20 +34,24 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 def _energy_sums(sums, *inputs, mixed: bool = True) -> tuple:
     """(sums(*inputs), shift_db): energy sums taken so none overflows or underflows.
 
-    The first sum must be the reference's own energy. A sum that is not
-    finite comes from a NaN or Inf in an input (the spectrograms, reference
-    then estimate, are not checked up front) or from an overflow; then each
-    input is divided by a scale, its largest real or imaginary part (a
-    modulus itself may overflow). The first sum is taken on the reference
-    at its own scale; the others on the inputs at their shared scale
-    (mixed=True) or, where no ratio of them changes when one input is
-    scaled alone, at their own (mixed=False). 10 log10(first / other) +
-    shift_db is then the unscaled ratio in dB, however far apart the
-    scales are.
+    The first sum must be the reference's own energy and the last the
+    error energy, the ratio's denominator. A sum that is not finite comes
+    from a NaN or Inf in an input (the spectrograms, reference then
+    estimate, are not checked up front) or from an overflow; a sum under
+    _SUM_FLOOR, other than an error energy of exactly 0 (a perfect
+    estimate), may have underflowed. In either case each input is divided
+    by a scale, its largest real or imaginary part (a modulus itself may
+    overflow). The first sum is taken on the reference at its own scale;
+    the others on the inputs at their shared scale (mixed=True) or, where
+    no ratio of them changes when one input is scaled alone, at their own
+    (mixed=False). 10 log10(first / other) + shift_db is then the unscaled
+    ratio in dB, however far apart the scales are.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = sums(*inputs)
-    if all(map(math.isfinite, out)):
+    if all(_SUM_FLOOR <= x < math.inf for x in out[:-1]) and (
+        out[-1] == 0.0 or _SUM_FLOOR <= out[-1] < math.inf
+    ):
         return out, 0.0
     for a, what in zip(inputs, ("reference spectrogram", "estimate spectrogram")):
         _require_finite(a, what)
@@ -60,7 +65,7 @@ def _energy_sums(sums, *inputs, mixed: bool = True) -> tuple:
 
 
 def _ratio_db(num: float, den: float, shift_db: float = 0.0) -> float:
-    if den < _DENOM_FLOOR:
+    if den == 0.0:
         return math.inf
     if num == 0.0:  # e.g. an estimate orthogonal to its reference under SI-SDR
         return -math.inf
@@ -205,7 +210,7 @@ def floored_si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
     try:
         return si_sdr(est, ref)
     except ZeroSignalError:
-        if float(np.dot(ref.samples, ref.samples)) == 0.0:
+        if not np.any(ref.samples):
             raise
         return -math.inf
 

@@ -9,7 +9,9 @@ returned target stays the direct-path signal and the reverberant tail is
 folded into the interference, so the reference is always direct sound.
 
 All randomness flows from a Philox counter-based generator keyed by the
-scene seed, so identical specs synthesize bit-identical audio anywhere.
+scene seed, and the reverb is convolved with numpy's real FFT, so
+identical specs synthesize bit-identical audio wherever numpy's FFT gives
+the same bits.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import SpecInvalidError
 from .types import TimeSignal
@@ -162,6 +163,26 @@ def _scaled_to_ratio(signal: np.ndarray, reference: np.ndarray, ratio_db: float)
     return signal * gain
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, the length scipy.signal.fftconvolve pads to."""
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:  # odd = 3^b 5^c; the least odd * 2^a >= n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        five *= 5
+    return best
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real signals through one real FFT."""
+    n = len(a) + len(b) - 1
+    size = _fft_length(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
+
+
 def synth_rir(
     rt60_s: float,
     sample_rate_hz: int,
@@ -221,7 +242,7 @@ def synth_scene(spec: SceneSpec) -> Scene:
             seed=spec.seed,
             direct_to_reverb_db=spec.reverb.direct_to_reverb_db,
         )
-        wet = fftconvolve(s, h)[:n]
+        wet = _convolve(s, h)[:n]
         v = v + (wet - s)
 
     y = s + v

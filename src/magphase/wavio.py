@@ -1,65 +1,121 @@
-"""Mono WAV read/write.
+"""Mono WAV read/write with numpy alone.
 
-Accepts 32-bit float or 16-bit PCM input (multichannel files are reduced
-to their first channel); output is always 32-bit float so quantization
-cannot mask sub-1e-6 differences in round-trip checks. A file that is
-not a readable WAV, or that ends before the end its data chunk header
-declares, raises SpecInvalidError.
+read_wav opens a file once and walks its chunks up to the first data
+chunk; it does not trust the RIFF size field, which streaming writers
+leave at 0. It reads:
+- RIFF files, and RF64 files, whose data size is in their ds64 chunk;
+- PCM in 16-, 24- or 32-bit containers, scaled by 2^-15 or 2^-31 (a
+  narrower depth, e.g. 12 bits in 16, reads by its container), and 32- or
+  64-bit IEEE float, unchanged;
+- the plain and the WAVE_FORMAT_EXTENSIBLE fmt chunk;
+- the first channel of a multichannel file.
+
+Anything else raises SpecInvalidError: 8-bit PCM, mu-law, A-law and every
+other format tag, big-endian RIFX, a file that is not RIFF/WAVE or has no
+fmt chunk before its data chunk, a data chunk that does not hold whole
+frames, and a fmt or data chunk that ends after the file does.
+
+write_wav always writes 32-bit float, so quantization cannot mask
+sub-1e-6 differences in round-trip checks. Its bytes are those of
+scipy.io.wavfile.write for float32 data: a RIFF header, an 18-byte fmt
+chunk, a fact chunk with the frame count, then the data chunk.
 """
 from __future__ import annotations
 
-import os
 import struct
-import warnings
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import SpecInvalidError
 from .types import TimeSignal
 
-# RF64 files keep the data size in their ds64 chunk and put this in the data header.
-_RF64_SIZE = 0xFFFFFFFF
+_PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# An extensible fmt chunk names its format by a GUID whose first 4 bytes
+# are the format tag and whose last 12 are these.
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 
-def _data_chunk_cut(path) -> bool:
-    """Whether the file ends before its data chunk does, by that chunk's header."""
-    size = os.path.getsize(path)
-    with open(path, "rb") as fh:
-        order = ">" if fh.read(4) == b"RIFX" else "<"
-        pos = 12
-        while pos + 8 <= size:
-            fh.seek(pos)
-            chunk_id, length = struct.unpack(order + "4sI", fh.read(8))
-            if chunk_id == b"data":
-                return length != _RF64_SIZE and pos + 8 + length > size
-            pos += 8 + length + (length & 1)
-    return False
+def _unreadable(path, why: str) -> SpecInvalidError:
+    return SpecInvalidError(f"{path} is not a readable WAV file: {why}")
+
+
+def _cut(path, chunk: str) -> SpecInvalidError:
+    return SpecInvalidError(f"{path} is cut off: its {chunk} chunk is shorter than its header says")
+
+
+def _format(path, body: bytes) -> tuple:
+    """(format tag, channels, sample rate, container bytes) of a fmt chunk."""
+    if len(body) < 16:
+        raise _unreadable(path, f"its fmt chunk has {len(body)} bytes, fewer than 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", body)
+    # The extension must hold 22 bytes or more; its GUID sits at bytes 24-39.
+    extension = struct.unpack_from("<H", body, 16)[0] if len(body) >= 18 else 0
+    if tag == _EXTENSIBLE and extension >= 22 and body[28:40] == _GUID_TAIL:
+        tag = struct.unpack_from("<I", body, 24)[0]
+    if tag not in (_PCM, _FLOAT):
+        raise _unreadable(path, f"format tag {tag:#06x} is neither PCM nor IEEE float")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise _unreadable(path, f"byte rate {byte_rate} is not rate {rate} x block {block_align}")
+    width = block_align // channels if channels else 0
+    if tag == _PCM and not (width in (2, 3, 4) and 8 < bits <= 8 * width):
+        raise _unreadable(path, f"{bits}-bit PCM in {width}-byte containers")
+    if tag == _FLOAT and not (width in (4, 8) and bits == 8 * width):
+        raise _unreadable(path, f"{bits}-bit float in {width}-byte containers")
+    return tag, channels, rate, width
 
 
 def read_wav(path) -> TimeSignal:
-    try:
-        # scipy warns on a cut-off file, which the chunk walk below rejects,
-        # and on an unknown chunk, which is valid WAV.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", wavfile.WavFileWarning)
-            rate, data = wavfile.read(path)
-    except (ValueError, struct.error) as exc:
-        raise SpecInvalidError(f"{path} is not a readable WAV file: {exc}") from None
-    if _data_chunk_cut(path):
-        raise SpecInvalidError(f"{path} is cut off: its data chunk is shorter than its header says")
-    if data.ndim == 2:
-        data = data[:, 0]
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    rf64 = buf[:4] == b"RF64"
+    if not (rf64 or buf[:4] == b"RIFF") or buf[8:12] != b"WAVE":
+        raise _unreadable(path, "not a little-endian RIFF or RF64 WAVE file")
+    if rf64:
+        if buf[12:16] != b"ds64" or len(buf) < 36:
+            raise _unreadable(path, "an RF64 file without a ds64 chunk")
+        (rf64_size,) = struct.unpack_from("<Q", buf, 28)
+    fmt = None
+    pos = 12
+    while pos + 8 <= len(buf):
+        chunk, length = struct.unpack_from("<4sI", buf, pos)
+        pos += 8
+        if chunk == b"data":
+            break
+        if chunk == b"fmt ":
+            if pos + length > len(buf):
+                raise _cut(path, "fmt")
+            fmt = _format(path, buf[pos : pos + length])
+        pos += length + (length & 1)
     else:
-        raise SpecInvalidError(f"unsupported WAV sample format {data.dtype}")
-    return TimeSignal(samples, int(rate))
+        raise _unreadable(path, "no data chunk")
+    if fmt is None:
+        raise _unreadable(path, "no fmt chunk before the data chunk")
+    tag, channels, rate, width = fmt
+    size = rf64_size if rf64 else length
+    if pos + size > len(buf):
+        raise _cut(path, "data")
+    if size % (channels * width):
+        raise _unreadable(path, f"its data chunk is not whole {channels * width}-byte frames")
+    first = np.frombuffer(buf, np.uint8, size, pos).reshape(-1, channels * width)[:, :width]
+    if width == 3:  # left-justify 24-bit samples in 32 bits
+        first = np.concatenate((np.zeros((len(first), 1), np.uint8), first), axis=1)
+    kind = "f" if tag == _FLOAT else "i"
+    samples = np.ascontiguousarray(first).view(f"<{kind}{first.shape[1]}")[:, 0].astype(np.float64)
+    if tag == _PCM:
+        samples /= 2.0 ** (8 * first.shape[1] - 1)
+    return TimeSignal(samples, rate)
 
 
 def write_wav(path, signal: TimeSignal) -> None:
-    wavfile.write(path, signal.sample_rate_hz, signal.samples.astype(np.float32))
+    data = signal.samples.astype("<f4")
+    rate = signal.sample_rate_hz
+    fmt = struct.pack("<HHIIHHH", _FLOAT, 1, rate, 4 * rate, 4, 32, 0)
+    header = (
+        b"WAVE"
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"fact" + struct.pack("<II", 4, len(data))
+        + b"data" + struct.pack("<I", data.nbytes)
+    )
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
+        fh.write(data.tobytes())

@@ -9,6 +9,7 @@ exact-L1 values are a valid oracle for the smoothed analytic gradients.
 Builders assert those preconditions so a bad seed fails loudly instead
 of producing a flaky tolerance.
 """
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -282,3 +283,51 @@ def full_eval_descend_separable(problem, x, per_unit, project):
         L = np.where(bad, L, Lc)
         G = np.where(bad, G, Gc)
         yield k, L, x
+
+
+def reference_read_wav(path) -> TimeSignal:
+    """The scipy-based WAV reader that wavio.read_wav replaced, as its oracle.
+
+    scipy.io.wavfile parses the file, trusting the RIFF size field; a second
+    chunk walk refuses a data chunk that the file cuts short. A file whose
+    RIFF size ends before its data chunk makes scipy raise a raw exception.
+    """
+    import struct
+    import warnings
+
+    from scipy.io import wavfile
+
+    from magphase.errors import SpecInvalidError
+
+    def data_chunk_cut() -> bool:
+        size = os.path.getsize(path)
+        with open(path, "rb") as fh:
+            order = ">" if fh.read(4) == b"RIFX" else "<"
+            pos = 12
+            while pos + 8 <= size:
+                fh.seek(pos)
+                chunk_id, length = struct.unpack(order + "4sI", fh.read(8))
+                if chunk_id == b"data":
+                    return length != 0xFFFFFFFF and pos + 8 + length > size
+                pos += 8 + length + (length & 1)
+        return False
+
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
+    except (ValueError, struct.error) as exc:
+        raise SpecInvalidError(f"{path} is not a readable WAV file: {exc}") from None
+    if data_chunk_cut():
+        raise SpecInvalidError(f"{path} is cut off: its data chunk is shorter than its header says")
+    if data.ndim == 2:
+        data = data[:, 0]
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.int32:
+        samples = data.astype(np.float64) / 2147483648.0
+    elif data.dtype in (np.float32, np.float64):
+        samples = data.astype(np.float64)
+    else:
+        raise SpecInvalidError(f"unsupported WAV sample format {data.dtype}")
+    return TimeSignal(samples, int(rate))

@@ -238,6 +238,15 @@ def _expect_spec_error(capsys, argv, match):
         ('{"steps": 10', "malformed"),
         # ri has no magnitude term, so a weight on it would be ignored.
         ('{"loss": {"tag": "ri", "mag_weight": 2.0}}', "ri has no term for mag_weight"),
+        # Each value must have its JSON type; nothing is truncated or parsed.
+        ('{"steps": 3.9}', "steps: expected an integer, got 3.9"),
+        ('{"steps": true}', "steps: expected an integer, got true"),
+        ('{"steps": "3"}', "steps: expected an integer"),
+        ('{"init_seed": 2.7}', "init_seed: expected an integer"),
+        ('{"step_size": "0.5"}', "step_size: expected a number"),
+        ('{"momentum": false}', "momentum: expected a number"),
+        ('{"phase_source": 1}', "phase_source: expected a string"),
+        ('{"init": null}', "init: expected a string"),
     ],
     ids=[
         "top_level_mag_weight",
@@ -246,6 +255,14 @@ def _expect_spec_error(capsys, argv, match):
         "parameterization",
         "malformed",
         "weight_on_missing_term",
+        "fractional_steps",
+        "bool_steps",
+        "string_steps",
+        "fractional_init_seed",
+        "string_step_size",
+        "bool_momentum",
+        "number_phase_source",
+        "null_init",
     ],
 )
 def test_optimize_problem_json_fails_loudly(scene_dir, tmp_path, capsys, text, match):
@@ -261,11 +278,38 @@ def test_optimize_problem_json_rejects_unknown_loss_key(scene_dir, tmp_path):
     assert run("optimize", "--scene", scene_dir, "--problem", problem, "--out", tmp_path / "o") == 1
 
 
-@pytest.mark.parametrize("flag", [("--win", 200), ("--hop", 80)], ids=["win", "hop"])
-def test_win_and_hop_must_come_together(scene_dir, capsys, flag):
-    # Either flag alone used to be dropped silently in favour of 32/8 ms.
-    argv = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav", *flag]
-    _expect_spec_error(capsys, argv, "--win and --hop")
+@pytest.mark.parametrize(
+    "flags, match",
+    [
+        (("--win", 200), "--win and --hop"),
+        (("--hop", 80), "--win and --hop"),
+        (("--win", 512, "--hop", 128, "--win-ms", 5, "--hop-ms", 1), "--win-ms and --hop-ms"),
+    ],
+    ids=["win", "hop", "samples_and_ms"],
+)
+def test_win_and_hop_must_come_together(scene_dir, capsys, flags, match):
+    # Either flag alone used to be dropped silently in favour of 32/8 ms,
+    # and --win-ms/--hop-ms silently in favour of --win/--hop.
+    argv = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav", *flags]
+    _expect_spec_error(capsys, argv, match)
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["optimize", "--trend", "--problem", "missing.json"], "--problem does not apply"),
+        (["optimize", "--trend", "--verify-oracle"], "--verify-oracle does not apply to --trend"),
+        (["optimize", "--pair", "ri,ri+mag"], "--pair applies only with --trend"),
+        (["histogram", "--source", "oracle", "--est-wav", "missing.wav"], "--est-wav applies only"),
+        (["synth", "--seed", 1, "--drr", 6], "--drr applies only with --reverb-rt60"),
+    ],
+    ids=["trend_problem", "trend_verify_oracle", "pair_without_trend", "est_wav", "drr"],
+)
+def test_flags_the_command_would_ignore_are_refused(scene_dir, tmp_path, capsys, argv, match):
+    # Each of these ran to exit 0 with the flag dropped.
+    where = ["--out", tmp_path / "o"] + ([] if argv[0] == "synth" else ["--scene", scene_dir])
+    _expect_spec_error(capsys, [*argv, *where], match)
+    assert not (tmp_path / "o").exists()
 
 
 def test_optimize_trend_csv(scene_dir, tmp_path):
@@ -387,8 +431,7 @@ def test_metrics_rejects_sample_rate_mismatch(scene_dir, tmp_path, capsys):
 
 def test_metrics_rejects_truncated_wav(scene_dir, tmp_path, capsys):
     # Cut after 84 bytes, the data chunk header still declares 8000 samples;
-    # scipy alone would read the 6 that remain, with only a warning; the
-    # error is ours and scipy's warning does not reach the user.
+    # the 6 that remain are refused, not read, and no warning is raised.
     cut = tmp_path / "cut.wav"
     cut.write_bytes((scene_dir / "s.wav").read_bytes()[:84])
     argv = ["metrics", "--est", cut, "--ref", scene_dir / "s.wav"]
@@ -418,6 +461,18 @@ def test_metrics_reads_wav_with_unknown_chunk(scene_dir, tmp_path, capsys):
         code = run("metrics", "--est", path, "--ref", scene_dir / "s.wav", "--win", 200, "--hop", 80)
     assert code == 0
     assert "si_sdr_db inf" in capsys.readouterr().out
+
+
+def test_metrics_reads_wav_whose_riff_size_is_zero(scene_dir, tmp_path, capsys):
+    # Streaming writers leave the RIFF size at 0; the chunk walk ignores it.
+    raw = (scene_dir / "y.wav").read_bytes()
+    zero = tmp_path / "zero.wav"
+    zero.write_bytes(raw[:4] + bytes(4) + raw[8:])
+    argv = ["metrics", "--ref", scene_dir / "s.wav", "--win", 200, "--hop", 80, "--est"]
+    assert run(*argv, scene_dir / "y.wav") == 0
+    intact = capsys.readouterr().out
+    assert run(*argv, zero) == 0
+    assert capsys.readouterr().out == intact
 
 
 def test_wav_roundtrip_int16(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magphase.errors import (
@@ -322,6 +322,54 @@ def test_metrics_survive_energy_overflow(metric, scale):
         got = metric(make(scale * e), make(scale * r))
         assert math.isfinite(want)
         assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("metric", [si_sdr, snr, msnr, psnr], ids=lambda f: f.__name__)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), k=st.integers(-1000, 1000))
+@example(seed=0, k=-1000)
+@example(seed=0, k=-540)
+@example(seed=0, k=1000)
+def test_metrics_scale_by_powers_of_two_property(metric, seed, k):
+    # Each metric is a ratio of energies, so scaling both inputs by 2^k
+    # (exact while no entry leaves the normal range) must not change it:
+    # not when the sums overflow, and not when they underflow to subnormal
+    # numbers or to zero.
+    rng = np.random.default_rng(seed)
+    ref = rng.standard_normal(400)
+    est = ref + rng.uniform(0.01, 3.0) * rng.standard_normal(400)
+    if metric in (msnr, psnr):
+        cfg = StftConfig.for_window(32, 8)
+        ref, est = (stft(sig(x), cfg).data for x in (ref, est))
+
+        def make(x):
+            return Spectrogram(x, cfg)
+
+    else:
+        make = sig
+    want = metric(make(est), make(ref))
+    got = metric(make(2.0**k * est), make(2.0**k * ref))
+    assert math.isfinite(want)
+    assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+
+def test_perfect_magnitude_is_inf_without_a_rescale():
+    # A zero error energy against a reference of normal energy is +inf from
+    # the first sums. Rescaled, |S / c| and |S| / c differ in the last bit,
+    # and the error would be a finite 319 dB.
+    ref = np.random.default_rng(1).standard_normal(400)
+    S = stft(sig(ref), StftConfig.for_window(32, 8))
+    assert msnr(MagSpectrogram(np.abs(S.data), S.config), S) == math.inf
+
+
+def test_floored_si_sdr_tells_a_silent_estimate_from_a_tiny_reference():
+    # The reference's energy underflows to 0 at 1e-165, but it is not silent.
+    from magphase.metrics import floored_si_sdr
+
+    ref = np.random.default_rng(2).standard_normal(400)
+    assert floored_si_sdr(sig(np.zeros(400)), sig(1e-165 * ref)) == -math.inf
+    with pytest.raises(ZeroSignalError):
+        floored_si_sdr(sig(1e-165 * ref), sig(np.zeros(400)))
 
 
 def test_si_sdr_of_an_orthogonal_estimate_is_negative_infinity():

@@ -150,3 +150,28 @@ def test_spec_round_trip_dict():
     assert doc["schema_version"] == 1
     assert doc["rng"] == "philox4x64"
     assert SceneSpec.from_dict(doc) == spec
+
+
+def test_fft_length_is_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    from magphase.scenes import _fft_length
+
+    ns = [*range(1, 5000), *np.random.default_rng(0).integers(5000, 10**8, 2000).tolist()]
+    assert [_fft_length(n) for n in ns] == [next_fast_len(n, real=True) for n in ns]
+
+
+@pytest.mark.parametrize(
+    "duration_s, rate, rt60",
+    [(10.0, 16000, 0.3), (1.0, 8000, 0.05), (2.0, 8000, 1.0), (1.0, 8000, 0.37)],
+)
+def test_reverb_convolution_bit_equal_to_fftconvolve(duration_s, rate, rt60):
+    from scipy.signal import fftconvolve
+
+    reverb = ReverbSpec(rt60, direct_to_reverb_db=3.0)
+    wet = synth_scene(SceneSpec(seed=4, duration_s=duration_s, sample_rate_hz=rate, reverb=reverb))
+    dry = synth_scene(SceneSpec(seed=4, duration_s=duration_s, sample_rate_hz=rate))
+    s = dry.s.samples
+    h = synth_rir(rt60, rate, seed=4, direct_to_reverb_db=3.0)
+    expected = dry.v.samples + (fftconvolve(s, h)[: len(s)] - s)
+    assert wet.v.samples.tobytes() == expected.tobytes()
