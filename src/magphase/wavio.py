@@ -1,24 +1,19 @@
 """Mono WAV read/write with numpy alone.
 
-read_wav opens a file once and walks its chunks up to the first data
-chunk; it does not trust the RIFF size field, which streaming writers
-leave at 0. It reads:
-- RIFF files, and RF64 files, whose data size is in their ds64 chunk;
-- PCM in 16-, 24- or 32-bit containers, scaled by 2^-15 or 2^-31 (a
-  narrower depth, e.g. 12 bits in 16, reads by its container), and 32- or
-  64-bit IEEE float, unchanged;
-- the plain and the WAVE_FORMAT_EXTENSIBLE fmt chunk;
-- the first channel of a multichannel file.
-
-Anything else raises SpecInvalidError: 8-bit PCM, mu-law, A-law and every
-other format tag, big-endian RIFX, a file that is not RIFF/WAVE or has no
-fmt chunk before its data chunk, a data chunk that does not hold whole
-frames, and a fmt or data chunk that ends after the file does.
+read_wav reads a file once and walks its chunks to the first data chunk,
+not trusting the RIFF size (streaming writers leave it 0). It takes RIFF
+and RF64 files (RF64's data size is in its ds64 chunk), PCM in 16-, 24-
+or 32-bit containers scaled by 2^-15 or 2^-31 (a 12-bit file in 16-bit
+containers reads as 16-bit), and 32- or 64-bit IEEE float unchanged, with
+the plain or the extensible fmt chunk; a multichannel file gives its
+first channel. Anything else raises SpecInvalidError: other depths and
+format tags (8-bit PCM, mu-law, A-law, ...), big-endian RIFX, no fmt
+chunk before the data chunk, no data chunk, a data chunk that is not
+whole frames, and a fmt or data chunk cut short by the end of the file.
 
 write_wav always writes 32-bit float, so quantization cannot mask
-sub-1e-6 differences in round-trip checks. Its bytes are those of
-scipy.io.wavfile.write for float32 data: a RIFF header, an 18-byte fmt
-chunk, a fact chunk with the frame count, then the data chunk.
+sub-1e-6 differences in round-trip checks, with the bytes of
+scipy.io.wavfile.write for float32 data.
 """
 from __future__ import annotations
 
@@ -37,10 +32,6 @@ _GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
 def _unreadable(path, why: str) -> SpecInvalidError:
     return SpecInvalidError(f"{path} is not a readable WAV file: {why}")
-
-
-def _cut(path, chunk: str) -> SpecInvalidError:
-    return SpecInvalidError(f"{path} is cut off: its {chunk} chunk is shorter than its header says")
 
 
 def _format(path, body: bytes) -> tuple:
@@ -83,7 +74,7 @@ def read_wav(path) -> TimeSignal:
             break
         if chunk == b"fmt ":
             if pos + length > len(buf):
-                raise _cut(path, "fmt")
+                raise _unreadable(path, "it is cut off inside its fmt chunk")
             fmt = _format(path, buf[pos : pos + length])
         pos += length + (length & 1)
     else:
@@ -93,7 +84,7 @@ def read_wav(path) -> TimeSignal:
     tag, channels, rate, width = fmt
     size = rf64_size if rf64 else length
     if pos + size > len(buf):
-        raise _cut(path, "data")
+        raise _unreadable(path, "it is cut off: its data chunk is shorter than its header says")
     if size % (channels * width):
         raise _unreadable(path, f"its data chunk is not whole {channels * width}-byte frames")
     first = np.frombuffer(buf, np.uint8, size, pos).reshape(-1, channels * width)[:, :width]

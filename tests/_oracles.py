@@ -1,6 +1,6 @@
-"""Shared test oracles: loss-case builders, finite-difference checks, and
+"""Shared test oracles: loss-case builders, finite-difference checks,
 per-frame-loop and full-evaluation references for the STFT maps and the
-per-unit descent.
+per-unit descent, and the scipy-based reference WAV reader.
 
 Each loss case pins a random but well-conditioned evaluation point:
 every free entry and every residual the loss sees is bounded away from
