@@ -152,6 +152,21 @@ MUTANTS = (
         "    if all(map(math.isfinite, out)):\n",
         ("tests/test_metrics.py", "-k", "powers_of_two"),
     ),
+    Mutant(
+        "kept gradient not checked finite",
+        "src/magphase/optim.py",
+        "    return math.isfinite(fc) and fc <= f and np.all(np.isfinite(gc))\n",
+        "    return math.isfinite(fc) and fc <= f\n",
+        ("tests/test_optim.py", "-k", "every_gradient_reference or finite_gradient"),
+    ),
+    Mutant(
+        "backtrack keeps the stale gradient",
+        "src/magphase/optim.py",
+        "            if math.isfinite(fc) and fc <= f:\n"
+        "                fc, gc = value_and_grad(cand, want_grad=True)\n",
+        "            gc = g\n",
+        ("tests/test_optim.py", "-k", "every_gradient_reference or finite_gradient"),
+    ),
 )
 
 
@@ -191,8 +206,8 @@ def main() -> int:
             return 1
 
         survived = 0
-        print(f"| {'mutant':<34} | {'file':<30} | {'selector':<58} | result   | s    |")
-        print(f"|{'-' * 36}|{'-' * 32}|{'-' * 60}|----------|------|")
+        print(f"| {'mutant':<34} | {'file':<30} | {'selector':<66} | result   | s    |")
+        print(f"|{'-' * 36}|{'-' * 32}|{'-' * 68}|----------|------|")
         for i, mutant in enumerate(MUTANTS):
             tree = Path(tmp) / f"m{i}"
             tree.mkdir()
@@ -207,7 +222,7 @@ def main() -> int:
                 print(f"{mutant.name}: {exc}", file=sys.stderr)
             survived += result != "killed"
             print(
-                f"| {mutant.name:<34} | {mutant.path:<30} | {' '.join(mutant.selector):<58} "
+                f"| {mutant.name:<34} | {mutant.path:<30} | {' '.join(mutant.selector):<66} "
                 f"| {result:<8} | {time.monotonic() - t0:4.1f} |"
             )
             shutil.rmtree(tree)

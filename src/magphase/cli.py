@@ -99,9 +99,9 @@ def cmd_metrics(args) -> int:
         )
     cfg = _stft_config(args, ref.sample_rate_hz)
     rep = metrics.report(est, ref, stft(est, cfg), stft(ref, cfg))
-    if args.json_out:
+    if args.json_out is not None:
         Path(args.json_out).write_text(rep.to_json())
-    if args.csv_out:
+    if args.csv_out is not None:
         Path(args.csv_out).write_text(rep.csv_header() + "\n" + rep.csv_row() + "\n")
     for key in ("si_sdr_db", "snr_db", "msnr_db", "psnr_db"):
         print(f"{key} {metrics.format_db(getattr(rep, key))}")
@@ -179,7 +179,7 @@ _PROBLEM_KEYS = frozenset(_PROBLEM_FIELDS) | {"schema_version"}
 def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.OptimizationProblem:
     """The problem JSON of --problem (defaults if absent), with --steps applied."""
     doc = {}
-    if args.problem:
+    if args.problem is not None:
         try:
             doc = json.loads(Path(args.problem).read_text())
         except json.JSONDecodeError as exc:

@@ -12,7 +12,9 @@ the constraint rather than the compensation itself.
 Descent is momentum GD with a backtracking safeguard: a step that would
 increase the loss is retried with a halved step size (momentum dropped),
 so the recorded loss is non-increasing. Magnitude parameters are clamped
-to be nonnegative after every step.
+to be nonnegative after every step. In the coupled descent a retry asks
+for the loss value only; the candidate a step keeps pays for one gradient
+(a step's first try, which most steps keep, asks for both at once).
 
 optimize is the one driver: it composes each loss through the
 parameterization's map to the complex spectrogram and that map's adjoint,
@@ -314,12 +316,25 @@ def _descend_separable(problem, x, per_unit, project):
         yield k, L, x
 
 
+def _accepted(fc, gc, f):
+    """A candidate is taken when its loss is finite and no higher and its gradient is finite.
+
+    gc is None after a value-only try, which the value test then fails."""
+    return math.isfinite(fc) and fc <= f and np.all(np.isfinite(gc))
+
+
 def _descend_coupled(problem, x, value_and_grad, project):
     """Single global step with backtracking; for losses coupled across units.
 
     Yields (step, loss, params) for step 0 and every accepted step; stops
-    when no step size makes progress."""
-    f, g = value_and_grad(x)
+    when no step size makes progress. A step's first try asks for value
+    and gradient, since most steps take it. Each backtracking try asks for
+    the value only, and the candidate that passes on its value then pays
+    for its gradient once; a non-finite gradient there fails the try and
+    halving goes on. The values do not depend on want_grad, so the descent
+    takes the same decisions as one that asks every try for its gradient.
+    """
+    f, g = value_and_grad(x, want_grad=True)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise DivergedError("objective non-finite at the initial point")
     # Mean-normalized losses scale gradients by 1/element-count; undo that
@@ -334,15 +349,15 @@ def _descend_coupled(problem, x, value_and_grad, project):
         lr = lr0
         vel_try = problem.momentum * vel - lr * g
         cand = project(x + vel_try)
-        fc, gc = value_and_grad(cand)
-        ok = math.isfinite(fc) and np.all(np.isfinite(gc))
-        while not (ok and fc <= f) and lr > floor:
+        fc, gc = value_and_grad(cand, want_grad=True)
+        while not _accepted(fc, gc, f) and lr > floor:
             lr *= 0.5
             vel_try = -lr * g  # momentum dropped on backtrack
             cand = project(x + vel_try)
-            fc, gc = value_and_grad(cand)
-            ok = math.isfinite(fc) and np.all(np.isfinite(gc))
-        if not (ok and fc <= f):
+            fc, gc = value_and_grad(cand, want_grad=False)
+            if math.isfinite(fc) and fc <= f:
+                fc, gc = value_and_grad(cand, want_grad=True)
+        if not _accepted(fc, gc, f):
             return
         x, f, g, vel = cand, fc, gc, vel_try
         yield k, f, x
@@ -382,12 +397,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     def to_spec(x):
         return Spectrogram(to_complex(x), cfg)
 
-    def value_and_grad(x):
+    def value_and_grad(x, want_grad):
+        """The loss at x and, if want_grad, its gradient in the parameters (else None)."""
         if loss.tag in WAVEFORM_TAGS:
-            lv = evaluate_loss(loss, to_sig(x), targets, want_grad=True)
+            lv = evaluate_loss(loss, to_sig(x), targets, want_grad)
             return lv.value, lv.gradient
-        lv = evaluate_loss(loss, to_spec(x), targets, want_grad=True)
-        return lv.value, chain(lv.gradient)
+        lv = evaluate_loss(loss, to_spec(x), targets, want_grad)
+        return lv.value, chain(lv.gradient) if want_grad else None
 
     traj = TrajectoryRecord()
 

@@ -1,6 +1,7 @@
 """Shared test oracles: loss-case builders, finite-difference checks,
 per-frame-loop and full-evaluation references for the STFT maps and the
-per-unit descent, and the scipy-based reference WAV reader.
+per-unit descent, the coupled descent that takes every try's gradient,
+and the scipy-based reference WAV reader.
 
 Each loss case pins a random but well-conditioned evaluation point:
 every free entry and every residual the loss sees is bounded away from
@@ -9,12 +10,14 @@ exact-L1 values are a valid oracle for the smoothed analytic gradients.
 Builders assert those preconditions so a bad seed fails loudly instead
 of producing a flaky tolerance.
 """
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from magphase.errors import DivergedError
 from magphase.losses import LossKind, LossTag, Targets, evaluate_loss
 from magphase.stft import (
     _COVERAGE_TINY,
@@ -283,6 +286,42 @@ def full_eval_descend_separable(problem, x, per_unit, project):
         L = np.where(bad, L, Lc)
         G = np.where(bad, G, Gc)
         yield k, L, x
+
+
+# --- every-try-gradient reference for the coupled descent -------------------
+
+
+def every_gradient_descend_coupled(problem, x, value_and_grad, project):
+    """optim._descend_coupled as it was before value-only backtracking: every
+    try, backtracking ones included, asks value_and_grad(x) for value and
+    gradient. Like it, a generator of (step, loss, params) from step 0 on."""
+    f, g = value_and_grad(x)
+    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+        raise DivergedError("objective non-finite at the initial point")
+    # Mean-normalized losses scale gradients by 1/element-count; undo that
+    # so step_size acts per element regardless of problem size.
+    lr0 = problem.step_size * x.size
+    floor = lr0 * 1e-18
+    vel = np.zeros_like(g)
+    yield 0, f, x
+    for k in range(1, problem.steps + 1):
+        # Fresh step size every iteration; halvings apply within the step
+        # only, so one cautious step does not slow the rest of the run.
+        lr = lr0
+        vel_try = problem.momentum * vel - lr * g
+        cand = project(x + vel_try)
+        fc, gc = value_and_grad(cand)
+        ok = math.isfinite(fc) and np.all(np.isfinite(gc))
+        while not (ok and fc <= f) and lr > floor:
+            lr *= 0.5
+            vel_try = -lr * g  # momentum dropped on backtrack
+            cand = project(x + vel_try)
+            fc, gc = value_and_grad(cand)
+            ok = math.isfinite(fc) and np.all(np.isfinite(gc))
+        if not (ok and fc <= f):
+            return
+        x, f, g, vel = cand, fc, gc, vel_try
+        yield k, f, x
 
 
 def reference_read_wav(path) -> TimeSignal:

@@ -419,6 +419,27 @@ def test_missing_scene_dir_is_io_error(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_metrics_empty_output_path_is_io_error(scene_dir, capsys, flag):
+    # An empty path used to skip the write and exit 0.
+    argv = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav", flag, ""]
+    assert run(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("io error: ") and "Traceback" not in err
+
+
+def test_optimize_empty_problem_path_is_io_error(scene_dir, tmp_path, capsys):
+    # An empty path used to run the default problem and exit 0.
+    out = tmp_path / "o"
+    argv = ["optimize", "--scene", scene_dir, "--problem", "", "--steps", 3, "--out", out]
+    assert run(*argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("io error: ") and "Traceback" not in err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_metrics_rejects_sample_rate_mismatch(scene_dir, tmp_path, capsys):
     # Same samples, labelled 16 kHz against the 8 kHz reference: the
     # lengths agree, so only the rate check can catch it.

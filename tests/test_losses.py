@@ -122,6 +122,23 @@ def test_gradient_matches_finite_differences(tag):
     assert worst < 1e-5
 
 
+@pytest.mark.parametrize("tag", list(LossTag))
+def test_value_does_not_depend_on_want_grad(tag):
+    # The coupled descent backtracks on values taken without the gradient
+    # and takes the gradient of the candidate it keeps; it makes the same
+    # decisions as asking every try for both only if the values agree bit
+    # for bit. The zero estimate reaches the kernels' zero-magnitude branches.
+    for seed in range(2):
+        case = make_loss_case(tag, seed)
+        for x in (case.x0, np.zeros_like(case.x0)):
+            est = case.wrap(x)
+            with_grad = evaluate_loss(case.kind, est, case.targets, want_grad=True)
+            value_only = evaluate_loss(case.kind, est, case.targets, want_grad=False)
+            assert value_only.gradient is None
+            assert with_grad.gradient is not None
+            assert np.float64(value_only.value).tobytes() == np.float64(with_grad.value).tobytes()
+
+
 # --- structural identities ---------------------------------------------------
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
 from magphase.errors import ConfigInvalidError, MissingTargetError, ZeroSignalError
-from magphase.losses import SEPARABLE_TAGS, LossKind, LossTag, evaluate_loss
+from magphase.losses import SEPARABLE_TAGS, LossKind, LossTag, LossValue, evaluate_loss
 from magphase.metrics import msnr, si_sdr
 from magphase.optim import (
     QUAD_L2,
@@ -333,6 +333,134 @@ def test_stop_reason_budget(scene_targets, loss):
     assert result.stop_reason == "budget"
     assert result.trajectory.steps == list(range(0, 201, 2)) + [201]
     assert result.trajectory.loss[-1] == result.final_loss
+
+
+CFG_COUPLED = StftConfig.for_window(512, 128)  # the coupled benchmark's config
+
+
+@pytest.fixture(scope="module")
+def coupled_targets():
+    scene = synth_scene(SceneSpec(seed=0, duration_s=1.0, sample_rate_hz=16000))
+    S, Y = stft(scene.s, CFG_COUPLED), stft(scene.y, CFG_COUPLED)
+    return Targets(S=S, s=scene.s, Y=Y, y=scene.y)
+
+
+@pytest.mark.parametrize(
+    "param, tag, steps",
+    [
+        # ri-istft keeps its first try at every step; ri-istft+mag starts
+        # to backtrack after about 20 steps, so it gets a longer budget.
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT, 20),
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT_MAG, 50),
+        (Parameterization.FREE_WAVEFORM, LossTag.WAV_MAG, 10),
+        (Parameterization.FREE_WAVEFORM, LossTag.RI_MAG, 10),
+        (Parameterization.FREE_WAVEFORM, LossTag.PHASE, 10),
+    ],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_coupled_descent_matches_every_gradient_reference(
+    coupled_targets, param, tag, steps, monkeypatch
+):
+    # Backtracking tries take the value only and the kept candidate pays
+    # for its gradient; the states must equal bit for bit those of the
+    # descent that asks every try for its gradient, at no more than two
+    # gradients per accepted step (its first try and the kept one) plus
+    # one at the start.
+    from _oracles import every_gradient_descend_coupled
+
+    from magphase import optim
+
+    def recorded(descend, calls, states):
+        def run(problem, x, value_and_grad, project):
+            def counted(z, want_grad):
+                calls.append(want_grad)
+                return value_and_grad(z, want_grad)
+
+            for k, f, x in descend(problem, x, counted, project):
+                states.append((k, f, x.tobytes()))
+                yield k, f, x
+
+        return run
+
+    def reference(problem, x, value_and_grad, project):
+        return every_gradient_descend_coupled(
+            problem, x, lambda z: value_and_grad(z, want_grad=True), project
+        )
+
+    problem = OptimizationProblem(
+        parameterization=param,
+        loss=LossKind(tag),
+        targets=coupled_targets,
+        cfg=CFG_COUPLED,
+        steps=steps,
+    )
+    calls, states, ref_calls, ref_states = [], [], [], []
+    monkeypatch.setattr(optim, "_descend_coupled", recorded(optim._descend_coupled, calls, states))
+    got = optimize(problem)
+    monkeypatch.setattr(optim, "_descend_coupled", recorded(reference, ref_calls, ref_states))
+    want = optimize(problem)
+    assert states == ref_states
+    assert got.stop_reason == want.stop_reason
+    assert got.trajectory == want.trajectory
+    assert calls.count(True) <= 2 * (len(states) - 1) + 1
+    if param is Parameterization.FREE_WAVEFORM:  # every step backtracks
+        assert calls.count(False) > 0
+        assert calls.count(True) < len(ref_calls)
+
+
+def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candidate():
+    # f = x^2 from x = 1 with step 2: the first try (-3) fails on value;
+    # the first halving (-1) passes on value, but its gradient is NaN, so
+    # the try fails and the second halving (0) is kept.
+    from types import SimpleNamespace
+
+    from magphase.optim import _descend_coupled
+
+    calls = []
+
+    def value_and_grad(x, want_grad):
+        calls.append((float(x[0]), want_grad))
+        if not want_grad:
+            return float(x[0] ** 2), None
+        return float(x[0] ** 2), np.full_like(x, np.nan) if x[0] == -1.0 else 2.0 * x
+
+    problem = SimpleNamespace(step_size=2.0, momentum=0.9, steps=1)
+    states = list(_descend_coupled(problem, np.array([1.0]), value_and_grad, lambda x: x))
+    assert [(k, f, float(x[0])) for k, f, x in states] == [(0, 1.0, 1.0), (1, 0.0, 0.0)]
+    assert calls == [
+        (1.0, True), (-3.0, True), (-1.0, False), (-1.0, True), (0.0, False), (0.0, True)
+    ]
+
+
+def test_coupled_step_with_no_finite_gradient_ends_the_run(scene_targets, monkeypatch):
+    # Past the initial point every gradient is NaN while every value stays
+    # finite: no try of step 1 can be kept, so the run ends there.
+    from magphase import optim
+
+    real = optim.evaluate_loss
+    grads = []
+
+    def nan_gradients(kind, estimate, targets, want_grad=False):
+        lv = real(kind, estimate, targets, want_grad)
+        if want_grad:
+            grads.append(want_grad)
+            if len(grads) > 1:
+                return LossValue(lv.value, np.full_like(lv.gradient, np.nan))
+        return lv
+
+    monkeypatch.setattr(optim, "evaluate_loss", nan_gradients)
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_WAVEFORM,
+        loss=LossKind(LossTag.WAV),
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        steps=5,
+    )
+    result = optimize(problem)
+    assert result.stop_reason == "no progress at step 1"
+    assert result.trajectory.steps == [0]
+    assert result.params.tobytes() == scene_targets.y.samples.tobytes()
+    assert len(grads) > 2  # halvings whose value passed asked for a gradient too
 
 
 def test_free_waveform_descends(scene_targets):
