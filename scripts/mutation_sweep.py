@@ -167,6 +167,27 @@ MUTANTS = (
         "            gc = g\n",
         ("tests/test_optim.py", "-k", "every_gradient_reference or finite_gradient"),
     ),
+    Mutant(
+        "empty --out refusal dropped",
+        "src/magphase/cli.py",
+        "    if not args.out:\n",
+        "    if False:\n",
+        ("tests/test_cli.py", "-k", "empty_out"),
+    ),
+    Mutant(
+        "mask eps range check dropped",
+        "src/magphase/masks.py",
+        "    if not 0.0 < eps < np.inf:\n",
+        "    if False:\n",
+        ("tests/test_masks.py", "-k", "eps_out_of_range"),
+    ),
+    Mutant(
+        "fixed-phase kernel on conj(unit)",
+        "src/magphase/optim.py",
+        "fixed_phase_kernel(loss, targets, unit)",
+        "fixed_phase_kernel(loss, targets, np.conj(unit))",
+        ("tests/test_optim.py", "-k", "separable_kernels_match_loss_contract"),
+    ),
 )
 
 

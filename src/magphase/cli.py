@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -43,15 +42,21 @@ def _stft_config(args, sample_rate_hz: int) -> StftConfig:
     if args.win is not None and (args.win_ms is not None or args.hop_ms is not None):
         raise SpecInvalidError("--win-ms and --hop-ms do not apply with --win and --hop")
     if args.win is not None:
-        win, hop = args.win, args.hop
+        cfg = StftConfig.for_window(args.win, args.hop)
     else:
         win_ms = args.win_ms if args.win_ms is not None else 32.0
         hop_ms = args.hop_ms if args.hop_ms is not None else 8.0
-        win = int(round(win_ms * sample_rate_hz / 1000.0))
-        hop = int(round(hop_ms * sample_rate_hz / 1000.0))
+        cfg = StftConfig.from_ms(win_ms, hop_ms, sample_rate_hz)
     if args.fft is not None:
-        return StftConfig(win, hop, args.fft)
-    return StftConfig.for_window(win, hop)
+        return StftConfig(cfg.win_length_samples, cfg.hop_length_samples, args.fft)
+    return cfg
+
+
+def _out_path(args) -> Path:
+    """The --out path; an empty one is refused, since Path("") is the working directory."""
+    if not args.out:
+        raise SpecInvalidError("--out must not be empty")
+    return Path(args.out)
 
 
 def _load_scene_dir(path: Path):
@@ -63,6 +68,7 @@ def _load_scene_dir(path: Path):
 
 
 def cmd_synth(args) -> int:
+    out = _out_path(args)
     reverb = None
     if args.reverb_rt60 is not None:
         drr = {} if args.drr is None else {"direct_to_reverb_db": args.drr}
@@ -78,7 +84,6 @@ def cmd_synth(args) -> int:
         reverb=reverb,
     )
     scene = scenes.synth_scene(spec)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     wavio.write_wav(out / "s.wav", scene.s)
     wavio.write_wav(out / "v.wav", scene.v)
@@ -112,6 +117,7 @@ _MASK_KINDS = ("iam", "psm", "psm-trunc", "psa-target")
 
 
 def cmd_mask(args) -> int:
+    out = _out_path(args)
     s, y = _load_scene_dir(Path(args.scene))
     cfg = _stft_config(args, y.sample_rate_hz)
     S, Y = stft(s, cfg), stft(y, cfg)
@@ -133,15 +139,10 @@ def cmd_mask(args) -> int:
     )
     rep = metrics.report(enhanced, s, stft(enhanced, cfg), S)
     msnr_no_resynth = metrics.msnr(no_resynth, S)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     wavio.write_wav(out / "enhanced.wav", enhanced)
     payload = rep.as_dict()
-    payload["msnr_no_resynth_db"] = (
-        metrics.format_db(msnr_no_resynth)
-        if math.isinf(msnr_no_resynth)
-        else msnr_no_resynth
-    )
+    payload["msnr_no_resynth_db"] = metrics.json_db(msnr_no_resynth)
     payload["schema_version"] = 1
     payload["mask_kind"] = args.kind
     (out / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
@@ -212,10 +213,10 @@ def cmd_optimize(args) -> int:
             raise SpecInvalidError("--verify-oracle does not apply to --trend")
     elif args.pair is not None:
         raise SpecInvalidError("--pair applies only with --trend")
+    out = _out_path(args)
     s, y = _load_scene_dir(Path(args.scene))
     cfg = _stft_config(args, y.sample_rate_hz)
     targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.trend:
@@ -275,6 +276,7 @@ _HIST_SOURCES = ("oracle", "mixture", "compensated", "iam-resynth", "psm-resynth
 def cmd_histogram(args) -> int:
     if args.est_wav is not None and args.source != "est-wav":
         raise SpecInvalidError(f"--est-wav applies only with --source est-wav, not {args.source}")
+    prefix = _out_path(args)
     s, y = _load_scene_dir(Path(args.scene))
     cfg = _stft_config(args, y.sample_rate_hz)
     S, Y = stft(s, cfg), stft(y, cfg)
@@ -298,7 +300,6 @@ def cmd_histogram(args) -> int:
         est = wavio.read_wav(Path(args.est_wav))
         est_mag = magnitude_of(stft(est, cfg))
     hist = compensation.histogram2d(est_mag, S, Y, floor_db=args.floor_db)
-    prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     hist.to_csv(prefix.with_suffix(".csv"))
     hist.to_pgm(prefix.with_suffix(".pgm"))

@@ -124,8 +124,11 @@ def histogram2d(
 
     Units whose energy in |S| is more than floor_db below the
     highest-energy unit are discarded (which also removes all |S| = 0
-    units, where the ratio is undefined).
+    units, where the ratio is undefined). floor_db must be positive; inf
+    keeps every unit with |S| > 0.
     """
+    if not floor_db > 0:
+        raise ConfigInvalidError(f"floor_db must be positive, got {floor_db:g}")
     same_shape(est_mag.data, S.data, Y.data)
     mag_ref = np.abs(S.data)
     threshold = mag_ref.max() * 10.0 ** (-floor_db / 20.0)

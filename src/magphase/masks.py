@@ -21,12 +21,13 @@ import numpy as np
 
 from . import stft as _stft
 from .compensation import compensated_magnitude, phase_diff_map
-from .errors import ShapeMismatchError
+from .errors import ConfigInvalidError, ShapeMismatchError
 from .types import (
     DEFAULT_SAMPLE_RATE_HZ,
     MagSpectrogram,
     Spectrogram,
     TimeSignal,
+    _readonly,
     phase_of,
     same_shape,
 )
@@ -51,13 +52,17 @@ class MaskMatrix:
     kind: MaskKind
 
     def __post_init__(self):
-        arr = np.array(np.asarray(self.data, dtype=np.float64), copy=True)
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _readonly(self.data, np.float64, 2, "mask"))
+
+
+def _check_eps(eps: float) -> None:
+    if not 0.0 < eps < np.inf:
+        raise ConfigInvalidError(f"eps must be positive and finite, got {eps:g}")
 
 
 def iam(S: Spectrogram, Y: Spectrogram, eps: float = DEFAULT_EPS) -> MaskMatrix:
-    """Ideal amplitude mask |S| / max(|Y|, eps)."""
+    """Ideal amplitude mask |S| / max(|Y|, eps); eps must be positive and finite."""
+    _check_eps(eps)
     same_shape(S.data, Y.data)
     return MaskMatrix(np.abs(S.data) / np.maximum(np.abs(Y.data), eps), MaskKind.IAM)
 
@@ -68,7 +73,8 @@ def psm(
     eps: float = DEFAULT_EPS,
     truncate: bool = False,
 ) -> MaskMatrix:
-    """Phase-sensitive mask; truncate clamps entries to [0, 1]."""
+    """Phase-sensitive mask; truncate clamps entries to [0, 1]. eps as for iam."""
+    _check_eps(eps)
     same_shape(S.data, Y.data)
     m = np.abs(S.data) / np.maximum(np.abs(Y.data), eps) * phase_diff_map(S, Y)
     if truncate:
@@ -99,8 +105,9 @@ def masked_magnitude(
     exactly 1.0 there). Computing (|S|/|Y|) * |Y| instead would leave
     ~1 ulp of rounding noise and turn an exactly-infinite magnitude SNR
     into a merely huge one. The phase-sensitive variants carry no such
-    exactness claim and use the literal mask product.
+    exactness claim and use the literal mask product. eps as for iam.
     """
+    _check_eps(eps)
     same_shape(S.data, Y.data)
     absY = np.abs(Y.data)
     if kind is MaskKind.IAM:
@@ -124,9 +131,12 @@ def apply_mask_resynth(
     """Re-synthesize a masked mixture.
 
     A MaskMatrix multiplies Y entrywise (amplitude masks are clipped to
-    [0, iam_clamp] unless iam_clamp is None); a MagSpectrogram is combined
-    with the mixture phase as M * exp(1j * angle(Y)).
+    [0, iam_clamp] unless iam_clamp is None; otherwise it must be
+    positive); a MagSpectrogram is combined with the mixture phase as
+    M * exp(1j * angle(Y)).
     """
+    if iam_clamp is not None and not iam_clamp > 0:
+        raise ConfigInvalidError(f"iam_clamp must be None or positive, got {iam_clamp:g}")
     same_shape(M.data, Y.data)
     if isinstance(M, MagSpectrogram):
         masked = M.data * np.exp(1j * phase_of(Y))

@@ -171,6 +171,11 @@ def format_db(value: float) -> str:
     return f"{value:.4f}"
 
 
+def json_db(value: float) -> float | str:
+    """A dB value for JSON: the float itself, or 'inf'/'-inf' for an infinity."""
+    return format_db(value) if math.isinf(value) else value
+
+
 @dataclass(frozen=True)
 class MetricReport:
     """Bundle of the four metrics for one estimate/reference pair.
@@ -189,11 +194,7 @@ class MetricReport:
 
     def as_dict(self) -> dict:
         """JSON-ready mapping; infinities become 'inf'/'-inf' strings."""
-        out = {}
-        for k in self._KEYS:
-            v = getattr(self, k)
-            out[k] = format_db(v) if math.isinf(v) else v
-        return out
+        return {k: json_db(getattr(self, k)) for k in self._KEYS}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)

@@ -37,7 +37,7 @@ factor, which the optimizer multiplies back).
 Every loss comes from losses.py, with the weights its LossKind holds:
 coupled ones through evaluate_loss, separable ones as per-unit kernels
 (losses.unit_kernel, or losses.fixed_phase_kernel for the complex kinds
-under a fixed phase); _per_unit_objective picks which. Under a fixed
+under a fixed phase); _parameterize picks which. Under a fixed
 phase, the L1 pair ri / ri+mag and the quadratic pair l2-complex /
 l2-complex+mag (QUAD_L2, QUAD_L2_MAG) have closed-form per-unit optima,
 one function for all four (compensation.optimal_magnitude_along_phase),
@@ -46,7 +46,7 @@ which the tests verify against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -114,6 +114,15 @@ class OptimizationProblem:
     momentum: float = 0.9
 
 
+def _write_csv(path, key: str, rows) -> None:
+    """A run's CSV: one (key, loss, si_sdr_db, msnr_db, psnr_db) row each; None writes empty."""
+    with open(path, "w") as fh:
+        fh.write(f"{key},loss,si_sdr_db,msnr_db,psnr_db\n")
+        for first, loss, *dbs in rows:
+            cells = ("" if v is None else format_db(v) for v in dbs)
+            fh.write(f"{first},{loss:.12g},{','.join(cells)}\n")
+
+
 @dataclass
 class TrajectoryRecord:
     """Per-checkpoint step index, loss, and metrics (None when unavailable)."""
@@ -132,16 +141,8 @@ class TrajectoryRecord:
         self.psnr_db.append(ps)
 
     def to_csv(self, path) -> None:
-        def fmt(v):
-            return "" if v is None else format_db(v)
-
-        with open(path, "w") as fh:
-            fh.write("step,loss,si_sdr_db,msnr_db,psnr_db\n")
-            for i, step in enumerate(self.steps):
-                fh.write(
-                    f"{step},{self.loss[i]:.12g},{fmt(self.si_sdr_db[i])},"
-                    f"{fmt(self.msnr_db[i])},{fmt(self.psnr_db[i])}\n"
-                )
+        rows = zip(self.steps, self.loss, self.si_sdr_db, self.msnr_db, self.psnr_db)
+        _write_csv(path, "step", rows)
 
 
 @dataclass(frozen=True)
@@ -169,30 +170,19 @@ def fixed_phase(problem: OptimizationProblem) -> np.ndarray:
     raise ConfigInvalidError(f"unknown phase source {problem.phase_source!r}")
 
 
-def _per_unit_objective(problem: OptimizationProblem):
-    """Per-unit (value matrix, gradient matrix) callable, or None if coupled.
-
-    Totals are the mean of the value matrix and match evaluate_loss;
-    gradients here are per unit, i.e. element-count times the global ones.
-    """
-    loss, param = problem.loss, problem.parameterization
-    if loss.tag not in SEPARABLE_TAGS or param is Parameterization.FREE_WAVEFORM:
-        return None
-    if param is Parameterization.FREE_RI or loss.tag in MAGNITUDE_TAGS:
-        return unit_kernel(loss, problem.targets)
-    return fixed_phase_kernel(loss, problem.targets, np.exp(1j * fixed_phase(problem)))
-
-
 def _identity(x):
     return x
 
 
 def _parameterize(problem: OptimizationProblem):
-    """Returns (x0, to_complex, chain, project, to_sig): the initial point,
-    the map to the complex spectrogram and its adjoint (which carries a
-    spectrogram gradient back to the parameters), the feasibility
-    projection, and the map to the waveform."""
-    cfg = problem.cfg
+    """Returns (x0, to_complex, chain, project, to_sig, per_unit): the
+    initial point, the map to the complex spectrogram and its adjoint
+    (which carries a spectrogram gradient back to the parameters), the
+    feasibility projection, the map to the waveform, and the per-unit
+    kernel (value maps whose mean is evaluate_loss's value, gradients
+    element-count times its own), or None for a coupled loss. A
+    fixed-phase kernel and to_complex share one unit vector."""
+    cfg, loss = problem.cfg, problem.loss
     targets = problem.targets
     sig = targets.s if targets.s is not None else targets.y  # output rate and length
     rate = sig.sample_rate_hz if sig is not None else DEFAULT_SAMPLE_RATE_HZ
@@ -221,7 +211,7 @@ def _parameterize(problem: OptimizationProblem):
         def to_sig(x):
             return TimeSignal(x, rate)
 
-        return x0, to_complex, chain, _identity, to_sig
+        return x0, to_complex, chain, _identity, to_sig, None
 
     # Spectrogram parameters, whose waveform is their inverse STFT.
     ref = targets.Y if targets.Y is not None else targets.S
@@ -264,7 +254,13 @@ def _parameterize(problem: OptimizationProblem):
         n = len(sig) if sig is not None else (x.shape[0] - 1) * cfg.hop_length_samples
         return TimeSignal(istft_array(to_complex(x), cfg, n), rate)
 
-    return x0, to_complex, chain, project, to_sig
+    if loss.tag not in SEPARABLE_TAGS:
+        per_unit = None
+    elif problem.parameterization is Parameterization.FREE_RI or loss.tag in MAGNITUDE_TAGS:
+        per_unit = unit_kernel(loss, targets)
+    else:
+        per_unit = fixed_phase_kernel(loss, targets, unit)
+    return x0, to_complex, chain, project, to_sig, per_unit
 
 
 def _failed(Lc, Gc, L):
@@ -392,7 +388,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     for spec in (targets.S, targets.Y):
         if spec is not None and spec.config != cfg:
             raise ConfigInvalidError(f"a target was taken with {spec.config}, not with {cfg}")
-    x0, to_complex, chain, project, to_sig = _parameterize(problem)
+    x0, to_complex, chain, project, to_sig, per_unit = _parameterize(problem)
 
     def to_spec(x):
         return Spectrogram(to_complex(x), cfg)
@@ -418,7 +414,6 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         traj.append(step, float(np.mean(loss_map)), si, ms, ps)
 
     x = project(np.array(x0))
-    per_unit = _per_unit_objective(problem)
     if per_unit is not None:
         states = _descend_separable(problem, x, per_unit, project)
     else:
@@ -458,13 +453,7 @@ class TrendReport:
     si_sdr_not_better: bool
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("arm,loss,si_sdr_db,msnr_db,psnr_db\n")
-            for row in (self.without_mag, self.with_mag):
-                fh.write(
-                    f"{row.label},{row.final_loss:.12g},{format_db(row.si_sdr_db)},"
-                    f"{format_db(row.msnr_db)},{format_db(row.psnr_db)}\n"
-                )
+        _write_csv(path, "arm", map(astuple, (self.without_mag, self.with_mag)))
 
 
 def run_trend_experiment(

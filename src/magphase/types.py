@@ -24,10 +24,13 @@ from .errors import (
 DEFAULT_SAMPLE_RATE_HZ = 16000
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
-    a.setflags(write=False)
-    return a
+def _readonly(a, dtype, ndim: int, what: str) -> np.ndarray:
+    """A frozen copy of a cast to dtype; ShapeMismatchError unless it is ndim-D."""
+    arr = np.array(a, dtype=dtype, copy=True)
+    if arr.ndim != ndim:
+        raise ShapeMismatchError(f"{what} must be {ndim}-D, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,7 @@ class TimeSignal:
     sample_rate_hz: int
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ShapeMismatchError(f"time signal must be 1-D, got shape {arr.shape}")
-        object.__setattr__(self, "samples", _readonly(arr))
+        object.__setattr__(self, "samples", _readonly(self.samples, np.float64, 1, "time signal"))
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -148,10 +148,7 @@ class Spectrogram:
     config: StftConfig
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"spectrogram must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "data", _readonly(arr))
+        object.__setattr__(self, "data", _readonly(self.data, np.complex128, 2, "spectrogram"))
 
     @property
     def num_frames(self) -> int:
@@ -170,10 +167,7 @@ class MagSpectrogram:
     config: StftConfig
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeMismatchError(f"magnitude matrix must be 2-D, got shape {arr.shape}")
-        object.__setattr__(self, "data", _readonly(arr))
+        object.__setattr__(self, "data", _readonly(self.data, np.float64, 2, "magnitude matrix"))
 
 
 def same_shape(*arrays: np.ndarray) -> None:
@@ -197,22 +191,21 @@ def validate_signal(x: TimeSignal) -> None:
         raise NonFiniteError("signal contains NaN or Inf")
 
 
-def validate_spectrogram(X: Spectrogram) -> None:
-    if X.num_bins != X.config.num_bins:
-        raise ShapeMismatchError(
-            f"spectrogram has {X.num_bins} bins, config implies {X.config.num_bins}"
-        )
+def _validate_matrix(X: Spectrogram | MagSpectrogram, what: str) -> None:
+    """Raise unless X has the bins its config implies and only finite entries."""
+    bins = X.data.shape[1]
+    if bins != X.config.num_bins:
+        raise ShapeMismatchError(f"{what} has {bins} bins, config implies {X.config.num_bins}")
     if not np.all(np.isfinite(X.data)):
-        raise NonFiniteError("spectrogram contains NaN or Inf")
+        raise NonFiniteError(f"{what} contains NaN or Inf")
+
+
+def validate_spectrogram(X: Spectrogram) -> None:
+    _validate_matrix(X, "spectrogram")
 
 
 def validate_magnitude(M: MagSpectrogram) -> None:
-    if M.data.shape[1] != M.config.num_bins:
-        raise ShapeMismatchError(
-            f"magnitude matrix has {M.data.shape[1]} bins, config implies {M.config.num_bins}"
-        )
-    if not np.all(np.isfinite(M.data)):
-        raise NonFiniteError("magnitude matrix contains NaN or Inf")
+    _validate_matrix(M, "magnitude matrix")
     if np.any(M.data < 0):
         raise ShapeMismatchError("magnitude matrix has negative entries")
 

@@ -6,11 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from magphase import metrics
 from magphase.cli import build_parser, main
 from magphase.errors import SpecInvalidError
 from magphase.wavio import read_wav, write_wav
 from magphase.scenes import SceneSpec, synth_scene
-from magphase.types import TimeSignal
+from magphase.stft import stft
+from magphase.types import StftConfig, TimeSignal
 
 
 def run(*argv):
@@ -371,6 +373,41 @@ def test_optimize_verify_oracle_weighted_l2_mag(scene_dir, tmp_path, capsys):
     assert float(line.split()[1]) < 1e-7  # 1.1e-8 measured
 
 
+def test_optimize_verify_oracle_mismatch_exits_3(scene_dir, tmp_path, capsys):
+    # Two small steps leave the magnitudes far from the closed form.
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"step_size": 0.01}))
+    code = run(
+        "optimize", "--scene", scene_dir, "--problem", problem, "--steps", 2,
+        "--out", tmp_path / "o", "--win", 200, "--hop", 80, "--verify-oracle",
+    )
+    assert code == 3
+    out, err = capsys.readouterr()
+    (line,) = [x for x in out.splitlines() if x.startswith("oracle_")]
+    assert float(line.split()[1]) > 1e-4
+    assert "oracle check FAILED" in err
+
+
+@pytest.mark.parametrize("pair", ["ri", "ri,ri+mag,wav"])
+def test_optimize_trend_pair_needs_two_losses(scene_dir, tmp_path, capsys, pair):
+    argv = ["optimize", "--scene", scene_dir, "--out", tmp_path / "o", "--trend", "--pair", pair]
+    _expect_spec_error(capsys, argv, "exactly two")
+
+
+def test_fft_flag_sets_the_fft_size(scene_dir, tmp_path, capsys):
+    # --fft replaces the power of two the window implies, in samples and in ms alike.
+    s, y = read_wav(scene_dir / "s.wav"), read_wav(scene_dir / "y.wav")
+    cfg = StftConfig(200, 80, 512)
+    expected = metrics.report(y, s, stft(y, cfg), stft(s, cfg)).to_json()
+    base = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav"]
+    for flags in (("--win", 200, "--hop", 80), ("--win-ms", 25, "--hop-ms", 10)):
+        json_out = tmp_path / "m.json"
+        assert run(*base, *flags, "--fft", 512, "--json", json_out) == 0
+        assert json_out.read_text() == expected
+    assert run(*base, "--win", 200, "--hop", 80, "--fft", 100) == 1
+    assert "fft_size 100 smaller than window length 200" in capsys.readouterr().err
+
+
 def test_histogram_outputs(scene_dir, tmp_path):
     prefix = tmp_path / "hist"
     code = run(
@@ -438,6 +475,51 @@ def test_optimize_empty_problem_path_is_io_error(scene_dir, tmp_path, capsys):
     assert stdout == ""
     assert err.startswith("io error: ") and "Traceback" not in err
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--seed", 1],
+        ["mask", "--kind", "iam"],
+        ["optimize", "--steps", 3],
+        ["histogram", "--source", "compensated"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_empty_out_is_refused(scene_dir, tmp_path, monkeypatch, capsys, argv):
+    # Path("") is the working directory: three commands wrote into it, and
+    # histogram died in with_suffix with a traceback.
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    scene = [] if argv[0] == "synth" else ["--scene", scene_dir, "--win", 200, "--hop", 80]
+    _expect_spec_error(capsys, [*argv, *scene, "--out", ""], "--out must not be empty")
+    assert list(work.iterdir()) == []
+
+
+_MASK = ["mask", "--kind", "iam"]
+_HIST = ["histogram", "--source", "oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        ([*_MASK, "--eps", -1], "eps must be positive and finite, got -1"),
+        ([*_MASK, "--iam-clamp", "nan"], "iam_clamp must be None or positive, got nan"),
+        ([*_HIST, "--floor-db", -20], "floor_db must be positive, got -20"),
+        ([*_HIST, "--floor-db", "nan"], "floor_db must be positive, got nan"),
+    ],
+    ids=["eps", "iam_clamp", "floor_db", "floor_db_nan"],
+)
+def test_out_of_range_mask_and_histogram_values_exit_1(scene_dir, tmp_path, capsys, argv, match):
+    # These exited 0 (an unguarded mask, an empty histogram) or failed late
+    # on a spectrogram full of NaN.
+    out = tmp_path / "o"
+    assert run(*argv, "--scene", scene_dir, "--win", 200, "--hop", 80, "--out", out / "h") == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: {match}\n"
+    assert not out.exists()
 
 
 def test_metrics_rejects_sample_rate_mismatch(scene_dir, tmp_path, capsys):

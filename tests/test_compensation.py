@@ -202,6 +202,21 @@ def test_histogram_energy_floor_count(scene_pair):
     assert tighter.total < hist.total
 
 
+@pytest.mark.parametrize("floor_db", [-20.0, 0.0, np.nan], ids=["negative", "zero", "nan"])
+def test_histogram_refuses_a_floor_that_is_not_positive(scene_pair, floor_db):
+    # Each of these used to keep no unit at all and return an empty histogram.
+    S, Y = scene_pair
+    with pytest.raises(ConfigInvalidError, match=f"floor_db must be positive, got {floor_db:g}"):
+        histogram2d(magnitude_of(S), S, Y, floor_db=floor_db)
+
+
+def test_histogram_infinite_floor_keeps_every_nonzero_unit(scene_pair):
+    S, Y = scene_pair
+    S = Spectrogram(np.where(np.arange(S.num_bins) % 7 == 0, 0.0, S.data), S.config)
+    hist = histogram2d(magnitude_of(S), S, Y, floor_db=np.inf)
+    assert hist.total == np.count_nonzero(S.data)
+
+
 def test_histogram_compensated_oracle_on_diagonal(scene_pair):
     S, Y = scene_pair
     hist = histogram2d(compensated_magnitude(S, Y), S, Y)

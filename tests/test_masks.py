@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magphase.errors import ShapeMismatchError
+from magphase.errors import ConfigInvalidError, ShapeMismatchError
 from magphase.masks import (
     MaskKind,
     apply_mask_resynth,
@@ -170,3 +170,29 @@ def test_iam_clamp_limits_gain():
     clamped = apply_mask_resynth(mask, Y, out_len)
     unclamped = apply_mask_resynth(mask, Y, out_len, iam_clamp=None)
     assert np.max(np.abs(unclamped.samples)) > np.max(np.abs(clamped.samples))
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, np.nan, np.inf], ids=["negative", "zero", "nan", "inf"])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda S, Y, eps: iam(S, Y, eps),
+        lambda S, Y, eps: psm(S, Y, eps),
+        lambda S, Y, eps: masked_magnitude(MaskKind.IAM, S, Y, eps),
+        lambda S, Y, eps: masked_magnitude(MaskKind.PSM_TRUNCATED, S, Y, eps),
+    ],
+    ids=["iam", "psm", "masked_iam", "masked_psm_truncated"],
+)
+def test_eps_out_of_range_is_refused(make, eps):
+    # A negative eps used to pass, and divide by |Y| unguarded.
+    S = unit_spec(1.0, 2.0, 0.5)
+    with pytest.raises(ConfigInvalidError, match=f"eps must be positive and finite, got {eps:g}"):
+        make(S, S, eps)
+
+
+@pytest.mark.parametrize("clamp", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+def test_iam_clamp_must_be_none_or_positive(clamp):
+    S = unit_spec(1.0, 2.0, 0.5)
+    for M in (iam(S, S), magnitude_of(S)):
+        with pytest.raises(ConfigInvalidError, match=f"must be None or positive, got {clamp:g}"):
+            apply_mask_resynth(M, S, 2, iam_clamp=clamp)

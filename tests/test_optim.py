@@ -15,7 +15,7 @@ from magphase.optim import (
     OptimizationProblem,
     Parameterization,
     Targets,
-    _per_unit_objective,
+    _parameterize,
     fixed_phase,
     optimize,
     run_trend_experiment,
@@ -134,7 +134,7 @@ CLOSED_FORM_TAGS = (LossTag.RI, LossTag.RI_MAG, LossTag.L2_COMPLEX, LossTag.L2_C
 
 def per_unit_loss(problem):
     """The descent's own per-unit loss map m -> L(m) under the problem's fixed phase."""
-    kernel = _per_unit_objective(problem)
+    kernel = _parameterize(problem)[-1]
     return lambda m: kernel(m)[0]
 
 
@@ -495,6 +495,39 @@ def test_deterministic_trajectories(scene_targets):
     assert np.array_equal(a.params, b.params)
 
 
+_INIT_LOSSES = {
+    Parameterization.FREE_WAVEFORM: LossKind(LossTag.WAV),
+    Parameterization.FREE_RI: LossKind(LossTag.RI),
+    Parameterization.FREE_MAG_FIXED_PHASE: QUAD_L2,
+}
+
+
+@pytest.mark.parametrize("param", list(_INIT_LOSSES), ids=lambda p: p.value)
+@pytest.mark.parametrize("init", ["zeros", "random"])
+def test_initial_point(scene_targets, param, init):
+    # zeros is the origin in the parameters' own type; random is a Philox
+    # draw keyed by init_seed, scaled to the target: the mixture's RMS for
+    # a waveform, the mean |Y| for spectrogram parameters.
+    problem = OptimizationProblem(
+        parameterization=param, loss=_INIT_LOSSES[param], targets=scene_targets,
+        cfg=CFG_SCENE, init=init, init_seed=11,
+    )
+    x0 = _parameterize(problem)[0]
+    y, Y = scene_targets.y.samples, scene_targets.Y.data
+    rng = np.random.Generator(np.random.Philox(key=11))
+    if param is Parameterization.FREE_WAVEFORM:
+        expected = rng.standard_normal(y.shape) * np.sqrt(np.mean(y**2))
+    elif param is Parameterization.FREE_RI:
+        expected = rng.standard_normal(Y.shape) + 1j * rng.standard_normal(Y.shape)
+        expected = expected * np.mean(np.abs(Y))
+    else:
+        expected = np.abs(rng.standard_normal(Y.shape)) * np.mean(np.abs(Y))
+    if init == "zeros":
+        expected = np.zeros_like(expected)
+    assert x0.shape == expected.shape and x0.dtype == expected.dtype
+    np.testing.assert_allclose(x0, expected, rtol=1e-12, atol=0)
+
+
 def test_unconstrained_free_ri_reaches_near_perfect_metrics(scene_targets):
     # With free complex parameters nothing forces compensation: descent
     # walks to the target and every metric becomes (near-)perfect. This is
@@ -711,6 +744,27 @@ def test_waveform_params_with_spectral_loss(scene_targets):
     assert result.final_loss < result.trajectory.loss[0]
 
 
+def test_fixed_phase_is_built_once_and_shared(scene_targets, monkeypatch):
+    # The per-unit kernel and the map to the spectrogram take one unit vector.
+    import magphase.optim as optim_module
+
+    calls, units = [], []
+    monkeypatch.setattr(
+        optim_module, "fixed_phase", lambda p: calls.append(p) or fixed_phase(p)
+    )
+    kernel = optim_module.fixed_phase_kernel
+    monkeypatch.setattr(
+        optim_module, "fixed_phase_kernel", lambda *a: units.append(a[-1]) or kernel(*a)
+    )
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE, loss=QUAD_L2_MAG,
+        targets=scene_targets, cfg=CFG_SCENE, steps=1,
+    )
+    _, to_complex, *_ = _parameterize(problem)
+    assert len(calls) == 1 and len(units) == 1
+    assert to_complex(np.ones(units[0].shape)).tobytes() == units[0].tobytes()
+
+
 @pytest.mark.parametrize(
     "param",
     [Parameterization.FREE_RI, Parameterization.FREE_MAG_FIXED_PHASE],
@@ -734,7 +788,7 @@ def test_separable_kernels_match_loss_contract(scene_targets, tag, param):
         with pytest.raises(MissingTargetError):  # magnitude loss on complex params
             optimize(problem)
         return
-    per_unit = _per_unit_objective(problem)
+    per_unit = _parameterize(problem)[-1]
     m = np.abs(scene_targets.Y.data) * 0.9
     u = np.exp(1j * phase_of(scene_targets.Y))
     if tag in (LossTag.MSA, LossTag.PSA):
@@ -772,7 +826,7 @@ def test_separable_kernels_at_units_match_full_maps(scene_targets, tag, param):
     problem = OptimizationProblem(
         parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE
     )
-    per_unit = _per_unit_objective(problem)
+    per_unit = _parameterize(problem)[-1]
     m = np.abs(scene_targets.Y.data) * 0.9
     m.reshape(-1)[::97] = 0.0  # the kernels' zero-magnitude branches
     if tag in (LossTag.MSA, LossTag.PSA):

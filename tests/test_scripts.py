@@ -1,4 +1,5 @@
-"""Smoke runs of the study scripts in scripts/ with tiny budgets."""
+"""Smoke runs of the study scripts in scripts/ with tiny budgets, and the mutants' anchors."""
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +26,15 @@ def test_script_runs(tmp_path, script, args):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_every_mutant_still_finds_its_text():
+    # The sweep takes minutes and is run by hand; a refactor that moves a
+    # mutant's pinned text fails here at once instead.
+    spec = importlib.util.spec_from_file_location("mutation_sweep", SCRIPTS / "mutation_sweep.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.MUTANTS
+    for mutant in sweep.MUTANTS:
+        text = (sweep.ROOT / mutant.path).read_text()
+        assert text.count(mutant.old) == 1, mutant.name

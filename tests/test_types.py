@@ -9,6 +9,7 @@ from magphase.errors import (
     NonFiniteError,
     ShapeMismatchError,
 )
+from magphase.masks import MaskKind, MaskMatrix
 from magphase.types import (
     MagSpectrogram,
     Spectrogram,
@@ -141,3 +142,50 @@ def test_config_from_ms():
     assert (cfg.win_length_samples, cfg.hop_length_samples) == (512, 128)
     cfg = StftConfig.from_ms(25, 10, 8000)
     assert (cfg.win_length_samples, cfg.hop_length_samples) == (200, 80)
+
+
+@pytest.mark.parametrize(
+    "make, arg, match",
+    [
+        (lambda a: TimeSignal(a, 8000), np.zeros((2, 2)), "time signal must be 1-D"),
+        (lambda a: Spectrogram(a, CFG), np.zeros(3), "spectrogram must be 2-D"),
+        (lambda a: MagSpectrogram(a, CFG), np.zeros(3), "magnitude matrix must be 2-D"),
+    ],
+    ids=["time_signal", "spectrogram", "magnitude"],
+)
+def test_containers_refuse_wrong_ndim(make, arg, match):
+    with pytest.raises(ShapeMismatchError, match=match):
+        make(arg)
+
+
+@pytest.mark.parametrize(
+    "make, field, dtype",
+    [
+        (lambda a: TimeSignal(a.reshape(-1), 8000), "samples", np.float64),
+        (lambda a: Spectrogram(a, CFG), "data", np.complex128),
+        (lambda a: MagSpectrogram(a, CFG), "data", np.float64),
+        (lambda a: MaskMatrix(a, MaskKind.IAM), "data", np.float64),
+    ],
+    ids=["time_signal", "spectrogram", "magnitude", "mask"],
+)
+def test_containers_cast_copy_and_freeze(make, field, dtype):
+    source = np.array([[1, 2, 3]], dtype=np.int32)
+    arr = getattr(make(source), field)
+    source[0, 0] = 9  # the container holds a copy
+    assert arr.dtype == dtype
+    assert arr.reshape(-1)[0] == 1
+    with pytest.raises(ValueError):
+        arr.reshape(-1)[0] = 5
+
+
+def test_magnitude_bin_mismatch():
+    with pytest.raises(ShapeMismatchError, match="magnitude matrix has 5 bins, config implies 3"):
+        validate_magnitude(MagSpectrogram(np.zeros((2, 5)), CFG))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_magnitude_nonfinite(bad):
+    data = np.zeros((1, 3))
+    data[0, 1] = bad
+    with pytest.raises(NonFiniteError, match="magnitude matrix contains NaN or Inf"):
+        validate_magnitude(MagSpectrogram(data, CFG))
