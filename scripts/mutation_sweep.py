@@ -155,17 +155,23 @@ MUTANTS = (
     Mutant(
         "kept gradient not checked finite",
         "src/magphase/optim.py",
-        "    return math.isfinite(fc) and fc <= f and np.all(np.isfinite(gc))\n",
-        "    return math.isfinite(fc) and fc <= f\n",
+        "            if gc is not None and np.all(np.isfinite(gc)):\n",
+        "            if gc is not None:\n",
         ("tests/test_optim.py", "-k", "every_gradient_reference or finite_gradient"),
     ),
     Mutant(
         "backtrack keeps the stale gradient",
         "src/magphase/optim.py",
-        "            if math.isfinite(fc) and fc <= f:\n"
-        "                fc, gc = value_and_grad(cand, want_grad=True)\n",
-        "            gc = g\n",
+        "            gc = grad() if math.isfinite(fc) and fc <= f else None\n",
+        "            gc = (grad() if lr == lr0 else g) if math.isfinite(fc) and fc <= f else None\n",
         ("tests/test_optim.py", "-k", "every_gradient_reference or finite_gradient"),
+    ),
+    Mutant(
+        "gradient before the value test",
+        "src/magphase/optim.py",
+        "            gc = grad() if math.isfinite(fc) and fc <= f else None\n",
+        "            gc = grad()\n            gc = gc if math.isfinite(fc) and fc <= f else None\n",
+        ("tests/test_optim.py", "-k", "every_gradient_reference"),
     ),
     Mutant(
         "empty --out refusal dropped",
@@ -180,6 +186,20 @@ MUTANTS = (
         "    if not 0.0 < eps < np.inf:\n",
         "    if False:\n",
         ("tests/test_masks.py", "-k", "eps_out_of_range"),
+    ),
+    Mutant(
+        "histogram prefix refusal dropped",
+        "src/magphase/cli.py",
+        "    if not prefix.name:\n",
+        "    if False:\n",
+        ("tests/test_cli.py", "-k", "prefix_with_no_file_name"),
+    ),
+    Mutant(
+        "non-finite ms refusal dropped",
+        "src/magphase/types.py",
+        "        if not (np.isfinite(win_ms) and np.isfinite(hop_ms)):\n",
+        "        if False:\n",
+        ("tests/test_cli.py", "-k", "cannot_hold"),
     ),
     Mutant(
         "fixed-phase kernel on conj(unit)",

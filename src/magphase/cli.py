@@ -36,7 +36,8 @@ def _add_stft_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fft", type=int, default=None, help="FFT size (default: next pow2)")
 
 
-def _stft_config(args, sample_rate_hz: int) -> StftConfig:
+def _stft_config(args, *signals) -> StftConfig:
+    """The flags' STFT config for signals of one rate; refused if its window outlasts one."""
     if (args.win is None) != (args.hop is None):
         raise SpecInvalidError("--win and --hop must be given together")
     if args.win is not None and (args.win_ms is not None or args.hop_ms is not None):
@@ -46,7 +47,12 @@ def _stft_config(args, sample_rate_hz: int) -> StftConfig:
     else:
         win_ms = args.win_ms if args.win_ms is not None else 32.0
         hop_ms = args.hop_ms if args.hop_ms is not None else 8.0
-        cfg = StftConfig.from_ms(win_ms, hop_ms, sample_rate_hz)
+        cfg = StftConfig.from_ms(win_ms, hop_ms, signals[0].sample_rate_hz)
+    shortest = min(len(x) for x in signals)
+    if cfg.win_length_samples > shortest:
+        raise SpecInvalidError(
+            f"window of {cfg.win_length_samples} samples exceeds the {shortest}-sample signal"
+        )
     if args.fft is not None:
         return StftConfig(cfg.win_length_samples, cfg.hop_length_samples, args.fft)
     return cfg
@@ -102,7 +108,7 @@ def cmd_metrics(args) -> int:
         raise SpecInvalidError(
             f"estimate is at {est.sample_rate_hz} Hz, reference at {ref.sample_rate_hz} Hz"
         )
-    cfg = _stft_config(args, ref.sample_rate_hz)
+    cfg = _stft_config(args, est, ref)
     rep = metrics.report(est, ref, stft(est, cfg), stft(ref, cfg))
     if args.json_out is not None:
         Path(args.json_out).write_text(rep.to_json())
@@ -119,7 +125,7 @@ _MASK_KINDS = ("iam", "psm", "psm-trunc", "psa-target")
 def cmd_mask(args) -> int:
     out = _out_path(args)
     s, y = _load_scene_dir(Path(args.scene))
-    cfg = _stft_config(args, y.sample_rate_hz)
+    cfg = _stft_config(args, y)
     S, Y = stft(s, cfg), stft(y, cfg)
     clamp = None if args.iam_clamp <= 0 else args.iam_clamp
     if args.kind == "iam":
@@ -215,7 +221,7 @@ def cmd_optimize(args) -> int:
         raise SpecInvalidError("--pair applies only with --trend")
     out = _out_path(args)
     s, y = _load_scene_dir(Path(args.scene))
-    cfg = _stft_config(args, y.sample_rate_hz)
+    cfg = _stft_config(args, y)
     targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -277,8 +283,10 @@ def cmd_histogram(args) -> int:
     if args.est_wav is not None and args.source != "est-wav":
         raise SpecInvalidError(f"--est-wav applies only with --source est-wav, not {args.source}")
     prefix = _out_path(args)
+    if not prefix.name:
+        raise SpecInvalidError(f"--out {args.out!r} names no file for the .csv/.pgm prefix")
     s, y = _load_scene_dir(Path(args.scene))
-    cfg = _stft_config(args, y.sample_rate_hz)
+    cfg = _stft_config(args, y)
     S, Y = stft(s, cfg), stft(y, cfg)
     if args.source == "oracle":
         est_mag = magnitude_of(S)

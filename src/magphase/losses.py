@@ -17,19 +17,20 @@ Every kind reads kind.time_weight and kind.mag_weight as they are:
 LossKind already holds 0 for a term the kind lacks and refuses any
 other value there.
 
-evaluate_loss is the one entry point: it scores every kind. The
-separable kinds (one T-F unit never sees another) are written once, as
-per-unit kernels: unit_kernel binds the reference-side terms and returns
-f(x) -> (value map, gradient map), or the maps at chosen units only with
-f(values, at=flat_idx). A loss value is the mean of the value map and its
-gradient is the gradient map over its size; optimizers line-search the
-maps per unit. fixed_phase_kernel is the same per-unit form for the
-complex separable kinds with a magnitude along a fixed phase as the free
-parameter. The waveform kinds are one body, time L1 of y plus, when
-the kind has one, the magnitude term of STFT(y). The iSTFT kinds are the
-waveform kinds of y = iSTFT(estimate), their gradient carried back by
-istft_adjoint; mag+ri-istft takes its magnitude term on the estimate
-itself rather than on STFT(y).
+evaluate_loss is the one entry point: it scores every kind, and computes
+a gradient only when asked. The separable kinds (one T-F unit never sees
+another) are written once, as per-unit kernels: unit_kernel binds the
+reference-side terms and returns f(x) -> (value map, gradient map
+function), or both at chosen units only with f(values, at=flat_idx). A
+loss value is the mean of the value map and its gradient is the gradient
+map over its size; optimizers line-search the maps per unit.
+fixed_phase_kernel is the same per-unit form for the complex separable
+kinds with a magnitude along a fixed phase as the free parameter. The
+waveform kinds are one body, time L1 of y plus, when the kind has one,
+the magnitude term of STFT(y). The iSTFT kinds are the waveform kinds of
+y = iSTFT(estimate), their gradient carried back by istft_adjoint;
+mag+ri-istft takes its magnitude term on the estimate itself rather than
+on STFT(y).
 
 Gradients with respect to complex spectrogram parameters are packed as
 dL/dRe + 1j * dL/dIm.
@@ -37,6 +38,7 @@ dL/dRe + 1j * dL/dIm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -88,7 +90,7 @@ def parse_loss_spec(spec: str | dict) -> LossKind:
 @dataclass(frozen=True)
 class LossValue:
     value: float
-    gradient: np.ndarray | None = None
+    gradient: Callable[[], np.ndarray] | None = None  # computes the gradient
 
 
 @dataclass(frozen=True)
@@ -120,21 +122,21 @@ def _unit(z: np.ndarray) -> np.ndarray:
 
 
 def _bind(body, *refs):
-    """Per-unit kernel f(x, want_grad=True, at=None) from an elementwise body.
+    """Per-unit kernel f(x, at=None) from an elementwise body.
 
-    body(x, want_grad, *refs) maps x and the reference maps refs (None
-    where unused) to (value map, gradient map or None). f(x) takes x and
-    refs whole. f(values, want_grad, at=flat_idx) takes the values at the
-    flat unit indices at and reads every reference map there; since body
-    is elementwise, its maps equal the whole maps at at bit for bit.
-    body must return new arrays: the per-unit descent writes into them.
+    body(x, *refs) maps x and the reference maps refs (None where unused)
+    to (value map, function computing the gradient map). f(x) takes x and
+    refs whole. f(values, at=flat_idx) takes the values at the flat unit
+    indices at and reads every reference map there; since body is
+    elementwise, its maps equal the whole maps at at bit for bit. body
+    must return new arrays: the per-unit descent writes into them.
     """
     flat = [None if r is None else r.reshape(-1) for r in refs]
 
-    def kernel(x, want_grad=True, at=None):
+    def kernel(x, at=None):
         if at is None:
-            return body(x, want_grad, *refs)
-        return body(x, want_grad, *(None if r is None else r[at] for r in flat))
+            return body(x, *refs)
+        return body(x, *(None if r is None else r[at] for r in flat))
 
     return kernel
 
@@ -142,16 +144,18 @@ def _bind(body, *refs):
 def _ri_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
     """Per-unit L1 over RI parts, plus mag_weight * ||z| - |S|| when nonzero."""
 
-    def body(z, want_grad, sr, si, mag_ref):
+    def body(z, sr, si, mag_ref):
         dr = z.real - sr
         di = z.imag - si
         val = time_weight * (np.abs(dr) + np.abs(di))
-        grad = time_weight * (_smooth_l1_grad(dr) + 1j * _smooth_l1_grad(di)) if want_grad else None
         if mag_weight:
             dm = np.abs(z) - mag_ref
             val = val + mag_weight * np.abs(dm)
-            if want_grad:
-                grad = grad + mag_weight * _smooth_l1_grad(dm) * _unit(z)
+
+        def grad():
+            g = time_weight * (_smooth_l1_grad(dr) + 1j * _smooth_l1_grad(di))
+            return g + mag_weight * _smooth_l1_grad(dm) * _unit(z) if mag_weight else g
+
         return val, grad
 
     return _bind(body, S.data.real, S.data.imag, np.abs(S.data) if mag_weight else None)
@@ -160,15 +164,17 @@ def _ri_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
 def _l2_kernel(S: Spectrogram, time_weight: float, mag_weight: float = 0.0):
     """Per-unit squared complex distance, plus mag_weight * (|z| - |S|)^2."""
 
-    def body(z, want_grad, ref, mag_ref):
+    def body(z, ref, mag_ref):
         d = z - ref
         val = time_weight * (d.real**2 + d.imag**2)
-        grad = 2.0 * time_weight * d if want_grad else None
         if mag_weight:
             dm = np.abs(z) - mag_ref
             val = val + mag_weight * dm * dm
-            if want_grad:
-                grad = grad + 2.0 * mag_weight * dm * _unit(z)
+
+        def grad():
+            g = 2.0 * time_weight * d
+            return g + 2.0 * mag_weight * dm * _unit(z) if mag_weight else g
+
         return val, grad
 
     return _bind(body, S.data, np.abs(S.data) if mag_weight else None)
@@ -182,20 +188,20 @@ def _phase_kernel(S: Spectrogram, time_weight: float):
     vanishes at zero-magnitude units.
     """
 
-    def body(z, want_grad, mag_ref, sr, si):
+    def body(z, mag_ref, sr, si):
         theta = np.where(z == 0, 0.0, np.angle(z))
         p_re = mag_ref * np.cos(theta)
         p_im = mag_ref * np.sin(theta)
         d_re = p_re - sr
         d_im = p_im - si
-        val = time_weight * (np.abs(d_re) + np.abs(d_im))
-        if not want_grad:
-            return val, None
-        dl_dtheta = time_weight * (_smooth_l1_grad(d_re) * (-p_im) + _smooth_l1_grad(d_im) * p_re)
-        rho2 = z.real**2 + z.imag**2
-        safe = np.where(rho2 > 0, rho2, 1.0)
-        grad = np.where(rho2 > 0, dl_dtheta * (-z.imag + 1j * z.real) / safe, 0.0 + 0.0j)
-        return val, grad
+
+        def grad():
+            dl_dt = time_weight * (_smooth_l1_grad(d_re) * (-p_im) + _smooth_l1_grad(d_im) * p_re)
+            rho2 = z.real**2 + z.imag**2
+            safe = np.where(rho2 > 0, rho2, 1.0)
+            return np.where(rho2 > 0, dl_dt * (-z.imag + 1j * z.real) / safe, 0.0 + 0.0j)
+
+        return time_weight * (np.abs(d_re) + np.abs(d_im)), grad
 
     return _bind(body, np.abs(S.data), S.data.real, S.data.imag)
 
@@ -203,21 +209,20 @@ def _phase_kernel(S: Spectrogram, time_weight: float):
 def _magnitude_kernel(ref: np.ndarray, mag_weight: float):
     """Per-unit L1 between a magnitude and a fixed magnitude target."""
 
-    def body(m, want_grad, target):
+    def body(m, target):
         d = m - target
-        return mag_weight * np.abs(d), mag_weight * _smooth_l1_grad(d) if want_grad else None
+        return mag_weight * np.abs(d), lambda: mag_weight * _smooth_l1_grad(d)
 
     return _bind(body, ref)
 
 
 def unit_kernel(kind: LossKind, targets: Targets):
-    """Per-unit form of a separable kind: f(x) -> (value map, gradient map).
+    """Per-unit form of a separable kind: f(x) -> (value map, gradient map function).
 
     x is the complex estimate for the spectrogram kinds and the magnitude
     for msa/psa. The reference-side terms are bound here, once. Gradient
     maps are per unit (dL/dRe + 1j dL/dIm for complex x), i.e. element
-    count times the gradient of the mean the loss reports;
-    f(x, want_grad=False) skips them and returns None in their place.
+    count times the gradient of the mean the loss reports.
     f(values, at=flat_idx) evaluates only the units at those flat indices
     (values holds x there) and returns their entries of both maps.
     """
@@ -255,7 +260,7 @@ def fixed_phase_kernel(kind: LossKind, targets: Targets, unit: np.ndarray):
       That moved the with-mag arm's mSNR from 18.70 dB to 17.47 dB.
 
     Like unit_kernel's, they are called as f(m) or f(values, at=flat_idx)
-    (_bind), and they always return the gradient map.
+    (_bind); they compute the gradient map with the values, as the descent reads it.
     """
     tw, mw = kind.time_weight, kind.mag_weight
     (S,) = _require(targets, "S")
@@ -266,11 +271,11 @@ def fixed_phase_kernel(kind: LossKind, targets: Targets, unit: np.ndarray):
         # copy keeps the descent's in-place writes off the bound map.
         p = mag_ref * unit
         const = tw * (np.abs(p.real - S.data.real) + np.abs(p.imag - S.data.imag))
-        return _bind(lambda m, want_grad, c: (c.copy(), np.zeros_like(m)), const)
+        return _bind(lambda m, c: (c.copy(), lambda: np.zeros_like(m)), const)
 
     if kind.tag in (LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG):
 
-        def l2_body(m, want_grad, proj, orth, mag_ref):
+        def l2_body(m, proj, orth, mag_ref):
             d = m - proj
             val = tw * (d * d + orth * orth)
             grad = 2.0 * tw * d
@@ -278,12 +283,12 @@ def fixed_phase_kernel(kind: LossKind, targets: Targets, unit: np.ndarray):
                 dm = m - mag_ref
                 val = val + mw * dm * dm
                 grad = grad + 2.0 * mw * dm
-            return val, grad
+            return val, lambda: grad
 
         along = np.conj(unit) * S.data  # |S| e^{j(angle S - phase)}
         return _bind(l2_body, along.real, along.imag, mag_ref if mw else None)
 
-    def l1_body(m, want_grad, cos_p, sin_p, sr, si, mag_ref):
+    def l1_body(m, cos_p, sin_p, sr, si, mag_ref):
         a = m * cos_p - sr
         b = m * sin_p - si
         val = tw * (np.abs(a) + np.abs(b))
@@ -292,35 +297,40 @@ def fixed_phase_kernel(kind: LossKind, targets: Targets, unit: np.ndarray):
             dm = m - mag_ref  # m >= 0, so |m e^{j phase}| = m
             val = val + mw * np.abs(dm)
             grad = grad + mw * _smooth_l1_grad(dm)
-        return val, grad
+        return val, lambda: grad
 
     return _bind(l1_body, unit.real, unit.imag, S.data.real, S.data.imag, mag_ref if mw else None)
 
 
-def _mean_of(kernel, x: np.ndarray, S: Spectrogram, want_grad: bool) -> LossValue:
+def _mean_of(kernel, x: np.ndarray, S: Spectrogram) -> LossValue:
     """Mean of a per-unit kernel over x, which must have the shape of S."""
     same_shape(x, S.data)
-    val, grad = kernel(x, want_grad)
-    return LossValue(float(np.mean(val)), grad / val.size if want_grad else None)
+    val, grad = kernel(x)
+    size = val.size  # the gradient function must not hold the value map
+    return LossValue(float(np.mean(val)), lambda: grad() / size)
 
 
-def _magnitude_term(X: np.ndarray, S: Spectrogram, mag_weight: float, want_grad: bool):
-    """Mean magnitude L1 of |X| vs |S|: (value, gradient w.r.t. complex X or None)."""
-    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(X), S, want_grad)
-    return mag.value, (mag.gradient * _unit(X) if want_grad else None)
+def _sum(a: LossValue, b: LossValue) -> LossValue:
+    """a + b, for two loss terms whose gradients share a domain."""
+    return LossValue(a.value + b.value, lambda: a.gradient() + b.gradient())
 
 
-def _waveform_loss(y, s, S, cfg, time_weight, mag_weight, want_grad) -> LossValue:
+def _magnitude_term(X: np.ndarray, S: Spectrogram, mag_weight: float) -> LossValue:
+    """Mean magnitude L1 of |X| vs |S|, with its gradient w.r.t. complex X."""
+    mag = _mean_of(_magnitude_kernel(np.abs(S.data), mag_weight), np.abs(X), S)
+    return LossValue(mag.value, lambda: mag.gradient() * _unit(X))
+
+
+def _waveform_loss(y, s, S, cfg, time_weight, mag_weight) -> LossValue:
     """Mean time L1 of samples y vs s, plus the magnitude term of STFT(y) unless S is None."""
     e = y - s.samples
-    value = time_weight * float(np.mean(np.abs(e)))
-    grad = time_weight * _smooth_l1_grad(e) / e.size if want_grad else None
-    if S is not None:
-        mag, cot = _magnitude_term(stft_array(y, cfg), S, mag_weight, want_grad)
-        value = value + mag
-        if want_grad:
-            grad = grad + stft_adjoint(cot, cfg, len(y))
-    return LossValue(value, grad)
+    wav = LossValue(
+        time_weight * float(np.mean(np.abs(e))), lambda: time_weight * _smooth_l1_grad(e) / e.size
+    )
+    if S is None:
+        return wav
+    mag = _magnitude_term(stft_array(y, cfg), S, mag_weight)
+    return _sum(wav, LossValue(mag.value, lambda: stft_adjoint(mag.gradient(), cfg, e.size)))
 
 
 def _check_istft_shapes(est: Spectrogram, s: TimeSignal) -> None:
@@ -335,9 +345,8 @@ def evaluate_loss(
     kind: LossKind,
     estimate: Spectrogram | MagSpectrogram | TimeSignal,
     targets: Targets,
-    want_grad: bool = False,
 ) -> LossValue:
-    """Value (and gradient, if want_grad) of a loss kind at an estimate.
+    """Value of a loss kind at an estimate, with a function computing its gradient.
 
     The estimate's domain must match the kind: Spectrogram for the
     complex/consistency/phase/quadratic kinds, MagSpectrogram for
@@ -350,8 +359,7 @@ def evaluate_loss(
         raise MissingTargetError(f"loss {tag.value} expects a {domain.__name__} estimate")
 
     if tag in SEPARABLE_TAGS:
-        kernel = unit_kernel(kind, targets)
-        return _mean_of(kernel, estimate.data, targets.S, want_grad)
+        return _mean_of(unit_kernel(kind, targets), estimate.data, targets.S)
     context = f"loss {tag.value}"
     if tag not in _MAG_TERM_TAGS:
         (s,) = _require(targets, "s", context=context)
@@ -362,7 +370,7 @@ def evaluate_loss(
         if len(estimate) != len(s):
             raise ShapeMismatchError(f"length mismatch: {len(estimate)} vs {len(s)}")
         cfg = None if S is None else S.config
-        return _waveform_loss(estimate.samples, s, S, cfg, tw, mw, want_grad)
+        return _waveform_loss(estimate.samples, s, S, cfg, tw, mw)
 
     _check_istft_shapes(estimate, s)
     if S is not None:
@@ -370,15 +378,9 @@ def evaluate_loss(
     cfg = estimate.config
     on_estimate = tag is LossTag.MAG_RI_ISTFT
     y = istft_array(estimate.data, cfg, len(s))
-    wav = _waveform_loss(y, s, None if on_estimate else S, cfg, tw, mw, want_grad)
-    value = wav.value
-    grad = istft_adjoint(wav.gradient, cfg, estimate.num_frames) if want_grad else None
-    if on_estimate:
-        mag, cot = _magnitude_term(estimate.data, S, mw, want_grad)
-        value = value + mag
-        if want_grad:
-            grad = grad + cot
-    return LossValue(value, grad)
+    wav = _waveform_loss(y, s, None if on_estimate else S, cfg, tw, mw)
+    lv = LossValue(wav.value, lambda: istft_adjoint(wav.gradient(), cfg, estimate.num_frames))
+    return _sum(lv, _magnitude_term(estimate.data, S, mw)) if on_estimate else lv
 
 
 def pit_wrap(

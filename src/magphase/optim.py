@@ -12,9 +12,9 @@ the constraint rather than the compensation itself.
 Descent is momentum GD with a backtracking safeguard: a step that would
 increase the loss is retried with a halved step size (momentum dropped),
 so the recorded loss is non-increasing. Magnitude parameters are clamped
-to be nonnegative after every step. In the coupled descent a retry asks
-for the loss value only; the candidate a step keeps pays for one gradient
-(a step's first try, which most steps keep, asks for both at once).
+to be nonnegative after every step. The coupled descent evaluates each
+try once and computes a gradient only for a try that passes on its
+value.
 
 optimize is the one driver: it composes each loss through the
 parameterization's map to the complex spectrogram and that map's adjoint,
@@ -277,7 +277,8 @@ def _descend_separable(problem, x, per_unit, project):
     the candidate everywhere except at the units still failing, which
     keep their point and drop their momentum.
     """
-    L, G = per_unit(x)
+    L, grad = per_unit(x)
+    G = grad()
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(G))):
         raise DivergedError("objective non-finite at the initial point")
     lr = np.full(L.shape, problem.step_size)
@@ -287,7 +288,8 @@ def _descend_separable(problem, x, per_unit, project):
         lr = np.minimum(lr * 2.0, problem.step_size)  # recover between steps
         vel = problem.momentum * vel - lr * G
         cand = project(x + vel)
-        Lc, Gc = per_unit(cand)
+        Lc, grad = per_unit(cand)
+        Gc = grad()
         # Flat views: every array here is a fresh C-contiguous result.
         x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_ = (
             a.reshape(-1) for a in (x, L, G, lr, vel, cand, Lc, Gc)
@@ -299,7 +301,8 @@ def _descend_separable(problem, x, per_unit, project):
             lr_[idx] *= 0.5
             vel_[idx] = -lr_[idx] * G_[idx]  # momentum dropped
             cand_[idx] = project(x_[idx] + vel_[idx])
-            Lc_[idx], Gc_[idx] = per_unit(cand_[idx], at=idx)
+            Lc_[idx], grad = per_unit(cand_[idx], at=idx)
+            Gc_[idx] = grad()
             idx = idx[_failed(Lc_[idx], Gc_[idx], L_[idx])]
             tries += 1
         cand_[idx] = x_[idx]
@@ -307,30 +310,23 @@ def _descend_separable(problem, x, per_unit, project):
         Lc_[idx] = L_[idx]
         Gc_[idx] = G_[idx]
         # Drop the views, or they would keep this step's arrays alive into the next.
-        del x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_
+        del x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_, grad
         x, L, G = cand, Lc, Gc
         yield k, L, x
-
-
-def _accepted(fc, gc, f):
-    """A candidate is taken when its loss is finite and no higher and its gradient is finite.
-
-    gc is None after a value-only try, which the value test then fails."""
-    return math.isfinite(fc) and fc <= f and np.all(np.isfinite(gc))
 
 
 def _descend_coupled(problem, x, value_and_grad, project):
     """Single global step with backtracking; for losses coupled across units.
 
     Yields (step, loss, params) for step 0 and every accepted step; stops
-    when no step size makes progress. A step's first try asks for value
-    and gradient, since most steps take it. Each backtracking try asks for
-    the value only, and the candidate that passes on its value then pays
-    for its gradient once; a non-finite gradient there fails the try and
-    halving goes on. The values do not depend on want_grad, so the descent
-    takes the same decisions as one that asks every try for its gradient.
+    when no step size makes progress. Each try evaluates the loss once. A
+    try whose value is finite and no higher computes its gradient, and is
+    kept if that is finite; otherwise halving goes on. So the descent takes
+    the same decisions as one that computes every try's gradient.
     """
-    f, g = value_and_grad(x, want_grad=True)
+    f, grad = value_and_grad(x)
+    g = grad()
+    del grad  # a try's intermediates must not outlive it
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise DivergedError("objective non-finite at the initial point")
     # Mean-normalized losses scale gradients by 1/element-count; undo that
@@ -344,17 +340,17 @@ def _descend_coupled(problem, x, value_and_grad, project):
         # only, so one cautious step does not slow the rest of the run.
         lr = lr0
         vel_try = problem.momentum * vel - lr * g
-        cand = project(x + vel_try)
-        fc, gc = value_and_grad(cand, want_grad=True)
-        while not _accepted(fc, gc, f) and lr > floor:
+        while True:
+            cand = project(x + vel_try)
+            fc, grad = value_and_grad(cand)
+            gc = grad() if math.isfinite(fc) and fc <= f else None
+            del grad
+            if gc is not None and np.all(np.isfinite(gc)):
+                break
+            if lr <= floor:
+                return
             lr *= 0.5
             vel_try = -lr * g  # momentum dropped on backtrack
-            cand = project(x + vel_try)
-            fc, gc = value_and_grad(cand, want_grad=False)
-            if math.isfinite(fc) and fc <= f:
-                fc, gc = value_and_grad(cand, want_grad=True)
-        if not _accepted(fc, gc, f):
-            return
         x, f, g, vel = cand, fc, gc, vel_try
         yield k, f, x
 
@@ -393,13 +389,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     def to_spec(x):
         return Spectrogram(to_complex(x), cfg)
 
-    def value_and_grad(x, want_grad):
-        """The loss at x and, if want_grad, its gradient in the parameters (else None)."""
+    def value_and_grad(x):
+        """The loss at x and a function computing its gradient in the parameters."""
         if loss.tag in WAVEFORM_TAGS:
-            lv = evaluate_loss(loss, to_sig(x), targets, want_grad)
+            lv = evaluate_loss(loss, to_sig(x), targets)
             return lv.value, lv.gradient
-        lv = evaluate_loss(loss, to_spec(x), targets, want_grad)
-        return lv.value, chain(lv.gradient) if want_grad else None
+        lv = evaluate_loss(loss, to_spec(x), targets)
+        return lv.value, lambda: chain(lv.gradient())
 
     traj = TrajectoryRecord()
 

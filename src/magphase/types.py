@@ -65,6 +65,8 @@ class StftConfig:
 
     @classmethod
     def from_ms(cls, win_ms: float, hop_ms: float, sample_rate_hz: int) -> "StftConfig":
+        if not (np.isfinite(win_ms) and np.isfinite(hop_ms)):
+            raise ConfigInvalidError(f"window and hop must be finite ms, got {win_ms}, {hop_ms}")
         wl = int(round(win_ms * sample_rate_hz / 1000.0))
         hl = int(round(hop_ms * sample_rate_hz / 1000.0))
         return cls.for_window(wl, hl)

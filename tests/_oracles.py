@@ -154,8 +154,7 @@ def fd_gradient_rel_err(case: LossCase, n_coords: int = 24, h: float = 1e-6, see
     FD differentiates the exact L1 values the losses report; away from
     kinks that agrees with the smoothed analytic gradient to ~1e-10.
     """
-    lv = evaluate_loss(case.kind, case.wrap(case.x0), case.targets, want_grad=True)
-    g = lv.gradient
+    g = evaluate_loss(case.kind, case.wrap(case.x0), case.targets).gradient()
     assert g is not None and np.all(np.isfinite(g))
     rng = np.random.default_rng(777 + seed)
     flat = rng.choice(case.x0.size, size=min(n_coords, case.x0.size), replace=False)
@@ -263,7 +262,8 @@ def full_eval_descend_separable(problem, x, per_unit, project):
     """optim._descend_separable as a full-map search: every backtracking
     retry re-evaluates all units, and the step commits through np.where.
     Like it, a generator of (step, loss map, params) from step 0 on."""
-    L, G = per_unit(x)
+    L, grad = per_unit(x)
+    G = grad()
     lr = np.full(L.shape, problem.step_size)
     vel = np.zeros_like(G)
     yield 0, L, x
@@ -271,14 +271,16 @@ def full_eval_descend_separable(problem, x, per_unit, project):
         lr = np.minimum(lr * 2.0, problem.step_size)
         vel_try = problem.momentum * vel - lr * G
         cand = project(x + vel_try)
-        Lc, Gc = per_unit(cand)
+        Lc, grad = per_unit(cand)
+        Gc = grad()
         bad = ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
         tries = 0
         while bad.any() and tries < 60:
             lr = np.where(bad, 0.5 * lr, lr)
             vel_try = np.where(bad, -lr * G, vel_try)
             cand = project(x + vel_try)
-            Lc, Gc = per_unit(cand)
+            Lc, grad = per_unit(cand)
+            Gc = grad()
             bad = ~((Lc <= L) & np.isfinite(Lc) & np.isfinite(Gc))
             tries += 1
         x = np.where(bad, x, cand)
@@ -292,9 +294,9 @@ def full_eval_descend_separable(problem, x, per_unit, project):
 
 
 def every_gradient_descend_coupled(problem, x, value_and_grad, project):
-    """optim._descend_coupled as it was before value-only backtracking: every
-    try, backtracking ones included, asks value_and_grad(x) for value and
-    gradient. Like it, a generator of (step, loss, params) from step 0 on."""
+    """optim._descend_coupled as a descent that takes every try's gradient:
+    each try, backtracking ones included, asks value_and_grad(x) for value
+    and gradient. Like it, a generator of (step, loss, params) from step 0 on."""
     f, g = value_and_grad(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise DivergedError("objective non-finite at the initial point")

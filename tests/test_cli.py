@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -249,6 +250,7 @@ def _expect_spec_error(capsys, argv, match):
         ('{"momentum": false}', "momentum: expected a number"),
         ('{"phase_source": 1}', "phase_source: expected a string"),
         ('{"init": null}', "init: expected a string"),
+        ("[1, 2]", "problem JSON must be an object"),
     ],
     ids=[
         "top_level_mag_weight",
@@ -265,6 +267,7 @@ def _expect_spec_error(capsys, argv, match):
         "bool_momentum",
         "number_phase_source",
         "null_init",
+        "not_an_object",
     ],
 )
 def test_optimize_problem_json_fails_loudly(scene_dir, tmp_path, capsys, text, match):
@@ -394,6 +397,28 @@ def test_optimize_trend_pair_needs_two_losses(scene_dir, tmp_path, capsys, pair)
     _expect_spec_error(capsys, argv, "exactly two")
 
 
+def test_optimize_trend_pair_runs_the_named_losses(scene_dir, tmp_path, capsys):
+    out = tmp_path / "trend"
+    argv = ["optimize", "--scene", scene_dir, "--out", out, "--trend", "--pair", "ri,ri+mag"]
+    assert run(*argv, "--steps", 5, "--win", 200, "--hop", 80) == 0
+    rows = (out / "trend.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["arm", "ri", "ri+mag"]
+    assert capsys.readouterr().out.startswith("ri: si_sdr ")
+
+
+@pytest.mark.parametrize(
+    "source, match",
+    [("custom", "phase_source 'custom' needs custom_phase"), ("moon", "unknown phase source 'moon'")],
+)
+def test_optimize_refuses_a_phase_source_it_cannot_build(scene_dir, tmp_path, capsys, source, match):
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"phase_source": source}))
+    argv = ["optimize", "--scene", scene_dir, "--problem", problem, "--steps", 3, "--win", 200]
+    assert run(*argv, "--hop", 80, "--out", tmp_path / "o") == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: {match}\n"
+
+
 def test_fft_flag_sets_the_fft_size(scene_dir, tmp_path, capsys):
     # --fft replaces the power of two the window implies, in samples and in ms alike.
     s, y = read_wav(scene_dir / "s.wav"), read_wav(scene_dir / "y.wav")
@@ -520,6 +545,73 @@ def test_out_of_range_mask_and_histogram_values_exit_1(scene_dir, tmp_path, caps
     stdout, err = capsys.readouterr()
     assert stdout == "" and err == f"error: {match}\n"
     assert not out.exists()
+
+
+def _must_not_run(*args):
+    raise AssertionError("reached before the refusal")
+
+
+def _expect_exit_1(capsys, argv, match):
+    """main exits 1 with the message matching match and no traceback."""
+    assert run(*argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "Traceback" not in err
+    assert re.fullmatch(f"error: {match}\n", err), err
+
+
+_STFT_COMMANDS = {
+    "metrics": lambda scene, out: ["metrics", "--est", scene / "y.wav", "--ref", scene / "s.wav"],
+    "mask": lambda scene, out: ["mask", "--kind", "iam", "--scene", scene, "--out", out],
+    "optimize": lambda scene, out: ["optimize", "--scene", scene, "--steps", 3, "--out", out],
+    "histogram": lambda scene, out: ["histogram", "--source", "oracle", "--scene", scene, "--out", out],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_STFT_COMMANDS))
+@pytest.mark.parametrize(
+    "flags, match",
+    [
+        (("--win-ms", "nan"), r"window and hop must be finite ms, got nan, 8\.0"),
+        (("--win-ms", "inf"), r"window and hop must be finite ms, got inf, 8\.0"),
+        (("--hop-ms=-inf",), r"window and hop must be finite ms, got 32\.0, -inf"),
+        (("--win-ms", "1e30"), r"window of \d+ samples exceeds the 8000-sample signal"),
+        (("--win", 10**9, "--hop", 1), "window of 1000000000 samples exceeds the 8000-sample signal"),
+        (("--win", 100000, "--hop", 50000), "window of 100000 samples exceeds the 8000-sample signal"),
+    ],
+    ids=["nan_ms", "inf_ms", "neg_inf_hop_ms", "huge_ms", "huge_win", "win_over_signal"],
+)
+def test_window_the_signal_cannot_hold_exits_1_before_any_stft(
+    scene_dir, tmp_path, monkeypatch, capsys, command, flags, match
+):
+    # These died with ValueError or OverflowError tracebacks (nan, inf and
+    # 1e30 ms in from_ms or in the STFT's allocation), or, for a window
+    # the 8000-sample scene cannot hold, ran on a single padded frame.
+    from magphase import cli
+
+    monkeypatch.setattr(cli, "stft", _must_not_run)
+    out = tmp_path / "o"
+    _expect_exit_1(capsys, [*_STFT_COMMANDS[command](scene_dir, out), *flags], match)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("prefix", [".", "/"])
+def test_histogram_refuses_a_prefix_with_no_file_name(scene_dir, monkeypatch, capsys, prefix):
+    # with_suffix raised "has an empty name" after the histogram was built.
+    from magphase import cli
+
+    monkeypatch.setattr(cli, "_load_scene_dir", _must_not_run)
+    argv = ["histogram", "--source", "oracle", "--scene", scene_dir, "--out", prefix]
+    _expect_spec_error(capsys, argv, re.escape(f"--out '{prefix}' names no file"))
+
+
+@pytest.mark.parametrize("mismatch", ["rate", "length"])
+def test_scene_whose_wavs_disagree_is_refused(scene_dir, tmp_path, capsys, mismatch):
+    y = read_wav(scene_dir / "y.wav")
+    y = TimeSignal(y.samples, 16000) if mismatch == "rate" else TimeSignal(y.samples[:-1], 8000)
+    write_wav(scene_dir / "y.wav", y)
+    argv = ["mask", "--kind", "iam", "--scene", scene_dir, "--out", tmp_path / "o"]
+    _expect_spec_error(capsys, argv, "scene s.wav and y.wav disagree in rate or length")
+    assert not (tmp_path / "o").exists()
 
 
 def test_metrics_rejects_sample_rate_mismatch(scene_dir, tmp_path, capsys):

@@ -26,9 +26,9 @@ def one_unit(z):
     return Spectrogram(np.array([[z]], dtype=complex), StftConfig(2, 1, 2))
 
 
-def loss(tag, est, want_grad=False, **targets):
+def loss(tag, est, **targets):
     """evaluate_loss for a tag at default weights, targets by keyword."""
-    return evaluate_loss(LossKind(tag), est, Targets(**targets), want_grad)
+    return evaluate_loss(LossKind(tag), est, Targets(**targets))
 
 
 # --- hand-computed values ---------------------------------------------------
@@ -123,20 +123,32 @@ def test_gradient_matches_finite_differences(tag):
 
 
 @pytest.mark.parametrize("tag", list(LossTag))
-def test_value_does_not_depend_on_want_grad(tag):
-    # The coupled descent backtracks on values taken without the gradient
-    # and takes the gradient of the candidate it keeps; it makes the same
-    # decisions as asking every try for both only if the values agree bit
-    # for bit. The zero estimate reaches the kernels' zero-magnitude branches.
+def test_value_does_not_depend_on_want_grad(tag, monkeypatch):
+    # The coupled descent reads a try's value and computes its gradient
+    # only if the value passes; it makes the same decisions as one that
+    # computes every gradient only if the value is the same bits whether or
+    # not the gradient is read. An unread gradient runs no adjoint map, and
+    # a read one still matches finite differences. The zero estimate
+    # reaches the kernels' zero-magnitude branches.
+    from magphase import losses
+
+    adjoints = []
+    for name in ("istft_adjoint", "stft_adjoint"):
+        real = getattr(losses, name)
+        monkeypatch.setattr(losses, name, lambda *a, real=real: adjoints.append(a) or real(*a))
     for seed in range(2):
         case = make_loss_case(tag, seed)
         for x in (case.x0, np.zeros_like(case.x0)):
             est = case.wrap(x)
-            with_grad = evaluate_loss(case.kind, est, case.targets, want_grad=True)
-            value_only = evaluate_loss(case.kind, est, case.targets, want_grad=False)
-            assert value_only.gradient is None
-            assert with_grad.gradient is not None
-            assert np.float64(value_only.value).tobytes() == np.float64(with_grad.value).tobytes()
+            adjoints.clear()
+            value_only = evaluate_loss(case.kind, est, case.targets)
+            assert adjoints == []
+            read = evaluate_loss(case.kind, est, case.targets)
+            grad = read.gradient()
+            assert np.float64(value_only.value).tobytes() == np.float64(read.value).tobytes()
+            assert grad.shape == x.shape and np.all(np.isfinite(grad))
+            assert grad.tobytes() == value_only.gradient().tobytes()
+        assert fd_gradient_rel_err(case, n_coords=16, seed=seed) < 1e-5
 
 
 # --- structural identities ---------------------------------------------------
@@ -300,10 +312,8 @@ def test_parse_loss_tag():
 def test_gradient_of_magnitude_at_zero_is_zero():
     est = one_unit(0)
     S = one_unit(1 + 1j)
-    lv = loss(LossTag.RI_MAG, est, want_grad=True, S=S)
-    assert np.isfinite(lv.gradient).all()
-    lv = loss(LossTag.PHASE, est, want_grad=True, S=S)
-    assert lv.gradient[0, 0] == 0
+    assert np.isfinite(loss(LossTag.RI_MAG, est, S=S).gradient()).all()
+    assert loss(LossTag.PHASE, est, S=S).gradient()[0, 0] == 0
 
 
 # --- PIT ----------------------------------------------------------------------

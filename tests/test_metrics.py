@@ -121,6 +121,13 @@ def test_snr_values():
     assert snr(sig(2.0 * s.samples), s) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_snr_and_psnr_refuse_a_silent_reference():
+    with pytest.raises(ZeroSignalError, match="all-zero"):
+        snr(sig([1.0, 2.0]), sig([0.0, 0.0]))
+    with pytest.raises(SilentReferenceError, match="zero energy"):
+        psnr(spec(np.ones((2, 3))), spec(np.zeros((2, 3))))
+
+
 # --- mSNR ---------------------------------------------------------------------
 
 

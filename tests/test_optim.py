@@ -361,31 +361,43 @@ def coupled_targets():
 def test_coupled_descent_matches_every_gradient_reference(
     coupled_targets, param, tag, steps, monkeypatch
 ):
-    # Backtracking tries take the value only and the kept candidate pays
-    # for its gradient; the states must equal bit for bit those of the
-    # descent that asks every try for its gradient, at no more than two
-    # gradients per accepted step (its first try and the kept one) plus
-    # one at the start.
+    # Each try evaluates the loss once and computes its gradient only if
+    # its value is finite and no higher than the current loss; the states
+    # must equal bit for bit those of the descent that computes every
+    # try's gradient, which also evaluates each try once.
     from _oracles import every_gradient_descend_coupled
 
     from magphase import optim
 
-    def recorded(descend, calls, states):
-        def run(problem, x, value_and_grad, project):
-            def counted(z, want_grad):
-                calls.append(want_grad)
-                return value_and_grad(z, want_grad)
+    real_evaluate, descend = optim.evaluate_loss, optim._descend_coupled
+    tries = []  # per evaluation: [value, loss it must not exceed, gradients computed]
 
-            for k, f, x in descend(problem, x, counted, project):
+    def recorded(descend, states):
+        def run(problem, x, value_and_grad, project):
+            for k, f, x in descend(problem, x, value_and_grad, project):
                 states.append((k, f, x.tobytes()))
                 yield k, f, x
 
         return run
 
+    def counted(kind, estimate, targets):
+        lv = real_evaluate(kind, estimate, targets)
+        entry = [lv.value, states[-1][1] if states else math.inf, 0]
+        tries.append(entry)
+
+        def gradient():
+            entry[2] += 1
+            return lv.gradient()
+
+        return LossValue(lv.value, gradient)
+
     def reference(problem, x, value_and_grad, project):
-        return every_gradient_descend_coupled(
-            problem, x, lambda z: value_and_grad(z, want_grad=True), project
-        )
+        def every_gradient(z):
+            ref_tries.append(z)
+            f, grad = value_and_grad(z)
+            return f, grad()
+
+        return every_gradient_descend_coupled(problem, x, every_gradient, project)
 
     problem = OptimizationProblem(
         parameterization=param,
@@ -394,41 +406,49 @@ def test_coupled_descent_matches_every_gradient_reference(
         cfg=CFG_COUPLED,
         steps=steps,
     )
-    calls, states, ref_calls, ref_states = [], [], [], []
-    monkeypatch.setattr(optim, "_descend_coupled", recorded(optim._descend_coupled, calls, states))
+    states, ref_states, ref_tries = [], [], []
+    monkeypatch.setattr(optim, "evaluate_loss", counted)
+    monkeypatch.setattr(optim, "_descend_coupled", recorded(descend, states))
     got = optimize(problem)
-    monkeypatch.setattr(optim, "_descend_coupled", recorded(reference, ref_calls, ref_states))
+    monkeypatch.setattr(optim, "evaluate_loss", real_evaluate)
+    monkeypatch.setattr(optim, "_descend_coupled", recorded(reference, ref_states))
     want = optimize(problem)
     assert states == ref_states
     assert got.stop_reason == want.stop_reason
     assert got.trajectory == want.trajectory
-    assert calls.count(True) <= 2 * (len(states) - 1) + 1
+    assert len(tries) == len(ref_tries)
+    for value, bound, gradients in tries:
+        assert gradients == (math.isfinite(value) and value <= bound)
     if param is Parameterization.FREE_WAVEFORM:  # every step backtracks
-        assert calls.count(False) > 0
-        assert calls.count(True) < len(ref_calls)
+        assert sum(gradients for *_, gradients in tries) < len(tries)
 
 
 def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candidate():
     # f = x^2 from x = 1 with step 2: the first try (-3) fails on value;
     # the first halving (-1) passes on value, but its gradient is NaN, so
-    # the try fails and the second halving (0) is kept.
+    # the try fails and the second halving (0) is kept. Each try is
+    # evaluated once, and only the two that pass on value compute a gradient.
     from types import SimpleNamespace
 
     from magphase.optim import _descend_coupled
 
     calls = []
 
-    def value_and_grad(x, want_grad):
-        calls.append((float(x[0]), want_grad))
-        if not want_grad:
-            return float(x[0] ** 2), None
-        return float(x[0] ** 2), np.full_like(x, np.nan) if x[0] == -1.0 else 2.0 * x
+    def value_and_grad(x):
+        calls.append((float(x[0]), "value"))
+
+        def gradient():
+            calls.append((float(x[0]), "gradient"))
+            return np.full_like(x, np.nan) if x[0] == -1.0 else 2.0 * x
+
+        return float(x[0] ** 2), gradient
 
     problem = SimpleNamespace(step_size=2.0, momentum=0.9, steps=1)
     states = list(_descend_coupled(problem, np.array([1.0]), value_and_grad, lambda x: x))
     assert [(k, f, float(x[0])) for k, f, x in states] == [(0, 1.0, 1.0), (1, 0.0, 0.0)]
     assert calls == [
-        (1.0, True), (-3.0, True), (-1.0, False), (-1.0, True), (0.0, False), (0.0, True)
+        (1.0, "value"), (1.0, "gradient"), (-3.0, "value"), (-1.0, "value"),
+        (-1.0, "gradient"), (0.0, "value"), (0.0, "gradient"),
     ]
 
 
@@ -440,13 +460,15 @@ def test_coupled_step_with_no_finite_gradient_ends_the_run(scene_targets, monkey
     real = optim.evaluate_loss
     grads = []
 
-    def nan_gradients(kind, estimate, targets, want_grad=False):
-        lv = real(kind, estimate, targets, want_grad)
-        if want_grad:
-            grads.append(want_grad)
-            if len(grads) > 1:
-                return LossValue(lv.value, np.full_like(lv.gradient, np.nan))
-        return lv
+    def nan_gradients(kind, estimate, targets):
+        lv = real(kind, estimate, targets)
+
+        def gradient():
+            grads.append(1)
+            g = lv.gradient()
+            return g if len(grads) == 1 else np.full_like(g, np.nan)
+
+        return LossValue(lv.value, gradient)
 
     monkeypatch.setattr(optim, "evaluate_loss", nan_gradients)
     problem = OptimizationProblem(
@@ -460,7 +482,7 @@ def test_coupled_step_with_no_finite_gradient_ends_the_run(scene_targets, monkey
     assert result.stop_reason == "no progress at step 1"
     assert result.trajectory.steps == [0]
     assert result.params.tobytes() == scene_targets.y.samples.tobytes()
-    assert len(grads) > 2  # halvings whose value passed asked for a gradient too
+    assert len(grads) > 2  # halvings whose value passed computed a gradient too
 
 
 def test_free_waveform_descends(scene_targets):
@@ -729,6 +751,23 @@ def test_nonfinite_objective_raises_diverged(scene_targets):
         )
 
 
+def test_coupled_descent_refuses_a_non_finite_start(scene_targets):
+    # A NaN in the reference makes the waveform loss NaN at the initial point.
+    from magphase.errors import DivergedError
+
+    bad = np.array(scene_targets.s.samples)
+    bad[0] = np.nan
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_WAVEFORM,
+        loss=LossKind(LossTag.WAV),
+        targets=Targets(s=TimeSignal(bad, 8000), y=scene_targets.y),
+        cfg=CFG_SCENE,
+        steps=5,
+    )
+    with pytest.raises(DivergedError, match="non-finite at the initial point"):
+        optimize(problem)
+
+
 def test_waveform_params_with_spectral_loss(scene_targets):
     # Spectrogram-domain losses chain through the forward STFT when the
     # free parameter is the waveform itself.
@@ -798,10 +837,11 @@ def test_separable_kernels_match_loss_contract(scene_targets, tag, param):
         est = Spectrogram(x, CFG_SCENE)
     else:
         x, est = m, Spectrogram(m * u, CFG_SCENE)
-    L, G = per_unit(x)
-    lv = evaluate_loss(loss, est, scene_targets, want_grad=True)
+    L, grad = per_unit(x)
+    G = grad()
+    lv = evaluate_loss(loss, est, scene_targets)
     assert float(np.mean(L)) == pytest.approx(lv.value, abs=1e-12)
-    g = lv.gradient * L.size
+    g = lv.gradient() * L.size
     if param is Parameterization.FREE_MAG_FIXED_PHASE and tag not in (LossTag.MSA, LossTag.PSA):
         g = (np.conj(u) * g).real
     live = m > 0
@@ -835,16 +875,17 @@ def test_separable_kernels_at_units_match_full_maps(scene_targets, tag, param):
         x = m * np.exp(1j * (phase_of(scene_targets.Y) + 0.3))
     else:
         x = m
-    L, G = per_unit(x)
+    L, grad = per_unit(x)
+    G = grad()
     rng = np.random.default_rng(7)
     for at in (
         rng.choice(x.size, size=x.size // 10, replace=False),
         np.array([], dtype=np.intp),
         np.arange(x.size),
     ):
-        La, Ga = per_unit(x.reshape(-1)[at], at=at)
+        La, grad = per_unit(x.reshape(-1)[at], at=at)
         assert La.tobytes() == L.reshape(-1)[at].tobytes()
-        assert Ga.tobytes() == G.reshape(-1)[at].tobytes()
+        assert grad().tobytes() == G.reshape(-1)[at].tobytes()
 
 
 @pytest.mark.parametrize("tag", [LossTag.RI, LossTag.RI_MAG], ids=lambda t: t.value)

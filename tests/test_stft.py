@@ -179,6 +179,16 @@ def test_adjoint_dot_products():
     assert abs(lhs - rhs) < 1e-9 * abs(lhs)
 
 
+def test_istft_array_refuses_wrong_bins_and_negative_length():
+    # istft validates the container first; istft_array, which the losses
+    # call on raw arrays, checks for itself.
+    data = np.zeros((3, CFG_200.num_bins), dtype=complex)
+    with pytest.raises(ShapeMismatchError, match="128 bins, config implies 129"):
+        istft_array(data[:, 1:], CFG_200, 100)
+    with pytest.raises(ShapeMismatchError, match="nonnegative"):
+        istft_array(data, CFG_200, -1)
+
+
 def test_istft_pads_when_out_len_exceeds_coverage():
     X = _rand_spec(13, CFG_200, 5)
     y = istft(X, 10_000)

@@ -188,6 +188,39 @@ def test_write_wav_bytes_equal_scipy_float32(tmp_path, frames):
     assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
+def riff(*chunks) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+_PCM16 = struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)
+_FRAMES = chunk(b"data", bytes(8))
+
+
+@pytest.mark.parametrize(
+    "raw, match",
+    [
+        (riff(chunk(b"fmt ", _PCM16[:14]), _FRAMES), "fmt chunk has 14 bytes, fewer than 16"),
+        (
+            riff(chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 8000, 2, 16)), _FRAMES),
+            "byte rate 8000 is not rate 8000 x block 2",
+        ),
+        (
+            riff(chunk(b"fmt ", struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 16)), _FRAMES),
+            "16-bit float in 4-byte containers",
+        ),
+        (riff(_FRAMES, chunk(b"fmt ", _PCM16)), "no fmt chunk before the data chunk"),
+        (riff(chunk(b"fmt ", _PCM16), chunk(b"data", bytes(3))), "not whole 2-byte frames"),
+    ],
+    ids=["short_fmt", "pcm_byte_rate", "float_width", "data_before_fmt", "partial_frame"],
+)
+def test_reader_refuses_malformed_fmt_and_data_chunks(tmp_path, raw, match):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(raw)
+    with pytest.raises(SpecInvalidError, match=match):
+        read_wav(path)
+
+
 def test_import_loads_no_scipy():
     code = "import sys, magphase; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
