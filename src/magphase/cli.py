@@ -54,6 +54,13 @@ def _stft_config(args, *signals) -> StftConfig:
             f"window of {cfg.win_length_samples} samples exceeds the {shortest}-sample signal"
         )
     if args.fft is not None:
+        # cfg.fft_size is the power of two the window implies; far above it
+        # the STFT would only allocate, or fail with a traceback.
+        if args.fft > 8 * cfg.fft_size:
+            raise SpecInvalidError(
+                f"--fft {args.fft} exceeds {8 * cfg.fft_size}, 8 times the window's "
+                f"{cfg.fft_size}-point FFT"
+            )
         return StftConfig(cfg.win_length_samples, cfg.hop_length_samples, args.fft)
     return cfg
 

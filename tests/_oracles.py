@@ -1,7 +1,8 @@
 """Shared test oracles: loss-case builders, finite-difference checks,
 per-frame-loop and full-evaluation references for the STFT maps and the
 per-unit descent, the coupled descent that takes every try's gradient,
-and the scipy-based reference WAV reader.
+the metrics that take every reference term per call, and the scipy-based
+reference WAV reader.
 
 Each loss case pins a random but well-conditioned evaluation point:
 every free entry and every residual the loss sees is bounded away from
@@ -17,8 +18,14 @@ from typing import Callable
 
 import numpy as np
 
-from magphase.errors import DivergedError
+from magphase.errors import (
+    DivergedError,
+    LengthMismatchError,
+    SilentReferenceError,
+    ZeroSignalError,
+)
 from magphase.losses import LossKind, LossTag, Targets, evaluate_loss
+from magphase.metrics import _SUM_FLOOR, _ratio_db, _require_finite
 from magphase.stft import (
     _COVERAGE_TINY,
     analysis_window,
@@ -27,7 +34,14 @@ from magphase.stft import (
     stft_array,
     window_pair,
 )
-from magphase.types import MagSpectrogram, Spectrogram, StftConfig, TimeSignal
+from magphase.types import (
+    MagSpectrogram,
+    Spectrogram,
+    StftConfig,
+    TimeSignal,
+    phase_of,
+    same_shape,
+)
 
 CASE_CFG = StftConfig(32, 8, 32)
 CASE_LEN = 100
@@ -324,6 +338,102 @@ def every_gradient_descend_coupled(problem, x, value_and_grad, project):
             return
         x, f, g, vel = cand, fc, gc, vel_try
         yield k, f, x
+
+
+# --- metrics that take every reference term per call --------------------------
+#
+# metrics.py's msnr, psnr, si_sdr and snr as they were before metrics.Reference:
+# each call takes phase_of(S), the reference's energy and its finite check
+# afresh, and _energy_sums takes every sum itself.
+
+
+def _oracle_energy_sums(sums, *inputs, mixed=True):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = sums(*inputs)
+    if all(_SUM_FLOOR <= x < math.inf for x in out[:-1]) and (
+        out[-1] == 0.0 or _SUM_FLOOR <= out[-1] < math.inf
+    ):
+        return out, 0.0
+    for a, what in zip(inputs, ("reference spectrogram", "estimate spectrogram")):
+        _require_finite(a, what)
+    scales = [max(float(np.max(np.abs(part))) for part in (a.real, a.imag)) or 1.0 for a in inputs]
+    own = sums(*(a / scale for a, scale in zip(inputs, scales)))
+    if not mixed:
+        return own, 0.0
+    top = max(scales)
+    shared = sums(*(a / top for a in inputs))
+    return (own[0],) + shared[1:], 20.0 * (math.log10(scales[0]) - math.log10(top))
+
+
+def _oracle_checked_samples(est, ref):
+    s, e = ref.samples, est.samples
+    if len(s) != len(e):
+        raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(s)}")
+    _require_finite(e, "estimate signal")
+    _require_finite(s, "reference signal")
+    return s, e
+
+
+def _oracle_si_sdr_sums(s, e):
+    ref_energy = float(np.dot(s, s))
+    alpha = float(np.dot(s, e)) / ref_energy if ref_energy else 0.0
+    target = alpha * s
+    err = target - e
+    return ref_energy, float(np.dot(e, e)), float(np.dot(target, target)), float(np.dot(err, err))
+
+
+def oracle_si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
+    s, e = _oracle_checked_samples(est, ref)
+    (ref_energy, est_energy, num, den), _ = _oracle_energy_sums(
+        _oracle_si_sdr_sums, s, e, mixed=False
+    )
+    if ref_energy == 0.0:
+        raise ZeroSignalError("reference signal is all-zero")
+    if est_energy == 0.0:
+        raise ZeroSignalError("estimate signal is all-zero")
+    return _ratio_db(num, den)
+
+
+def _oracle_snr_sums(s, e):
+    err = s - e
+    return float(np.dot(s, s)), float(np.dot(err, err))
+
+
+def oracle_snr(est: TimeSignal, ref: TimeSignal) -> float:
+    s, e = _oracle_checked_samples(est, ref)
+    (num, den), shift_db = _oracle_energy_sums(_oracle_snr_sums, s, e)
+    if num == 0.0:
+        raise ZeroSignalError("reference signal is all-zero")
+    return _ratio_db(num, den, shift_db)
+
+
+def _oracle_msnr_sums(S, est):
+    ref = np.abs(S)
+    mag = np.abs(est) if np.iscomplexobj(est) else est
+    return float(np.sum(ref**2)), float(np.sum((ref - mag) ** 2))
+
+
+def oracle_msnr(est, S: Spectrogram) -> float:
+    same_shape(est.data, S.data)
+    (num, den), shift_db = _oracle_energy_sums(_oracle_msnr_sums, S.data, est.data)
+    if num == 0.0:
+        raise SilentReferenceError("reference spectrogram has zero energy")
+    return _ratio_db(num, den, shift_db)
+
+
+def oracle_psnr(est: Spectrogram, S: Spectrogram) -> float:
+    same_shape(est.data, S.data)
+    _require_finite(est.data, "estimate spectrogram")
+    gap = 1.0 - np.cos(phase_of(S) - phase_of(est))
+
+    def sums(S):
+        mag2 = np.abs(S) ** 2
+        return float(np.sum(mag2)), float(np.sum(2.0 * mag2 * gap))
+
+    (num, den), _ = _oracle_energy_sums(sums, S.data, mixed=False)
+    if num == 0.0:
+        raise SilentReferenceError("reference spectrogram has zero energy")
+    return _ratio_db(num, den)
 
 
 def reference_read_wav(path) -> TimeSignal:

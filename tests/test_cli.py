@@ -433,6 +433,33 @@ def test_fft_flag_sets_the_fft_size(scene_dir, tmp_path, capsys):
     assert "fft_size 100 smaller than window length 200" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fft", [4097, 2**40, 10**20])
+def test_fft_far_above_the_window_is_refused_before_any_stft(scene_dir, monkeypatch, capsys, fft):
+    # 8 times the 512-point FFT a 512-sample window implies is 4096. An STFT
+    # run here would fail the test rather than allocate for a huge --fft.
+    from magphase import cli
+
+    def no_stft(*args):
+        raise AssertionError("STFT taken before --fft was checked")
+
+    monkeypatch.setattr(cli, "stft", no_stft)
+    base = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav"]
+    assert run(*base, "--win", 512, "--hop", 128, "--fft", fft) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == f"error: --fft {fft} exceeds 4096, 8 times the window's 512-point FFT\n"
+
+
+def test_fft_at_eight_times_the_window_fft_is_accepted(scene_dir, tmp_path):
+    s, y = read_wav(scene_dir / "s.wav"), read_wav(scene_dir / "y.wav")
+    cfg = StftConfig(512, 128, 4096)
+    expected = metrics.report(y, s, stft(y, cfg), stft(s, cfg)).to_json()
+    json_out = tmp_path / "m.json"
+    base = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav"]
+    assert run(*base, "--win", 512, "--hop", 128, "--fft", 4096, "--json", json_out) == 0
+    assert json_out.read_text() == expected
+
+
 def test_histogram_outputs(scene_dir, tmp_path):
     prefix = tmp_path / "hist"
     code = run(

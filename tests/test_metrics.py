@@ -6,14 +6,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import oracle_msnr, oracle_psnr, oracle_si_sdr, oracle_snr
+
 from magphase.errors import (
     LengthMismatchError,
+    MagphaseError,
     NonFiniteError,
     ShapeMismatchError,
     SilentReferenceError,
     ZeroSignalError,
 )
-from magphase.metrics import MetricReport, format_db, msnr, psnr, report, si_sdr, snr
+from magphase.metrics import (
+    MetricReport,
+    Reference,
+    floored_si_sdr,
+    format_db,
+    msnr,
+    psnr,
+    report,
+    si_sdr,
+    snr,
+)
 from magphase.stft import stft
 from magphase.types import MagSpectrogram, Spectrogram, StftConfig, TimeSignal
 
@@ -383,3 +396,81 @@ def test_si_sdr_of_an_orthogonal_estimate_is_negative_infinity():
     # No part of the estimate lies along the reference: the target energy
     # is 0, so the ratio is -inf rather than a log-of-zero error.
     assert si_sdr(sig([0.0, 1.0, 0.0]), sig([1.0, 0.0, 0.0])) == -math.inf
+
+
+# --- a Reference built once ---------------------------------------------------
+
+
+def _outcome(metric, est, ref):
+    """The metric's float, bit for bit, or its error's type and message."""
+    try:
+        return metric(est, ref).hex()
+    except MagphaseError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    frames=st.integers(1, 6),
+    bins=st.integers(1, 9),
+    k=st.integers(-1000, 1000),
+    exact=st.booleans(),
+    silent=st.sampled_from([0.0, 0.3, 1.0]),
+)
+@example(seed=0, frames=4, bins=5, k=-1000, exact=False, silent=0.3)
+@example(seed=0, frames=4, bins=5, k=1000, exact=False, silent=0.3)
+@example(seed=1, frames=3, bins=7, k=-540, exact=True, silent=0.3)
+@example(seed=2, frames=2, bins=3, k=0, exact=False, silent=1.0)
+def test_metrics_through_a_reference_equal_the_per_call_oracle(seed, frames, bins, k, exact, silent):
+    # Through its container, through one Reference used again and again,
+    # and through the oracle that takes every reference term per call, each
+    # metric gives the same bits or the same error: at any power-of-two
+    # scale (sums that overflow, underflow or neither), for an exact
+    # estimate (+inf), and with silent reference bins and samples.
+    rng = np.random.default_rng(seed)
+    scale = 2.0**k
+    quiet = rng.random((frames, bins)) < silent
+    S = np.where(quiet, 0.0, rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins)))
+    s = np.where(quiet.ravel(), 0.0, rng.standard_normal(frames * bins))
+    gain = 0.0 if exact else rng.uniform(0.01, 3.0)
+    E = S + gain * (rng.standard_normal(S.shape) + 1j * rng.standard_normal(S.shape))
+    e = s + gain * rng.standard_normal(s.shape)
+    S, E = (Spectrogram(scale * x, CFG) for x in (S, E))
+    s, e = (sig(scale * x) for x in (s, e))
+    reference = Reference(S, s)
+    cases = [
+        (msnr, oracle_msnr, E, S),
+        (msnr, oracle_msnr, MagSpectrogram(np.abs(E.data), CFG), S),
+        (psnr, oracle_psnr, E, S),
+        (si_sdr, oracle_si_sdr, e, s),
+        (snr, oracle_snr, e, s),
+    ]
+    for _ in range(2):
+        for metric, oracle, est, ref in cases:
+            want = _outcome(oracle, est, ref)
+            assert _outcome(metric, est, ref) == want, metric.__name__
+            assert _outcome(metric, est, reference) == want, metric.__name__
+    assert _outcome(floored_si_sdr, e, reference) == _outcome(floored_si_sdr, e, s)
+
+
+@NON_FINITE
+def test_a_non_finite_reference_raises_through_a_reference(bad):
+    # The Reference checks s before its energy is kept, and leaves S to
+    # _energy_sums, as each metric does on its container.
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    bad_x = x.copy()
+    bad_x[2] = bad
+    bad_X = np.outer(x, [1.0, 1j, -1.0])
+    bad_X[1, 2] = complex(bad, 0.0)
+    good, S = sig(x), spec(bad_X)
+    cases = [(si_sdr, good, sig(bad_x)), (snr, good, sig(bad_x)), (floored_si_sdr, good, sig(bad_x))]
+    cases += [(msnr, S, S), (psnr, spec(np.ones((4, 3))), S)]
+    for metric, est, ref in cases:
+        with pytest.raises(NonFiniteError) as direct:
+            metric(est, ref)
+        reference = Reference.of(ref)
+        for _ in range(2):  # a failed check is not kept as passed
+            with pytest.raises(NonFiniteError) as through:
+                metric(est, reference)
+            assert str(through.value) == str(direct.value), metric.__name__

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
 from magphase.errors import ConfigInvalidError, MissingTargetError, ZeroSignalError
 from magphase.losses import SEPARABLE_TAGS, LossKind, LossTag, LossValue, evaluate_loss
-from magphase.metrics import msnr, si_sdr
+from magphase.metrics import msnr, psnr, si_sdr
 from magphase.optim import (
     QUAD_L2,
     QUAD_L2_MAG,
@@ -655,6 +655,36 @@ def test_silent_reference_raises_at_a_checkpoint(scene_targets):
     )
     with pytest.raises(ZeroSignalError, match="reference"):
         optimize(problem)
+
+
+def test_a_run_takes_the_reference_phase_once(scene_targets, monkeypatch):
+    # Checkpoints measure against one metrics.Reference built per run:
+    # phase_of(S) is taken once however many checkpoints there are, and
+    # each checkpoint's values are the public metrics' bits.
+    import magphase.metrics as metrics_module
+
+    real, of_reference = metrics_module.phase_of, []
+
+    def counting_phase_of(X):
+        of_reference.append(X is scene_targets.S)
+        return real(X)
+
+    monkeypatch.setattr(metrics_module, "phase_of", counting_phase_of)
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+        loss=QUAD_L2,
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        steps=10,
+    )
+    result = optimize(problem)
+    traj = result.trajectory
+    assert len(traj.steps) == 11
+    assert of_reference.count(True) == 1
+    assert of_reference.count(False) == 11
+    assert traj.msnr_db[-1] == msnr(result.spectrogram, scene_targets.S)
+    assert traj.psnr_db[-1] == psnr(result.spectrogram, scene_targets.S)
+    assert traj.si_sdr_db[-1] == si_sdr(result.signal, scene_targets.s)
 
 
 def test_validation_errors(scene_targets):
