@@ -111,8 +111,8 @@ MUTANTS = (
     Mutant(
         "checkpoint floors silent reference",
         "src/magphase/optim.py",
-        "si = floored_si_sdr(to_sig(x), reference)",
-        "si = floored_si_sdr(to_sig(x), reference) if np.any(targets.s.samples) else -math.inf",
+        "si = floored_si_sdr(to_sig(x), targets.s)",
+        "si = floored_si_sdr(to_sig(x), targets.s) if np.any(targets.s.samples) else -math.inf",
         ("tests/test_optim.py", "-k", "silent"),
     ),
     Mutant(
@@ -209,21 +209,17 @@ MUTANTS = (
         ("tests/test_optim.py", "-k", "separable_kernels_match_loss_contract"),
     ),
     Mutant(
-        "reference sums not range-checked",
+        "reference energy not range-checked",
         "src/magphase/metrics.py",
         "    if all(_SUM_FLOOR <= x < math.inf for x in out[:-1]) and (\n",
-        "    if energy is not None or all(_SUM_FLOOR <= x < math.inf for x in out[:-1]) and (\n",
+        "    if all(_SUM_FLOOR <= x < math.inf for x in out[1:-1]) and (\n",
         ("tests/test_metrics.py", "-k", "per_call_oracle"),
     ),
     Mutant(
         "reference rebuilt per checkpoint",
         "src/magphase/optim.py",
-        "    reference = Reference(targets.S, targets.s)  # every checkpoint measures against it\n"
-        "\n"
-        "    def checkpoint(step, loss_map, x):  # a loss map, or a scalar loss\n",
-        "\n"
-        "    def checkpoint(step, loss_map, x):  # a loss map, or a scalar loss\n"
-        "        reference = Reference(targets.S, targets.s)\n",
+        "            ps = psnr(spec_est, targets.S)\n",
+        "            ps = psnr(spec_est, Spectrogram(targets.S.data, cfg))\n",
         ("tests/test_optim.py", "-k", "reference_phase_once"),
     ),
     Mutant(
@@ -232,6 +228,27 @@ MUTANTS = (
         "        if args.fft > 8 * cfg.fft_size:\n",
         "        if False:\n",
         ("tests/test_cli.py", "-k", "fft_far_above"),
+    ),
+    Mutant(
+        "phase cache left writable",
+        "src/magphase/types.py",
+        "        phase.setflags(write=False)\n",
+        "",
+        ("tests/test_types.py", "-k", "keeps_its_phase"),
+    ),
+    Mutant(
+        "drr refusal dropped",
+        "src/magphase/scenes.py",
+        "        if gain == math.inf:\n",
+        "        if False:\n",
+        ("tests/test_scenes.py", "-k", "drr"),
+    ),
+    Mutant(
+        "est-wav rate check dropped",
+        "src/magphase/cli.py",
+        "        _same_rate(est, s)\n",
+        "",
+        ("tests/test_cli.py", "-k", "est_wav_at_another_rate"),
     ),
 )
 

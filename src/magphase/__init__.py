@@ -19,7 +19,7 @@ from .losses import (
     pit_wrap,
 )
 from .masks import MaskKind, MaskMatrix, apply_mask_resynth, iam, masked_magnitude, psa_target, psm
-from .metrics import MetricReport, Reference, msnr, psnr, report, si_sdr, snr
+from .metrics import MetricReport, msnr, psnr, report, si_sdr, snr
 from .optim import (
     OptimizationProblem,
     OptimizationResult,

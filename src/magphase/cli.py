@@ -72,6 +72,19 @@ def _out_path(args) -> Path:
     return Path(args.out)
 
 
+def _same_rate(est, ref) -> None:
+    """Refuse an estimate whose sample rate is not its reference's."""
+    if est.sample_rate_hz != ref.sample_rate_hz:
+        raise SpecInvalidError(
+            f"estimate is at {est.sample_rate_hz} Hz, reference at {ref.sample_rate_hz} Hz"
+        )
+
+
+def _print_report(rep: metrics.MetricReport) -> None:
+    for key in rep._KEYS:
+        print(f"{key} {metrics.format_db(getattr(rep, key))}")
+
+
 def _load_scene_dir(path: Path):
     s = wavio.read_wav(path / "s.wav")
     y = wavio.read_wav(path / "y.wav")
@@ -111,18 +124,14 @@ def cmd_synth(args) -> int:
 def cmd_metrics(args) -> int:
     est = wavio.read_wav(Path(args.est))
     ref = wavio.read_wav(Path(args.ref))
-    if est.sample_rate_hz != ref.sample_rate_hz:
-        raise SpecInvalidError(
-            f"estimate is at {est.sample_rate_hz} Hz, reference at {ref.sample_rate_hz} Hz"
-        )
+    _same_rate(est, ref)
     cfg = _stft_config(args, est, ref)
     rep = metrics.report(est, ref, stft(est, cfg), stft(ref, cfg))
     if args.json_out is not None:
         Path(args.json_out).write_text(rep.to_json())
     if args.csv_out is not None:
         Path(args.csv_out).write_text(rep.csv_header() + "\n" + rep.csv_row() + "\n")
-    for key in ("si_sdr_db", "snr_db", "msnr_db", "psnr_db"):
-        print(f"{key} {metrics.format_db(getattr(rep, key))}")
+    _print_report(rep)
     return EXIT_OK
 
 
@@ -159,8 +168,7 @@ def cmd_mask(args) -> int:
     payload["schema_version"] = 1
     payload["mask_kind"] = args.kind
     (out / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    for key in ("si_sdr_db", "snr_db", "msnr_db", "psnr_db"):
-        print(f"{key} {metrics.format_db(getattr(rep, key))}")
+    _print_report(rep)
     print(f"msnr_no_resynth_db {metrics.format_db(msnr_no_resynth)}")
     return EXIT_OK
 
@@ -269,8 +277,7 @@ def cmd_optimize(args) -> int:
     (out / "metrics.json").write_text(rep.to_json())
     print(f"final_loss {result.final_loss:.6g}")
     print(f"stop_reason {result.stop_reason}")
-    for key in ("si_sdr_db", "snr_db", "msnr_db", "psnr_db"):
-        print(f"{key} {metrics.format_db(getattr(rep, key))}")
+    _print_report(rep)
 
     if args.verify_oracle:
         phase = optim.fixed_phase(problem)
@@ -313,6 +320,7 @@ def cmd_histogram(args) -> int:
         if not args.est_wav:
             raise SpecInvalidError("--source est-wav needs --est-wav PATH")
         est = wavio.read_wav(Path(args.est_wav))
+        _same_rate(est, s)
         est_mag = magnitude_of(stft(est, cfg))
     hist = compensation.histogram2d(est_mag, S, Y, floor_db=args.floor_db)
     prefix.parent.mkdir(parents=True, exist_ok=True)

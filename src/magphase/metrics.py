@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,46 +31,11 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} contains NaN or Inf")
 
 
-@dataclass(frozen=True, eq=False)
-class Reference:
-    """A reference spectrogram S and/or signal s, and the terms no estimate changes.
-
-    phase_of(S), sum |S|^2 and, once s is found finite, ||s||^2, each taken at
-    first use and kept; not |S|, which would double the memory to save one abs.
-    """
-
-    S: Spectrogram | MagSpectrogram | None = None
-    s: TimeSignal | None = None
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        return phase_of(self.S)
-
-    @cached_property
-    def spec_energy(self) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(np.abs(self.S.data) ** 2))
-
-    @cached_property
-    def signal_energy(self) -> float:
-        _require_finite(self.s.samples, "reference signal")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.dot(self.s.samples, self.s.samples))
-
-    @classmethod
-    def of(cls, ref) -> Reference:
-        """ref if it is a Reference, else the Reference of that spectrogram or signal."""
-        if isinstance(ref, Reference):
-            return ref
-        return cls(s=ref) if isinstance(ref, TimeSignal) else cls(S=ref)
-
-
-def _energy_sums(sums, *inputs, mixed: bool = True, energy: float | None = None) -> tuple:
+def _energy_sums(sums, *inputs, mixed: bool = True) -> tuple:
     """(sums(*inputs), shift_db): energy sums taken so none overflows or underflows.
 
     The first sum must be the reference's own energy and the last the
-    error energy, the ratio's denominator; energy, a Reference's, stands in
-    for the first sum on the unscaled inputs only. A sum that is not finite comes
+    error energy, the ratio's denominator. A sum that is not finite comes
     from a NaN or Inf in an input (the spectrograms, reference then
     estimate, are not checked up front) or from an overflow; a sum under
     _SUM_FLOOR, other than an error energy of exactly 0 (a perfect
@@ -84,7 +48,7 @@ def _energy_sums(sums, *inputs, mixed: bool = True, energy: float | None = None)
     ratio in dB, however far apart the scales are.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        out = sums(*inputs, energy=energy)
+        out = sums(*inputs)
     if all(_SUM_FLOOR <= x < math.inf for x in out[:-1]) and (
         out[-1] == 0.0 or _SUM_FLOOR <= out[-1] < math.inf
     ):
@@ -108,25 +72,26 @@ def _ratio_db(num: float, den: float, shift_db: float = 0.0) -> float:
     return 10.0 * math.log10(num / den) + shift_db
 
 
-def _checked_samples(est: TimeSignal, ref) -> tuple:
-    """(||ref||^2, ref samples, est samples) once they have one length and are finite."""
-    ref, e = Reference.of(ref), est.samples
-    if len(ref.s) != len(e):
-        raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(ref.s)}")
+def _checked_samples(est: TimeSignal, ref: TimeSignal) -> tuple:
+    """(ref samples, est samples) once they have one length and are finite."""
+    s, e = ref.samples, est.samples
+    if len(s) != len(e):
+        raise LengthMismatchError(f"length mismatch: {len(e)} vs {len(s)}")
     _require_finite(e, "estimate signal")
-    return ref.signal_energy, ref.s.samples, e
+    _require_finite(s, "reference signal")
+    return s, e
 
 
-def _si_sdr_sums(s: np.ndarray, e: np.ndarray, energy: float | None = None) -> tuple:
+def _si_sdr_sums(s: np.ndarray, e: np.ndarray) -> tuple:
     """(||s||^2, ||e||^2, ||a*s||^2, ||a*s - e||^2) with a = <s, e> / ||s||^2."""
-    ref_energy = float(np.dot(s, s)) if energy is None else energy
+    ref_energy = float(np.dot(s, s))
     alpha = float(np.dot(s, e)) / ref_energy if ref_energy else 0.0
     target = alpha * s
     err = target - e
     return ref_energy, float(np.dot(e, e)), float(np.dot(target, target)), float(np.dot(err, err))
 
 
-def si_sdr(est: TimeSignal, ref: TimeSignal | Reference) -> float:
+def si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
     """Scale-invariant signal-to-distortion ratio in dB.
 
     The reference is rescaled by its least-squares gain
@@ -134,10 +99,9 @@ def si_sdr(est: TimeSignal, ref: TimeSignal | Reference) -> float:
     10*log10(||a*ref||^2 / ||a*ref - est||^2) is taken, which makes the
     result invariant to any nonzero rescaling of the estimate.
     """
-    energy, s, e = _checked_samples(est, ref)
+    s, e = _checked_samples(est, ref)
     # The ratio does not change when s or e is scaled alone.
-    sums, _ = _energy_sums(_si_sdr_sums, s, e, mixed=False, energy=energy)
-    ref_energy, est_energy, num, den = sums
+    (ref_energy, est_energy, num, den), _ = _energy_sums(_si_sdr_sums, s, e, mixed=False)
     if ref_energy == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
     if est_energy == 0.0:
@@ -145,38 +109,37 @@ def si_sdr(est: TimeSignal, ref: TimeSignal | Reference) -> float:
     return _ratio_db(num, den)
 
 
-def _snr_sums(s: np.ndarray, e: np.ndarray, energy: float | None = None) -> tuple:
+def _snr_sums(s: np.ndarray, e: np.ndarray) -> tuple:
     err = s - e
-    return float(np.dot(s, s)) if energy is None else energy, float(np.dot(err, err))
+    return float(np.dot(s, s)), float(np.dot(err, err))
 
 
-def snr(est: TimeSignal, ref: TimeSignal | Reference) -> float:
+def snr(est: TimeSignal, ref: TimeSignal) -> float:
     """Plain SNR: 10*log10(||ref||^2 / ||ref - est||^2)."""
-    energy, s, e = _checked_samples(est, ref)
-    (num, den), shift_db = _energy_sums(_snr_sums, s, e, energy=energy)
+    s, e = _checked_samples(est, ref)
+    (num, den), shift_db = _energy_sums(_snr_sums, s, e)
     if num == 0.0:
         raise ZeroSignalError("reference signal is all-zero")
     return _ratio_db(num, den, shift_db)
 
 
-def _msnr_sums(S: np.ndarray, est: np.ndarray, energy: float | None = None) -> tuple:
+def _msnr_sums(S: np.ndarray, est: np.ndarray) -> tuple:
     """Energy sums of |S| and |S| - |est|; a real est is already a magnitude."""
     ref = np.abs(S)
     mag = np.abs(est) if np.iscomplexobj(est) else est
-    return float(np.sum(ref**2)) if energy is None else energy, float(np.sum((ref - mag) ** 2))
+    return float(np.sum(ref**2)), float(np.sum((ref - mag) ** 2))
 
 
-def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram | Reference) -> float:
+def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram) -> float:
     """Magnitude SNR: 10*log10(sum |S|^2 / sum (|S| - |est|)^2)."""
-    ref = Reference.of(S)
-    same_shape(est.data, ref.S.data)
-    (num, den), shift_db = _energy_sums(_msnr_sums, ref.S.data, est.data, energy=ref.spec_energy)
+    same_shape(est.data, S.data)
+    (num, den), shift_db = _energy_sums(_msnr_sums, S.data, est.data)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
     return _ratio_db(num, den, shift_db)
 
 
-def psnr(est: Spectrogram, S: Spectrogram | Reference) -> float:
+def psnr(est: Spectrogram, S: Spectrogram) -> float:
     """Phase SNR: the oracle magnitude |S| is attached to the estimated phase.
 
     10*log10(sum |S|^2 / sum |S - |S| e^{j angle(est)}|^2). The
@@ -187,16 +150,15 @@ def psnr(est: Spectrogram, S: Spectrogram | Reference) -> float:
     merely large number. Bins with |S| = 0 contribute zero to both sums,
     so the estimated phase there is irrelevant.
     """
-    ref = Reference.of(S)
-    same_shape(est.data, ref.S.data)
+    same_shape(est.data, S.data)
     _require_finite(est.data, "estimate spectrogram")
-    gap = 1.0 - np.cos(ref.phase - phase_of(est))
+    gap = 1.0 - np.cos(S.phase - phase_of(est))
 
-    def sums(S, energy=None):
+    def sums(S):
         mag2 = np.abs(S) ** 2
-        return float(np.sum(mag2)) if energy is None else energy, float(np.sum(2.0 * mag2 * gap))
+        return float(np.sum(mag2)), float(np.sum(2.0 * mag2 * gap))
 
-    (num, den), _ = _energy_sums(sums, ref.S.data, mixed=False, energy=ref.spec_energy)
+    (num, den), _ = _energy_sums(sums, S.data, mixed=False)
     if num == 0.0:
         raise SilentReferenceError("reference spectrogram has zero energy")
     return _ratio_db(num, den)
@@ -244,12 +206,12 @@ class MetricReport:
         return ",".join(format_db(getattr(self, k)) for k in self._KEYS)
 
 
-def floored_si_sdr(est: TimeSignal, ref: TimeSignal | Reference) -> float:
+def floored_si_sdr(est: TimeSignal, ref: TimeSignal) -> float:
     """si_sdr, or -inf for a silent estimate; a silent reference still raises."""
     try:
         return si_sdr(est, ref)
     except ZeroSignalError:
-        if not np.any(Reference.of(ref).s.samples):
+        if not np.any(ref.samples):
             raise
         return -math.inf
 
@@ -261,10 +223,9 @@ def report(
     ref_spec: Spectrogram,
 ) -> MetricReport:
     """Compute all four metrics; a silent estimate reports si_sdr_db = -inf."""
-    reference = Reference(ref_spec, ref)  # its sums serve two metrics each
     return MetricReport(
-        si_sdr_db=floored_si_sdr(est, reference),
-        snr_db=snr(est, reference),
-        msnr_db=msnr(est_spec, reference),
-        psnr_db=psnr(est_spec, reference),
+        si_sdr_db=floored_si_sdr(est, ref),
+        snr_db=snr(est, ref),
+        msnr_db=msnr(est_spec, ref_spec),
+        psnr_db=psnr(est_spec, ref_spec),
     )

@@ -70,7 +70,7 @@ from .losses import (
     fixed_phase_kernel,
     unit_kernel,
 )
-from .metrics import Reference, floored_si_sdr, format_db, msnr, psnr
+from .metrics import floored_si_sdr, format_db, msnr, psnr
 from .stft import istft_array, stft_adjoint, stft_array
 from .types import (
     DEFAULT_SAMPLE_RATE_HZ,
@@ -398,16 +398,15 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         return lv.value, lambda: chain(lv.gradient())
 
     traj = TrajectoryRecord()
-    reference = Reference(targets.S, targets.s)  # every checkpoint measures against it
 
     def checkpoint(step, loss_map, x):  # a loss map, or a scalar loss
         si = ms = ps = None
         if targets.S is not None:
             spec_est = to_spec(x)
-            ms = msnr(spec_est, reference)
-            ps = psnr(spec_est, reference)
+            ms = msnr(spec_est, targets.S)
+            ps = psnr(spec_est, targets.S)
         if targets.s is not None:
-            si = floored_si_sdr(to_sig(x), reference)
+            si = floored_si_sdr(to_sig(x), targets.s)
         traj.append(step, float(np.mean(loss_map)), si, ms, ps)
 
     x = project(np.array(x0))

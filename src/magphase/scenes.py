@@ -107,6 +107,8 @@ def _validate_spec(spec: SceneSpec) -> None:
         lo, hi = RT60_RANGE_S
         if not (lo <= spec.reverb.rt60_s <= hi):
             raise SpecInvalidError(f"rt60 must lie in [{lo}, {hi}] s")
+        if not math.isfinite(spec.reverb.direct_to_reverb_db):
+            raise SpecInvalidError("direct-to-reverb ratio must be finite")
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -192,11 +194,14 @@ def synth_rir(
     """Exponentially decaying seeded noise tail behind a unit direct tap.
 
     The amplitude envelope decays by 60 dB at rt60_s; the tail is scaled
-    so the direct-to-reverberant energy ratio equals direct_to_reverb_db.
+    so the direct-to-reverberant energy ratio equals direct_to_reverb_db,
+    which must be finite and leave the tail's gain within float range.
     """
     lo, hi = RT60_RANGE_S
     if not (math.isfinite(rt60_s) and lo <= rt60_s <= hi):
         raise SpecInvalidError(f"rt60 must lie in [{lo}, {hi}] s, got {rt60_s}")
+    if not math.isfinite(direct_to_reverb_db):
+        raise SpecInvalidError(f"direct-to-reverb ratio must be finite, got {direct_to_reverb_db}")
     if sample_rate_hz <= 0:
         raise SpecInvalidError("sample rate must be positive")
     rng = _rng(seed, stream=7)
@@ -206,7 +211,13 @@ def synth_rir(
     tail = rng.standard_normal(n) * envelope
     tail_energy = float(np.dot(tail, tail))
     if tail_energy > 0:
-        tail *= math.sqrt(10.0 ** (-direct_to_reverb_db / 10.0) / tail_energy)
+        try:
+            gain = math.sqrt(10.0 ** (-direct_to_reverb_db / 10.0) / tail_energy)
+        except OverflowError:
+            gain = math.inf
+        if gain == math.inf:
+            raise SpecInvalidError(f"direct-to-reverb ratio {direct_to_reverb_db} dB overflows the tail")
+        tail *= gain
     return np.concatenate(([1.0], tail))
 
 

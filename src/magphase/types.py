@@ -1,7 +1,8 @@
 """Shared signal/spectrogram data model and elementwise conversions.
 
 All containers are immutable after construction (arrays are copied and
-marked read-only), so values can be shared freely across threads.
+marked read-only), so values can be shared freely across threads. A
+spectrogram's phase is taken at its first use and kept, read-only.
 Internal arithmetic is float64/complex128 throughout; file I/O may
 narrow to float32.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -155,6 +157,13 @@ class Spectrogram:
     @property
     def num_frames(self) -> int:
         return self.data.shape[0]
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        """phase_of(self), read-only: taken at first use and kept with the container."""
+        phase = phase_of(self)
+        phase.setflags(write=False)
+        return phase
 
     @property
     def num_bins(self) -> int:

@@ -342,9 +342,9 @@ def every_gradient_descend_coupled(problem, x, value_and_grad, project):
 
 # --- metrics that take every reference term per call --------------------------
 #
-# metrics.py's msnr, psnr, si_sdr and snr as they were before metrics.Reference:
-# each call takes phase_of(S), the reference's energy and its finite check
-# afresh, and _energy_sums takes every sum itself.
+# msnr, psnr, si_sdr and snr with nothing kept between calls: each call takes
+# phase_of(S), the reference's energy and its finite check afresh, and
+# _energy_sums takes every sum itself.
 
 
 def _oracle_energy_sums(sums, *inputs, mixed=True):

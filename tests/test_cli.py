@@ -73,6 +73,24 @@ def test_synth_invalid_snr_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "drr, match",
+    [
+        ("nan", "direct-to-reverb ratio must be finite"),
+        ("inf", "direct-to-reverb ratio must be finite"),
+        ("-inf", "direct-to-reverb ratio must be finite"),
+        ("-1e9", r"direct-to-reverb ratio -1000000000\.0 dB overflows the tail"),
+    ],
+    ids=["nan", "inf", "-inf", "-1e9"],
+)
+def test_synth_refuses_a_drr_it_cannot_build(tmp_path, capsys, drr, match):
+    # nan and -inf wrote an all-NaN y.wav with exit 0; -1e9 died with an
+    # OverflowError traceback.
+    out = tmp_path / "x"
+    _expect_spec_error(capsys, ["synth", "--seed", 1, "--reverb-rt60", 0.3, f"--drr={drr}", "--out", out], match)
+    assert not out.exists()
+
+
 def test_metrics_identical_files_all_inf(scene_dir, tmp_path, capsys):
     json_out = tmp_path / "m.json"
     code = run(
@@ -499,6 +517,17 @@ def test_histogram_est_wav_source(scene_dir, tmp_path):
         "--win", 200, "--hop", 80, "--out", prefix,
     )
     assert code == 1  # missing --est-wav
+
+
+def test_histogram_refuses_an_est_wav_at_another_rate(scene_dir, tmp_path, capsys):
+    # A 16 kHz estimate as long as the 8 kHz scene was histogrammed as if
+    # it were at 8 kHz; metrics refuses the same pair.
+    est = tmp_path / "s16k.wav"
+    write_wav(est, TimeSignal(read_wav(scene_dir / "s.wav").samples, 16000))
+    prefix = tmp_path / "h"
+    argv = ["histogram", "--scene", scene_dir, "--source", "est-wav", "--est-wav", est, "--out", prefix]
+    _expect_spec_error(capsys, argv, "estimate is at 16000 Hz, reference at 8000 Hz")
+    assert not prefix.with_suffix(".csv").exists()
 
 
 def test_missing_scene_dir_is_io_error(tmp_path):

@@ -18,7 +18,6 @@ from magphase.errors import (
 )
 from magphase.metrics import (
     MetricReport,
-    Reference,
     floored_si_sdr,
     format_db,
     msnr,
@@ -398,7 +397,7 @@ def test_si_sdr_of_an_orthogonal_estimate_is_negative_infinity():
     assert si_sdr(sig([0.0, 1.0, 0.0]), sig([1.0, 0.0, 0.0])) == -math.inf
 
 
-# --- a Reference built once ---------------------------------------------------
+# --- one container measured again and again -----------------------------------
 
 
 def _outcome(metric, est, ref):
@@ -422,12 +421,12 @@ def _outcome(metric, est, ref):
 @example(seed=0, frames=4, bins=5, k=1000, exact=False, silent=0.3)
 @example(seed=1, frames=3, bins=7, k=-540, exact=True, silent=0.3)
 @example(seed=2, frames=2, bins=3, k=0, exact=False, silent=1.0)
-def test_metrics_through_a_reference_equal_the_per_call_oracle(seed, frames, bins, k, exact, silent):
-    # Through its container, through one Reference used again and again,
-    # and through the oracle that takes every reference term per call, each
-    # metric gives the same bits or the same error: at any power-of-two
-    # scale (sums that overflow, underflow or neither), for an exact
-    # estimate (+inf), and with silent reference bins and samples.
+def test_metrics_on_one_container_twice_equal_the_per_call_oracle(seed, frames, bins, k, exact, silent):
+    # Each metric runs twice on the same containers, the second time on
+    # the phase S kept from the first, and gives the bits or the error of
+    # the oracle that takes every reference term per call: at any
+    # power-of-two scale (sums that overflow, underflow or neither), for
+    # an exact estimate (+inf), and with silent reference bins and samples.
     rng = np.random.default_rng(seed)
     scale = 2.0**k
     quiet = rng.random((frames, bins)) < silent
@@ -438,7 +437,6 @@ def test_metrics_through_a_reference_equal_the_per_call_oracle(seed, frames, bin
     e = s + gain * rng.standard_normal(s.shape)
     S, E = (Spectrogram(scale * x, CFG) for x in (S, E))
     s, e = (sig(scale * x) for x in (s, e))
-    reference = Reference(S, s)
     cases = [
         (msnr, oracle_msnr, E, S),
         (msnr, oracle_msnr, MagSpectrogram(np.abs(E.data), CFG), S),
@@ -446,18 +444,16 @@ def test_metrics_through_a_reference_equal_the_per_call_oracle(seed, frames, bin
         (si_sdr, oracle_si_sdr, e, s),
         (snr, oracle_snr, e, s),
     ]
-    for _ in range(2):
+    for run in range(2):
+        assert ("phase" in vars(S)) == (run == 1)  # the second run reads the kept phase
         for metric, oracle, est, ref in cases:
-            want = _outcome(oracle, est, ref)
-            assert _outcome(metric, est, ref) == want, metric.__name__
-            assert _outcome(metric, est, reference) == want, metric.__name__
-    assert _outcome(floored_si_sdr, e, reference) == _outcome(floored_si_sdr, e, s)
+            assert _outcome(metric, est, ref) == _outcome(oracle, est, ref), metric.__name__
 
 
 @NON_FINITE
-def test_a_non_finite_reference_raises_through_a_reference(bad):
-    # The Reference checks s before its energy is kept, and leaves S to
-    # _energy_sums, as each metric does on its container.
+def test_a_non_finite_reference_raises_on_every_call(bad):
+    # A container keeps its phase, never a passed check: a NaN or Inf in
+    # the reference raises the same error on a second call on it.
     x = np.array([1.0, 2.0, 3.0, 4.0])
     bad_x = x.copy()
     bad_x[2] = bad
@@ -467,10 +463,9 @@ def test_a_non_finite_reference_raises_through_a_reference(bad):
     cases = [(si_sdr, good, sig(bad_x)), (snr, good, sig(bad_x)), (floored_si_sdr, good, sig(bad_x))]
     cases += [(msnr, S, S), (psnr, spec(np.ones((4, 3))), S)]
     for metric, est, ref in cases:
-        with pytest.raises(NonFiniteError) as direct:
+        with pytest.raises(NonFiniteError) as first:
             metric(est, ref)
-        reference = Reference.of(ref)
-        for _ in range(2):  # a failed check is not kept as passed
-            with pytest.raises(NonFiniteError) as through:
-                metric(est, reference)
-            assert str(through.value) == str(direct.value), metric.__name__
+        with pytest.raises(NonFiniteError) as again:
+            metric(est, ref)
+        assert str(again.value) == str(first.value), metric.__name__
+    assert "phase" in vars(S)  # psnr's second call read the phase S kept

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from magphase.optim import (
 )
 from magphase.scenes import SceneSpec, synth_scene
 from magphase.stft import istft_array, stft
-from magphase.types import _MAG_TERM_TAGS, MagSpectrogram, Spectrogram, StftConfig, TimeSignal
+from magphase.types import (
+    _MAG_TERM_TAGS,
+    MagSpectrogram,
+    Spectrogram,
+    StftConfig,
+    TimeSignal,
+    phase_of,
+)
 
 CFG_GRID = StftConfig(18, 9, 18)  # 10 frames x 10 bins = 100 units
 CFG_SCENE = StftConfig.for_window(200, 80)
@@ -657,34 +665,55 @@ def test_silent_reference_raises_at_a_checkpoint(scene_targets):
         optimize(problem)
 
 
-def test_a_run_takes_the_reference_phase_once(scene_targets, monkeypatch):
-    # Checkpoints measure against one metrics.Reference built per run:
-    # phase_of(S) is taken once however many checkpoints there are, and
-    # each checkpoint's values are the public metrics' bits.
-    import magphase.metrics as metrics_module
+def _count_phase_of(monkeypatch, S):
+    """[X is S for each phase_of(X)], counted at every module that binds phase_of."""
+    import magphase
 
-    real, of_reference = metrics_module.phase_of, []
+    real, calls = phase_of, []
 
     def counting_phase_of(X):
-        of_reference.append(X is scene_targets.S)
+        calls.append(X is S)
         return real(X)
 
-    monkeypatch.setattr(metrics_module, "phase_of", counting_phase_of)
+    for name in ("types", "metrics", "optim", "masks", "compensation"):
+        monkeypatch.setattr(getattr(magphase, name), "phase_of", counting_phase_of)
+    return calls
+
+
+def _fresh_S(targets):
+    """targets with S in a new container, so no phase is kept from another test."""
+    return replace(targets, S=Spectrogram(targets.S.data, targets.S.config))
+
+
+def test_a_run_takes_the_reference_phase_once(scene_targets, monkeypatch):
+    # Checkpoints read the phase S keeps: phase_of(S) is taken once
+    # however many checkpoints there are, and each checkpoint's values are
+    # the public metrics' bits.
+    targets = _fresh_S(scene_targets)
+    calls = _count_phase_of(monkeypatch, targets.S)
     problem = OptimizationProblem(
         parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
         loss=QUAD_L2,
-        targets=scene_targets,
+        targets=targets,
         cfg=CFG_SCENE,
         steps=10,
     )
     result = optimize(problem)
     traj = result.trajectory
     assert len(traj.steps) == 11
-    assert of_reference.count(True) == 1
-    assert of_reference.count(False) == 11
-    assert traj.msnr_db[-1] == msnr(result.spectrogram, scene_targets.S)
-    assert traj.psnr_db[-1] == psnr(result.spectrogram, scene_targets.S)
-    assert traj.si_sdr_db[-1] == si_sdr(result.signal, scene_targets.s)
+    assert calls.count(True) == 1
+    assert calls.count(False) == 1 + 11  # the mixture phase, then each estimate's
+    assert traj.msnr_db[-1] == msnr(result.spectrogram, targets.S)
+    assert traj.psnr_db[-1] == psnr(result.spectrogram, targets.S)
+    assert traj.si_sdr_db[-1] == si_sdr(result.signal, targets.s)
+
+
+def test_a_trend_experiment_takes_the_reference_phase_once(scene_targets, monkeypatch):
+    # The two arms share one Targets, so S's phase serves both.
+    targets = _fresh_S(scene_targets)
+    calls = _count_phase_of(monkeypatch, targets.S)
+    run_trend_experiment(targets, CFG_SCENE, steps=3)
+    assert calls.count(True) == 1
 
 
 def test_validation_errors(scene_targets):

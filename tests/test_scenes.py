@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,15 @@ def test_rir_bounds():
         synth_rir(2.0, 8000)
     with pytest.raises(SpecInvalidError):
         synth_rir(0.01, 8000)
+
+
+@pytest.mark.parametrize("drr", [math.nan, math.inf, -math.inf, -1e9])
+def test_rir_and_scene_refuse_a_drr_they_cannot_build(drr):
+    # nan and -inf made an all-NaN tail; -1e9 overflowed 10 ** (-drr / 10).
+    with pytest.raises(SpecInvalidError, match="direct-to-reverb ratio"):
+        synth_rir(0.3, 8000, seed=1, direct_to_reverb_db=drr)
+    with pytest.raises(SpecInvalidError, match="direct-to-reverb ratio"):
+        synth_scene(SceneSpec(seed=1, reverb=ReverbSpec(rt60_s=0.3, direct_to_reverb_db=drr)))
 
 
 def test_spec_validation():

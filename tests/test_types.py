@@ -113,6 +113,18 @@ def test_magnitude_negative_rejected():
         validate_magnitude(MagSpectrogram(np.array([[-0.1, 0, 0]]), CFG))
 
 
+def test_spectrogram_keeps_its_phase_read_only():
+    # S.phase is phase_of(S) bit for bit, taken once and kept; a caller
+    # cannot write into the copy every later reader shares.
+    X = spec([1j, -1 + 0j, complex(-0.0, 0.0)])
+    phase = X.phase
+    assert phase.tobytes() == phase_of(X).tobytes()
+    assert X.phase is phase
+    assert phase is not phase_of(X)  # every other caller still gets a fresh array
+    with pytest.raises(ValueError):
+        phase[0, 0] = 0.0
+
+
 def test_containers_are_readonly():
     sig = TimeSignal([1.0, 2.0], 8000)
     with pytest.raises(ValueError):
