@@ -111,8 +111,8 @@ MUTANTS = (
     Mutant(
         "checkpoint floors silent reference",
         "src/magphase/optim.py",
-        "si = floored_si_sdr(to_sig(x), targets.s)",
-        "si = floored_si_sdr(to_sig(x), targets.s) if np.any(targets.s.samples) else -math.inf",
+        "si = floored_si_sdr(point.signal, targets.s)",
+        "si = floored_si_sdr(point.signal, targets.s) if np.any(targets.s.samples) else -math.inf",
         ("tests/test_optim.py", "-k", "silent"),
     ),
     Mutant(
@@ -218,8 +218,8 @@ MUTANTS = (
     Mutant(
         "reference rebuilt per checkpoint",
         "src/magphase/optim.py",
-        "            ps = psnr(spec_est, targets.S)\n",
-        "            ps = psnr(spec_est, Spectrogram(targets.S.data, cfg))\n",
+        "            ps = psnr(point.spectrogram, targets.S)\n",
+        "            ps = psnr(point.spectrogram, Spectrogram(targets.S.data, cfg))\n",
         ("tests/test_optim.py", "-k", "reference_phase_once"),
     ),
     Mutant(
@@ -249,6 +249,27 @@ MUTANTS = (
         "        _same_rate(est, s)\n",
         "",
         ("tests/test_cli.py", "-k", "est_wav_at_another_rate"),
+    ),
+    Mutant(
+        "early stop checkpoints the last try",
+        "src/magphase/optim.py",
+        "            if lr <= floor:\n                return\n",
+        "            if lr <= floor:\n                yield k - 1, f, tried\n                return\n",
+        ("tests/test_optim.py", "-k", "shared_views"),
+    ),
+    Mutant(
+        "checkpoint reads the previous point",
+        "src/magphase/optim.py",
+        "        x, point, f, g, vel = cand, tried, fc, gc, vel_try\n",
+        "        x, f, g, vel = cand, fc, gc, vel_try\n",
+        ("tests/test_optim.py", "-k", "shared_views"),
+    ),
+    Mutant(
+        "float32 overflow written",
+        "src/magphase/wavio.py",
+        "    if not np.all(np.isfinite(data)):\n",
+        "    if False:\n",
+        ("tests/test_wavio.py", "-k", "float32_cannot_hold"),
     ),
 )
 

@@ -32,12 +32,17 @@ y = iSTFT(estimate), their gradient carried back by istft_adjoint;
 mag+ri-istft takes its magnitude term on the estimate itself rather than
 on STFT(y).
 
+An estimate may also be a Point, which holds it in both domains; the
+other-domain view a loss needs it then takes from the point instead of
+building it, so whoever reads the views after the loss builds neither.
+
 Gradients with respect to complex spectrogram parameters are packed as
 dL/dRe + 1j * dL/dIm.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -46,7 +51,7 @@ from .errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError
 from .masks import psa_target
 from .stft import istft_adjoint, istft_array, num_frames_for, stft_adjoint, stft_array
 from .types import _MAG_TERM_TAGS, LossKind, LossTag
-from .types import MagSpectrogram, Spectrogram, TimeSignal, same_shape
+from .types import MagSpectrogram, Spectrogram, StftConfig, TimeSignal, same_shape
 
 L1_SMOOTH_EPS = 1e-8
 
@@ -102,6 +107,35 @@ class Targets:
     s: TimeSignal | None = None
     Y: Spectrogram | None = None
     y: TimeSignal | None = None
+
+
+@dataclass(eq=False)
+class Point:
+    """Parameters with the estimate they give, as a Spectrogram and a TimeSignal.
+
+    make_spectrogram(point) and make_signal(point) build the two views;
+    each is built at its first read and kept. A point may say how one view
+    derives from the other: istft_length, that its signal is the iSTFT of
+    its spectrogram at that many samples; stft_config, that its
+    spectrogram is the STFT of its signal under that config. evaluate_loss
+    takes a view so derived from the point where it needs it, instead of
+    building it.
+    """
+
+    params: object
+    make_spectrogram: Callable
+    make_signal: Callable
+    _: KW_ONLY
+    istft_length: int | None = None
+    stft_config: StftConfig | None = None
+
+    @cached_property
+    def spectrogram(self) -> Spectrogram:
+        return self.make_spectrogram(self)
+
+    @cached_property
+    def signal(self) -> TimeSignal:
+        return self.make_signal(self)
 
 
 def _require(targets: Targets, *names: str, context: str = "problem") -> list:
@@ -321,15 +355,16 @@ def _magnitude_term(X: np.ndarray, S: Spectrogram, mag_weight: float) -> LossVal
     return LossValue(mag.value, lambda: mag.gradient() * _unit(X))
 
 
-def _waveform_loss(y, s, S, cfg, time_weight, mag_weight) -> LossValue:
-    """Mean time L1 of samples y vs s, plus the magnitude term of STFT(y) unless S is None."""
+def _waveform_loss(y, s, S, cfg, time_weight, mag_weight, Y=None) -> LossValue:
+    """Mean time L1 of samples y vs s, plus the magnitude term of Y = STFT(y)
+    unless S is None; Y is built here unless the caller holds it."""
     e = y - s.samples
     wav = LossValue(
         time_weight * float(np.mean(np.abs(e))), lambda: time_weight * _smooth_l1_grad(e) / e.size
     )
     if S is None:
         return wav
-    mag = _magnitude_term(stft_array(y, cfg), S, mag_weight)
+    mag = _magnitude_term(stft_array(y, cfg) if Y is None else Y, S, mag_weight)
     return _sum(wav, LossValue(mag.value, lambda: stft_adjoint(mag.gradient(), cfg, e.size)))
 
 
@@ -350,11 +385,15 @@ def evaluate_loss(
 
     The estimate's domain must match the kind: Spectrogram for the
     complex/consistency/phase/quadratic kinds, MagSpectrogram for
-    msa/psa, TimeSignal for the waveform kinds.
+    msa/psa, TimeSignal for the waveform kinds; a Point gives the first
+    two and the last.
     """
     tag, tw, mw = kind.tag, kind.time_weight, kind.mag_weight
     domain = MagSpectrogram if tag in MAGNITUDE_TAGS else Spectrogram
     domain = TimeSignal if tag in WAVEFORM_TAGS else domain
+    point = estimate if isinstance(estimate, Point) and domain is not MagSpectrogram else None
+    if point is not None:
+        estimate = point.signal if domain is TimeSignal else point.spectrogram
     if not isinstance(estimate, domain):
         raise MissingTargetError(f"loss {tag.value} expects a {domain.__name__} estimate")
 
@@ -370,14 +409,17 @@ def evaluate_loss(
         if len(estimate) != len(s):
             raise ShapeMismatchError(f"length mismatch: {len(estimate)} vs {len(s)}")
         cfg = None if S is None else S.config
-        return _waveform_loss(estimate.samples, s, S, cfg, tw, mw)
+        held = cfg is not None and point is not None and point.stft_config == cfg
+        Y = point.spectrogram.data if held else None
+        return _waveform_loss(estimate.samples, s, S, cfg, tw, mw, Y)
 
     _check_istft_shapes(estimate, s)
     if S is not None:
         same_shape(estimate.data, S.data)
     cfg = estimate.config
     on_estimate = tag is LossTag.MAG_RI_ISTFT
-    y = istft_array(estimate.data, cfg, len(s))
+    held = point is not None and point.istft_length == len(s)
+    y = point.signal.samples if held else istft_array(estimate.data, cfg, len(s))
     wav = _waveform_loss(y, s, None if on_estimate else S, cfg, tw, mw)
     lv = LossValue(wav.value, lambda: istft_adjoint(wav.gradient(), cfg, estimate.num_frames))
     return _sum(lv, _magnitude_term(estimate.data, S, mw)) if on_estimate else lv

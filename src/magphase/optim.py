@@ -19,7 +19,11 @@ value.
 optimize is the one driver: it composes each loss through the
 parameterization's map to the complex spectrogram and that map's adjoint,
 and the descents yield their states to it, so it alone picks the
-checkpoints and records why the run stopped (stop_reason).
+checkpoints and records why the run stopped (stop_reason). A state is
+read through a losses.Point, which builds the estimate's spectrogram and
+waveform at their first read and keeps them. The coupled descent yields
+the point its loss was evaluated at, so its checkpoint and the result
+read the views that loss built.
 
 Objectives that decompose per T-F unit (every fixed-phase or free-complex
 loss without an iSTFT inside) are line-searched per unit, each unit
@@ -64,6 +68,7 @@ from .losses import (
     WAVEFORM_TAGS,
     LossKind,
     LossTag,
+    Point,
     Targets,
     _require,
     evaluate_loss,
@@ -175,13 +180,15 @@ def _identity(x):
 
 
 def _parameterize(problem: OptimizationProblem):
-    """Returns (x0, to_complex, chain, project, to_sig, per_unit): the
-    initial point, the map to the complex spectrogram and its adjoint
-    (which carries a spectrogram gradient back to the parameters), the
-    feasibility projection, the map to the waveform, and the per-unit
-    kernel (value maps whose mean is evaluate_loss's value, gradients
+    """Returns (x0, point_at, chain, project, per_unit): the initial
+    parameters, the map from parameters to their Point (the estimate as a
+    complex spectrogram and as a waveform), the adjoint of the map to the
+    spectrogram (which carries a spectrogram gradient back to the
+    parameters), the feasibility projection, and the per-unit kernel
+    (value maps whose mean is evaluate_loss's value, gradients
     element-count times its own), or None for a coupled loss. A
-    fixed-phase kernel and to_complex share one unit vector."""
+    fixed-phase kernel and the map to the spectrogram share one unit
+    vector."""
     cfg, loss = problem.cfg, problem.loss
     targets = problem.targets
     sig = targets.s if targets.s is not None else targets.y  # output rate and length
@@ -202,22 +209,26 @@ def _parameterize(problem: OptimizationProblem):
             scale = float(np.sqrt(np.mean(y_ref.samples**2))) or 1.0
             x0 = rng.standard_normal(n) * scale
 
-        def to_complex(x):
-            return stft_array(x, cfg)
-
         def chain(g):
             return stft_adjoint(g, cfg, n)
 
-        def to_sig(x):
-            return TimeSignal(x, rate)
+        def spectrogram(p):
+            return Spectrogram(stft_array(p.params, cfg), cfg)
 
-        return x0, to_complex, chain, _identity, to_sig, None
+        def signal(p):
+            return TimeSignal(p.params, rate)
+
+        def point_at(x):
+            return Point(x, spectrogram, signal, stft_config=cfg)
+
+        return x0, point_at, chain, _identity, None
 
     # Spectrogram parameters, whose waveform is their inverse STFT.
     ref = targets.Y if targets.Y is not None else targets.S
     if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:
         phase = fixed_phase(problem)
         unit = np.exp(1j * phase)
+        conj_unit = np.conj(unit)
         if problem.init == "mixture":
             (Y,) = _require(targets, "Y")
             x0 = np.abs(Y.data)
@@ -231,7 +242,7 @@ def _parameterize(problem: OptimizationProblem):
             return x * unit
 
         def chain(g):
-            return (np.conj(unit) * g).real
+            return (conj_unit * g).real
 
         def project(x):
             return np.maximum(x, 0.0)
@@ -250,9 +261,16 @@ def _parameterize(problem: OptimizationProblem):
             x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
         to_complex = chain = project = _identity
 
-    def to_sig(x):
-        n = len(sig) if sig is not None else (x.shape[0] - 1) * cfg.hop_length_samples
-        return TimeSignal(istft_array(to_complex(x), cfg, n), rate)
+    n = len(sig) if sig is not None else (x0.shape[0] - 1) * cfg.hop_length_samples
+
+    def spectrogram(p):
+        return Spectrogram(to_complex(p.params), cfg)
+
+    def signal(p):
+        return TimeSignal(istft_array(p.spectrogram.data, cfg, n), rate)
+
+    def point_at(x):
+        return Point(x, spectrogram, signal, istft_length=n)
 
     if loss.tag not in SEPARABLE_TAGS:
         per_unit = None
@@ -260,7 +278,7 @@ def _parameterize(problem: OptimizationProblem):
         per_unit = unit_kernel(loss, targets)
     else:
         per_unit = fixed_phase_kernel(loss, targets, unit)
-    return x0, to_complex, chain, project, to_sig, per_unit
+    return x0, point_at, chain, project, per_unit
 
 
 def _failed(Lc, Gc, L):
@@ -315,16 +333,19 @@ def _descend_separable(problem, x, per_unit, project):
         yield k, L, x
 
 
-def _descend_coupled(problem, x, value_and_grad, project):
+def _descend_coupled(problem, x, evaluate, project):
     """Single global step with backtracking; for losses coupled across units.
 
-    Yields (step, loss, params) for step 0 and every accepted step; stops
-    when no step size makes progress. Each try evaluates the loss once. A
-    try whose value is finite and no higher computes its gradient, and is
-    kept if that is finite; otherwise halving goes on. So the descent takes
-    the same decisions as one that computes every try's gradient.
+    evaluate(x) returns the point at parameters x, its loss, and a
+    function computing the loss gradient. Yields (step, loss, point) for
+    step 0 and every accepted step, with the point the loss was evaluated
+    at; stops when no step size makes progress. Each try evaluates the
+    loss once. A try whose value is finite and no higher computes its
+    gradient, and is kept if that is finite; otherwise halving goes on.
+    So the descent takes the same decisions as one that computes every
+    try's gradient.
     """
-    f, grad = value_and_grad(x)
+    point, f, grad = evaluate(x)
     g = grad()
     del grad  # a try's intermediates must not outlive it
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
@@ -334,7 +355,7 @@ def _descend_coupled(problem, x, value_and_grad, project):
     lr0 = problem.step_size * x.size
     floor = lr0 * 1e-18
     vel = np.zeros_like(g)
-    yield 0, f, x
+    yield 0, f, point
     for k in range(1, problem.steps + 1):
         # Fresh step size every iteration; halvings apply within the step
         # only, so one cautious step does not slow the rest of the run.
@@ -342,17 +363,18 @@ def _descend_coupled(problem, x, value_and_grad, project):
         vel_try = problem.momentum * vel - lr * g
         while True:
             cand = project(x + vel_try)
-            fc, grad = value_and_grad(cand)
+            tried, fc, grad = evaluate(cand)
             gc = grad() if math.isfinite(fc) and fc <= f else None
             del grad
             if gc is not None and np.all(np.isfinite(gc)):
                 break
             if lr <= floor:
                 return
+            del tried  # a rejected try's views die with it
             lr *= 0.5
             vel_try = -lr * g  # momentum dropped on backtrack
-        x, f, g, vel = cand, fc, gc, vel_try
-        yield k, f, x
+        x, point, f, g, vel = cand, tried, fc, gc, vel_try
+        yield k, f, point
 
 
 def optimize(problem: OptimizationProblem) -> OptimizationResult:
@@ -384,46 +406,46 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     for spec in (targets.S, targets.Y):
         if spec is not None and spec.config != cfg:
             raise ConfigInvalidError(f"a target was taken with {spec.config}, not with {cfg}")
-    x0, to_complex, chain, project, to_sig, per_unit = _parameterize(problem)
+    x0, point_at, chain, project, per_unit = _parameterize(problem)
 
-    def to_spec(x):
-        return Spectrogram(to_complex(x), cfg)
-
-    def value_and_grad(x):
-        """The loss at x and a function computing its gradient in the parameters."""
+    def evaluate(x):
+        """The point at x, its loss, and a function computing the loss gradient in x."""
+        point = point_at(x)
+        lv = evaluate_loss(loss, point, targets)
         if loss.tag in WAVEFORM_TAGS:
-            lv = evaluate_loss(loss, to_sig(x), targets)
-            return lv.value, lv.gradient
-        lv = evaluate_loss(loss, to_spec(x), targets)
-        return lv.value, lambda: chain(lv.gradient())
+            return point, lv.value, lv.gradient
+        return point, lv.value, lambda: chain(lv.gradient())
 
     traj = TrajectoryRecord()
 
-    def checkpoint(step, loss_map, x):  # a loss map, or a scalar loss
+    def checkpoint(step, loss_map, point):  # a loss map, or a scalar loss
         si = ms = ps = None
         if targets.S is not None:
-            spec_est = to_spec(x)
-            ms = msnr(spec_est, targets.S)
-            ps = psnr(spec_est, targets.S)
+            ms = msnr(point.spectrogram, targets.S)
+            ps = psnr(point.spectrogram, targets.S)
         if targets.s is not None:
-            si = floored_si_sdr(to_sig(x), targets.s)
+            si = floored_si_sdr(point.signal, targets.s)
         traj.append(step, float(np.mean(loss_map)), si, ms, ps)
 
     x = project(np.array(x0))
-    if per_unit is not None:
-        states = _descend_separable(problem, x, per_unit, project)
-    else:
-        states = _descend_coupled(problem, x, value_and_grad, project)
     every = max(1, problem.steps // 100)
-    for k, loss_k, x in states:
-        if k % every == 0:
-            checkpoint(k, loss_k, x)
+    if per_unit is None:
+        for k, loss_k, point in _descend_coupled(problem, x, evaluate, project):
+            if k % every == 0:
+                checkpoint(k, loss_k, point)
+    else:
+        # A separable state's point lives for its checkpoint only: its views,
+        # held through the next step, would add to the descent's peak memory.
+        for k, loss_k, x in _descend_separable(problem, x, per_unit, project):
+            if k % every == 0:
+                checkpoint(k, loss_k, point_at(x))
+        point = point_at(x)
     if traj.steps[-1] != k:  # the last checkpoint is the state returned
-        checkpoint(k, loss_k, x)
+        checkpoint(k, loss_k, point)
     return OptimizationResult(
-        params=x,
-        spectrogram=to_spec(x),
-        signal=to_sig(x),
+        params=point.params,
+        spectrogram=point.spectrogram,
+        signal=point.signal,
         trajectory=traj,
         final_loss=traj.loss[-1],
         stop_reason="budget" if k == problem.steps else f"no progress at step {k + 1}",

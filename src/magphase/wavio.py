@@ -13,7 +13,9 @@ whole frames, and a fmt or data chunk cut short by the end of the file.
 
 write_wav always writes 32-bit float, so quantization cannot mask
 sub-1e-6 differences in round-trip checks, with the bytes of
-scipy.io.wavfile.write for float32 data.
+scipy.io.wavfile.write for float32 data. A signal float32 cannot hold
+(a sample beyond its range, or one not finite) raises SpecInvalidError
+before the file is opened.
 """
 from __future__ import annotations
 
@@ -98,7 +100,11 @@ def read_wav(path) -> TimeSignal:
 
 
 def write_wav(path, signal: TimeSignal) -> None:
-    data = signal.samples.astype("<f4")
+    with np.errstate(over="ignore"):
+        data = signal.samples.astype("<f4")
+    if not np.all(np.isfinite(data)):
+        peak = np.max(np.abs(signal.samples))
+        raise SpecInvalidError(f"{path}: a float32 WAV cannot hold samples of magnitude {peak:.3g}")
     rate = signal.sample_rate_hz
     fmt = struct.pack("<HHIIHHH", _FLOAT, 1, rate, 4 * rate, 4, 32, 0)
     header = (

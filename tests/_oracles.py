@@ -1,8 +1,9 @@
 """Shared test oracles: loss-case builders, finite-difference checks,
 per-frame-loop and full-evaluation references for the STFT maps and the
 per-unit descent, the coupled descent that takes every try's gradient,
-the metrics that take every reference term per call, and the scipy-based
-reference WAV reader.
+the optimizer that rebuilds every view from the parameters, the metrics
+that take every reference term per call, and the scipy-based reference
+WAV reader.
 
 Each loss case pins a random but well-conditioned evaluation point:
 every free entry and every residual the loss sees is bounded away from
@@ -307,11 +308,12 @@ def full_eval_descend_separable(problem, x, per_unit, project):
 # --- every-try-gradient reference for the coupled descent -------------------
 
 
-def every_gradient_descend_coupled(problem, x, value_and_grad, project):
+def every_gradient_descend_coupled(problem, x, evaluate, project):
     """optim._descend_coupled as a descent that takes every try's gradient:
-    each try, backtracking ones included, asks value_and_grad(x) for value
-    and gradient. Like it, a generator of (step, loss, params) from step 0 on."""
-    f, g = value_and_grad(x)
+    each try, backtracking ones included, asks evaluate(x) for its point,
+    value and gradient. Like it, a generator of (step, loss, point) from
+    step 0 on."""
+    point, f, g = evaluate(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise DivergedError("objective non-finite at the initial point")
     # Mean-normalized losses scale gradients by 1/element-count; undo that
@@ -319,25 +321,101 @@ def every_gradient_descend_coupled(problem, x, value_and_grad, project):
     lr0 = problem.step_size * x.size
     floor = lr0 * 1e-18
     vel = np.zeros_like(g)
-    yield 0, f, x
+    yield 0, f, point
     for k in range(1, problem.steps + 1):
         # Fresh step size every iteration; halvings apply within the step
         # only, so one cautious step does not slow the rest of the run.
         lr = lr0
         vel_try = problem.momentum * vel - lr * g
         cand = project(x + vel_try)
-        fc, gc = value_and_grad(cand)
+        pc, fc, gc = evaluate(cand)
         ok = math.isfinite(fc) and np.all(np.isfinite(gc))
         while not (ok and fc <= f) and lr > floor:
             lr *= 0.5
             vel_try = -lr * g  # momentum dropped on backtrack
             cand = project(x + vel_try)
-            fc, gc = value_and_grad(cand)
+            pc, fc, gc = evaluate(cand)
             ok = math.isfinite(fc) and np.all(np.isfinite(gc))
         if not (ok and fc <= f):
             return
-        x, f, g, vel = cand, fc, gc, vel_try
-        yield k, f, x
+        x, point, f, g, vel = cand, pc, fc, gc, vel_try
+        yield k, f, point
+
+
+# --- optimizer that rebuilds every view from the parameters ------------------
+
+
+def rebuilt_views_optimize(problem):
+    """optim.optimize with every view rebuilt from the parameters: the loss
+    is evaluated on a container made for it, and each checkpoint and the
+    result make the spectrogram and the waveform again, the waveform
+    through a second map to the spectrogram. It descends with the
+    references above, which make the same decisions as optim's descents
+    but share none of their state handling. Returns (params, trajectory,
+    final loss, spectrogram, signal)."""
+    from magphase import optim
+    from magphase.losses import WAVEFORM_TAGS
+    from magphase.metrics import floored_si_sdr, msnr, psnr
+    from magphase.types import DEFAULT_SAMPLE_RATE_HZ
+
+    cfg, targets, loss = problem.cfg, problem.targets, problem.loss
+    x0, _, chain, project, per_unit = optim._parameterize(problem)
+    sig = targets.s if targets.s is not None else targets.y
+    rate = sig.sample_rate_hz if sig is not None else DEFAULT_SAMPLE_RATE_HZ
+    param = problem.parameterization
+    if param is optim.Parameterization.FREE_WAVEFORM:
+
+        def to_spec(x):
+            return Spectrogram(stft_array(x, cfg), cfg)
+
+        def to_sig(x):
+            return TimeSignal(x, rate)
+
+    else:
+        unit = None  # free-ri parameters are the spectrogram
+        if param is optim.Parameterization.FREE_MAG_FIXED_PHASE:
+            unit = np.exp(1j * optim.fixed_phase(problem))
+        n = len(sig) if sig is not None else (x0.shape[0] - 1) * cfg.hop_length_samples
+
+        def to_complex(x):
+            return x if unit is None else x * unit
+
+        def to_spec(x):
+            return Spectrogram(to_complex(x), cfg)
+
+        def to_sig(x):
+            return TimeSignal(istft_array(to_complex(x), cfg, n), rate)
+
+    def evaluate(x):
+        if loss.tag in WAVEFORM_TAGS:
+            lv = evaluate_loss(loss, to_sig(x), targets)
+            return x, lv.value, lv.gradient()
+        lv = evaluate_loss(loss, to_spec(x), targets)
+        return x, lv.value, chain(lv.gradient())
+
+    traj = optim.TrajectoryRecord()
+
+    def checkpoint(step, loss_map, x):
+        si = ms = ps = None
+        if targets.S is not None:
+            ms = msnr(to_spec(x), targets.S)
+            ps = psnr(to_spec(x), targets.S)
+        if targets.s is not None:
+            si = floored_si_sdr(to_sig(x), targets.s)
+        traj.append(step, float(np.mean(loss_map)), si, ms, ps)
+
+    x = project(np.array(x0))
+    if per_unit is not None:
+        states = full_eval_descend_separable(problem, x, per_unit, project)
+    else:
+        states = every_gradient_descend_coupled(problem, x, evaluate, project)
+    every = max(1, problem.steps // 100)
+    for k, loss_k, x in states:
+        if k % every == 0:
+            checkpoint(k, loss_k, x)
+    if traj.steps[-1] != k:
+        checkpoint(k, loss_k, x)
+    return x, traj, traj.loss[-1], to_spec(x), to_sig(x)
 
 
 # --- metrics that take every reference term per call --------------------------

@@ -91,6 +91,16 @@ def test_synth_refuses_a_drr_it_cannot_build(tmp_path, capsys, drr, match):
     assert not out.exists()
 
 
+def test_synth_refuses_a_scene_float32_cannot_hold(tmp_path, capsys):
+    # A finite DRR of -1000 dB gives a tail gain near 1e50: it exited 0 and
+    # wrote a y.wav whose samples read back as +-inf.
+    out = tmp_path / "x"
+    argv = ["synth", "--seed", 1, "--reverb-rt60", 0.3, "--drr=-1000", "--out", out]
+    with no_warnings():
+        _expect_spec_error(capsys, argv, "v.wav: a float32 WAV cannot hold samples of magnitude")
+    assert not (out / "v.wav").exists() and not (out / "y.wav").exists()
+
+
 def test_metrics_identical_files_all_inf(scene_dir, tmp_path, capsys):
     json_out = tmp_path / "m.json"
     code = run(

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
-from _oracles import CASE_CFG, CASE_LEN, bounded_complex, fd_gradient_rel_err, make_loss_case
+from _oracles import (
+    CASE_CFG,
+    CASE_LEN,
+    CASE_RATE,
+    bounded_complex,
+    fd_gradient_rel_err,
+    make_loss_case,
+)
 
 from magphase.errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError
 from magphase.losses import (
     LossKind,
     LossTag,
+    Point,
     Targets,
     all_loss_kinds,
     evaluate_loss,
@@ -149,6 +157,57 @@ def test_value_does_not_depend_on_want_grad(tag, monkeypatch):
             assert grad.shape == x.shape and np.all(np.isfinite(grad))
             assert grad.tobytes() == value_only.gradient().tobytes()
         assert fd_gradient_rel_err(case, n_coords=16, seed=seed) < 1e-5
+
+
+@pytest.mark.parametrize("tag", list(LossTag))
+def test_a_point_scores_like_its_view_and_lends_the_other(tag, monkeypatch):
+    # Given a Point, evaluate_loss reads the view its kind takes and gives
+    # the same bits as on that container. The other-domain view it needs
+    # (iSTFT of a spectrogram, STFT of a waveform) it takes from a point
+    # that says it derives it so, and builds for one that does not.
+    from magphase import losses
+
+    maps = {"istft_array": [], "stft_array": []}
+    for name, calls in maps.items():
+        real = getattr(losses, name)
+        monkeypatch.setattr(losses, name, lambda *a, real=real, calls=calls: calls.append(1) or real(*a))
+    case = make_loss_case(tag, 0)
+    est = case.wrap(case.x0)
+    want = evaluate_loss(case.kind, est, case.targets)
+    built = {name: len(calls) for name, calls in maps.items()}
+    if isinstance(est, MagSpectrogram):
+        point = Point(case.x0, lambda p: Spectrogram(p.params, CASE_CFG), lambda p: None)
+        with pytest.raises(MissingTargetError, match="expects a MagSpectrogram"):
+            evaluate_loss(case.kind, point, case.targets)
+        return
+    if isinstance(est, Spectrogram):
+        lent, declare = "istft_array", {"istft_length": CASE_LEN}
+
+        def spectrogram(p):
+            return est
+
+        def signal(p):
+            return TimeSignal(istft_array(p.spectrogram.data, CASE_CFG, CASE_LEN), CASE_RATE)
+
+    else:
+        lent, declare = "stft_array", {"stft_config": CASE_CFG}
+
+        def spectrogram(p):
+            return Spectrogram(stft_array(p.params, CASE_CFG), CASE_CFG)
+
+        def signal(p):
+            return est
+
+    for kw in ({}, declare):
+        for calls in maps.values():
+            calls.clear()
+        got = evaluate_loss(case.kind, Point(case.x0, spectrogram, signal, **kw), case.targets)
+        assert np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+        assert got.gradient().tobytes() == want.gradient().tobytes()
+        expect = dict(built)
+        if kw:  # the lent view is not built again; STFT(iSTFT(X)) is no view, so it is
+            expect[lent] = 0
+        assert {name: len(calls) for name, calls in maps.items()} == expect
 
 
 # --- structural identities ---------------------------------------------------

@@ -22,7 +22,7 @@ from magphase.optim import (
     run_trend_experiment,
 )
 from magphase.scenes import SceneSpec, synth_scene
-from magphase.stft import istft_array, stft
+from magphase.stft import istft_array, stft, stft_array
 from magphase.types import (
     _MAG_TERM_TAGS,
     MagSpectrogram,
@@ -381,10 +381,10 @@ def test_coupled_descent_matches_every_gradient_reference(
     tries = []  # per evaluation: [value, loss it must not exceed, gradients computed]
 
     def recorded(descend, states):
-        def run(problem, x, value_and_grad, project):
-            for k, f, x in descend(problem, x, value_and_grad, project):
-                states.append((k, f, x.tobytes()))
-                yield k, f, x
+        def run(problem, x, evaluate, project):
+            for k, f, point in descend(problem, x, evaluate, project):
+                states.append((k, f, point.params.tobytes()))
+                yield k, f, point
 
         return run
 
@@ -399,11 +399,11 @@ def test_coupled_descent_matches_every_gradient_reference(
 
         return LossValue(lv.value, gradient)
 
-    def reference(problem, x, value_and_grad, project):
+    def reference(problem, x, evaluate, project):
         def every_gradient(z):
             ref_tries.append(z)
-            f, grad = value_and_grad(z)
-            return f, grad()
+            point, f, grad = evaluate(z)
+            return point, f, grad()
 
         return every_gradient_descend_coupled(problem, x, every_gradient, project)
 
@@ -431,6 +431,104 @@ def test_coupled_descent_matches_every_gradient_reference(
         assert sum(gradients for *_, gradients in tries) < len(tries)
 
 
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "param, tag, steps, kw",
+    [
+        # The coupled benchmark's problems, checkpointed at every step.
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT, 10, {}),
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT_MAG, 10, {}),
+        (Parameterization.FREE_WAVEFORM, LossTag.WAV_MAG, 10, {}),
+        (Parameterization.FREE_WAVEFORM, LossTag.RI_MAG, 10, {}),
+        (Parameterization.FREE_WAVEFORM, LossTag.PHASE, 10, {}),
+        # An early stop, off the every-2nd-step cadence.
+        (Parameterization.FREE_WAVEFORM, LossTag.WAV, 200, {"step_size": 1e14}),
+        # Separable descents, the first with its last step off the cadence.
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.L2_COMPLEX_MAG, 201, {}),
+        (Parameterization.FREE_RI, LossTag.RI_MAG, 30, {"init": "random"}),
+    ],
+    ids=lambda v: getattr(v, "value", v) if not isinstance(v, dict) else "",
+)
+def test_shared_views_equal_views_rebuilt_from_the_parameters(
+    coupled_targets, param, tag, steps, kw
+):
+    # The loss, the checkpoints and the result share each point's views;
+    # every bit must equal that of rebuilding them from the parameters.
+    from _oracles import rebuilt_views_optimize
+
+    problem = OptimizationProblem(
+        parameterization=param,
+        loss=LossKind(tag),
+        targets=coupled_targets,
+        cfg=CFG_COUPLED,
+        steps=steps,
+        **kw,
+    )
+    got = optimize(problem)
+    if tag is LossTag.WAV:
+        assert got.stop_reason.startswith("no progress") and got.trajectory.steps[-1] % 2
+    params, traj, final_loss, spec, sig = rebuilt_views_optimize(problem)
+    assert got.params.tobytes() == params.tobytes()
+    assert got.trajectory.steps == traj.steps
+    for column in ("loss", "si_sdr_db", "msnr_db", "psnr_db"):
+        assert _bits(getattr(got.trajectory, column)) == _bits(getattr(traj, column)), column
+    assert _bits([got.final_loss]) == _bits([final_loss])
+    assert got.spectrogram.config == spec.config
+    assert got.spectrogram.data.tobytes() == spec.data.tobytes()
+    assert got.signal.sample_rate_hz == sig.sample_rate_hz
+    assert got.signal.samples.tobytes() == sig.samples.tobytes()
+
+
+def _count_calls(monkeypatch, fn):
+    """A list that grows by one per call of fn, counted at every magphase module that binds it."""
+    import sys
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "magphase" or name.startswith("magphase."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "param, tag, fn",
+    [
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT, istft_array),
+        (Parameterization.FREE_WAVEFORM, LossTag.WAV_MAG, stft_array),
+    ],
+    ids=["ri-istft-istft_array", "wav+mag-stft_array"],
+)
+def test_a_coupled_try_maps_to_its_other_domain_once(coupled_targets, monkeypatch, param, tag, fn):
+    # Each try's loss builds the view in the other domain once; the
+    # checkpoints (one per step here) and the result read the kept try's.
+    from magphase import optim
+
+    real, tries = optim.evaluate_loss, []
+    monkeypatch.setattr(optim, "evaluate_loss", lambda *a: tries.append(1) or real(*a))
+    calls = _count_calls(monkeypatch, fn)
+    problem = OptimizationProblem(
+        parameterization=param,
+        loss=LossKind(tag),
+        targets=coupled_targets,
+        cfg=CFG_COUPLED,
+        steps=10,
+    )
+    result = optimize(problem)
+    assert result.trajectory.steps == list(range(11))
+    assert len(tries) >= 11
+    assert len(calls) == len(tries)
+
+
 def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candidate():
     # f = x^2 from x = 1 with step 2: the first try (-3) fails on value;
     # the first halving (-1) passes on value, but its gradient is NaN, so
@@ -442,17 +540,17 @@ def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candida
 
     calls = []
 
-    def value_and_grad(x):
+    def evaluate(x):
         calls.append((float(x[0]), "value"))
 
         def gradient():
             calls.append((float(x[0]), "gradient"))
             return np.full_like(x, np.nan) if x[0] == -1.0 else 2.0 * x
 
-        return float(x[0] ** 2), gradient
+        return x, float(x[0] ** 2), gradient
 
     problem = SimpleNamespace(step_size=2.0, momentum=0.9, steps=1)
-    states = list(_descend_coupled(problem, np.array([1.0]), value_and_grad, lambda x: x))
+    states = list(_descend_coupled(problem, np.array([1.0]), evaluate, lambda x: x))
     assert [(k, f, float(x[0])) for k, f, x in states] == [(0, 1.0, 1.0), (1, 0.0, 0.0)]
     assert calls == [
         (1.0, "value"), (1.0, "gradient"), (-3.0, "value"), (-1.0, "value"),
@@ -858,9 +956,9 @@ def test_fixed_phase_is_built_once_and_shared(scene_targets, monkeypatch):
         parameterization=Parameterization.FREE_MAG_FIXED_PHASE, loss=QUAD_L2_MAG,
         targets=scene_targets, cfg=CFG_SCENE, steps=1,
     )
-    _, to_complex, *_ = _parameterize(problem)
+    _, point_at, *_ = _parameterize(problem)
     assert len(calls) == 1 and len(units) == 1
-    assert to_complex(np.ones(units[0].shape)).tobytes() == units[0].tobytes()
+    assert point_at(np.ones(units[0].shape)).spectrogram.data.tobytes() == units[0].tobytes()
 
 
 @pytest.mark.parametrize(

@@ -188,6 +188,15 @@ def test_write_wav_bytes_equal_scipy_float32(tmp_path, frames):
     assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
 
 
+@pytest.mark.parametrize("sample", [3.5e38, -1e50, np.nan, np.inf], ids=["max", "huge", "nan", "inf"])
+def test_write_wav_refuses_what_float32_cannot_hold(tmp_path, sample):
+    # 1e50 used to be cast to inf with an overflow warning and written.
+    path = tmp_path / "loud.wav"
+    with pytest.raises(SpecInvalidError, match="a float32 WAV cannot hold samples of magnitude"):
+        write_wav(path, TimeSignal([0.25, sample, -0.5], 16000))
+    assert not path.exists()
+
+
 def riff(*chunks) -> bytes:
     body = b"WAVE" + b"".join(chunks)
     return b"RIFF" + struct.pack("<I", len(body)) + body
