@@ -271,6 +271,65 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_wavio.py", "-k", "float32_cannot_hold"),
     ),
+    Mutant(
+        "scene seed range check dropped",
+        "src/magphase/scenes.py",
+        "    if not 0 <= seed < SEED_LIMIT:\n",
+        "    if False:\n",
+        ("tests/test_cli.py", "-k", "before_any_allocation"),
+    ),
+    Mutant(
+        "scene length bound dropped",
+        "src/magphase/scenes.py",
+        "    if spec.sample_rate_hz > MAX_SAMPLES / spec.duration_s:",
+        "    if False:",
+        ("tests/test_cli.py", "-k", "before_any_allocation"),
+    ),
+    Mutant(
+        "rir sample-rate bound dropped",
+        "src/magphase/scenes.py",
+        "    if not 0 < sample_rate_hz <= MAX_SAMPLES:\n",
+        "    if sample_rate_hz <= 0:\n",
+        ("tests/test_scenes.py", "-k", "rir_bounds"),
+    ),
+    Mutant(
+        "snr gain range check dropped",
+        "src/magphase/scenes.py",
+        "    if not 0.0 < gain < math.inf:\n",
+        "    if False:\n",
+        ("tests/test_cli.py", "-k", "gain_leaves_float64"),
+    ),
+    Mutant(
+        "init_seed range check dropped",
+        "src/magphase/optim.py",
+        "    if not 0 <= problem.init_seed < 2**128:",
+        "    if False:",
+        ("tests/test_optim.py", "-k", "validation_errors"),
+    ),
+    Mutant(
+        "optimize makes --out before the checks",
+        "src/magphase/cli.py",
+        "    targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)\n",
+        "    targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)\n"
+        "    out.mkdir(parents=True, exist_ok=True)\n",
+        ("tests/test_cli.py", "-k", "refusal_leaves_no_out"),
+    ),
+    Mutant(
+        "synth makes --out before the wav check",
+        "src/magphase/cli.py",
+        "    files = {name: wavio.wav_bytes(x, out / name) for name, x in signals.items() if x is not None}\n"
+        "    out.mkdir(parents=True, exist_ok=True)\n",
+        "    out.mkdir(parents=True, exist_ok=True)\n"
+        "    files = {name: wavio.wav_bytes(x, out / name) for name, x in signals.items() if x is not None}\n",
+        ("tests/test_cli.py", "-k", "float32_cannot_hold"),
+    ),
+    Mutant(
+        "separable result built twice",
+        "src/magphase/optim.py",
+        "                point = point_at(x)\n                checkpoint(k, loss_k, point)\n",
+        "                checkpoint(k, loss_k, point_at(x))\n                point = point_at(x)\n",
+        ("tests/test_optim.py", "-k", "separable_checkpoint_maps"),
+    ),
 )
 
 

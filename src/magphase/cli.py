@@ -110,12 +110,11 @@ def cmd_synth(args) -> int:
         reverb=reverb,
     )
     scene = scenes.synth_scene(spec)
+    signals = {"s.wav": scene.s, "v.wav": scene.v, "y.wav": scene.y, "s2.wav": scene.s2}
+    files = {name: wavio.wav_bytes(x, out / name) for name, x in signals.items() if x is not None}
     out.mkdir(parents=True, exist_ok=True)
-    wavio.write_wav(out / "s.wav", scene.s)
-    wavio.write_wav(out / "v.wav", scene.v)
-    wavio.write_wav(out / "y.wav", scene.y)
-    if scene.s2 is not None:
-        wavio.write_wav(out / "s2.wav", scene.s2)
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     (out / "scene.json").write_text(json.dumps(spec.as_dict(), indent=2, sort_keys=True))
     print(f"wrote scene (seed {args.seed}) to {out}")
     return EXIT_OK
@@ -238,7 +237,6 @@ def cmd_optimize(args) -> int:
     s, y = _load_scene_dir(Path(args.scene))
     cfg = _stft_config(args, y)
     targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.trend:
         options = {} if args.steps is None else {"steps": args.steps}
@@ -248,6 +246,7 @@ def cmd_optimize(args) -> int:
                 raise SpecInvalidError("--pair needs exactly two comma-separated losses")
             options["loss_pair"] = pair
         report = optim.run_trend_experiment(targets, cfg, **options)
+        out.mkdir(parents=True, exist_ok=True)
         report.to_csv(out / "trend.csv")
         for row in (report.without_mag, report.with_mag):
             print(
@@ -271,9 +270,10 @@ def cmd_optimize(args) -> int:
     if args.verify_oracle:
         compensation.closed_form_weights(problem.loss)  # refused before the run if constant
     result = optim.optimize(problem)
+    rep = metrics.report(result.signal, s, result.spectrogram, targets.S)
+    out.mkdir(parents=True, exist_ok=True)
     result.trajectory.to_csv(out / "trajectory.csv")
     wavio.write_wav(out / "final.wav", result.signal)
-    rep = metrics.report(result.signal, s, result.spectrogram, targets.S)
     (out / "metrics.json").write_text(rep.to_json())
     print(f"final_loss {result.final_loss:.6g}")
     print(f"stop_reason {result.stop_reason}")

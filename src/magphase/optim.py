@@ -394,6 +394,8 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
         raise ConfigInvalidError("momentum must lie in [0, 1)")
     if problem.init not in _INITS:
         raise ConfigInvalidError(f"init must be one of {', '.join(_INITS)}, got {problem.init!r}")
+    if not 0 <= problem.init_seed < 2**128:  # the range of a Philox key
+        raise ConfigInvalidError(f"init_seed must lie in [0, 2^128), got {problem.init_seed}")
     loss = problem.loss
     if not isinstance(loss, LossKind):
         raise ConfigInvalidError(f"loss must be a LossKind, got {loss!r}")
@@ -436,10 +438,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     else:
         # A separable state's point lives for its checkpoint only: its views,
         # held through the next step, would add to the descent's peak memory.
+        # The last step's point is the result's, so it is built once.
         for k, loss_k, x in _descend_separable(problem, x, per_unit, project):
-            if k % every == 0:
+            if k == problem.steps:
+                point = point_at(x)
+                checkpoint(k, loss_k, point)
+            elif k % every == 0:
                 checkpoint(k, loss_k, point_at(x))
-        point = point_at(x)
     if traj.steps[-1] != k:  # the last checkpoint is the state returned
         checkpoint(k, loss_k, point)
     return OptimizationResult(

@@ -9,9 +9,14 @@ returned target stays the direct-path signal and the reverberant tail is
 folded into the interference, so the reference is always direct sound.
 
 All randomness flows from a Philox counter-based generator keyed by the
-scene seed, and the reverb is convolved with numpy's real FFT, so
-identical specs synthesize bit-identical audio wherever numpy's FFT gives
-the same bits.
+scene seed, which must lie in [0, SEED_LIMIT), and the reverb is
+convolved with numpy's real FFT, so identical specs synthesize
+bit-identical audio wherever numpy's FFT gives the same bits.
+
+A scene holds at most MAX_SAMPLES samples (duration x sample rate): 2^24,
+about 35 minutes at 8 kHz or 5.8 minutes at 48 kHz, where each float64
+array of the scene takes 128 MiB. A longer one is refused before anything
+is allocated.
 """
 from __future__ import annotations
 
@@ -27,6 +32,8 @@ from .types import TimeSignal
 RNG_ALGORITHM = "philox4x64"
 
 MIN_DURATION_S = 0.25
+MAX_SAMPLES = 2**24
+SEED_LIMIT = 2**120  # a Philox key is below 2^128, and _rng keeps 8 bits for the stream
 RT60_RANGE_S = (0.05, 1.0)
 BAND_LOW_HZ = 80.0
 BAND_HIGH_HZ = 4000.0
@@ -97,6 +104,10 @@ def _validate_spec(spec: SceneSpec) -> None:
         raise SpecInvalidError(f"duration must be >= {MIN_DURATION_S} s")
     if spec.sample_rate_hz <= 0:
         raise SpecInvalidError("sample rate must be positive")
+    if spec.sample_rate_hz > MAX_SAMPLES / spec.duration_s:  # int vs float compares exactly
+        raise SpecInvalidError(
+            f"{spec.duration_s} s at {spec.sample_rate_hz} Hz exceeds {MAX_SAMPLES} samples"
+        )
     if not math.isfinite(spec.interference.snr_db):
         raise SpecInvalidError("snr/sir must be finite")
     if spec.interference.kind not in ("white", "pink", "second_talker"):
@@ -112,6 +123,8 @@ def _validate_spec(spec: SceneSpec) -> None:
 
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
+    if not 0 <= seed < SEED_LIMIT:
+        raise SpecInvalidError(f"seed must lie in [0, 2^120), got {seed}")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 8) + stream))
 
 
@@ -161,7 +174,12 @@ def _scaled_to_ratio(signal: np.ndarray, reference: np.ndarray, ratio_db: float)
     ref_energy = float(np.dot(reference, reference))
     if sig_energy == 0.0 or ref_energy == 0.0:
         raise SpecInvalidError("cannot scale a silent component to a target SNR")
-    gain = math.sqrt(ref_energy / sig_energy) * 10.0 ** (-ratio_db / 20.0)
+    try:
+        gain = math.sqrt(ref_energy / sig_energy) * 10.0 ** (-ratio_db / 20.0)
+    except OverflowError:
+        gain = math.inf
+    if not 0.0 < gain < math.inf:
+        raise SpecInvalidError(f"a ratio of {ratio_db} dB needs a gain of {gain}, beyond float64")
     return signal * gain
 
 
@@ -202,8 +220,8 @@ def synth_rir(
         raise SpecInvalidError(f"rt60 must lie in [{lo}, {hi}] s, got {rt60_s}")
     if not math.isfinite(direct_to_reverb_db):
         raise SpecInvalidError(f"direct-to-reverb ratio must be finite, got {direct_to_reverb_db}")
-    if sample_rate_hz <= 0:
-        raise SpecInvalidError("sample rate must be positive")
+    if not 0 < sample_rate_hz <= MAX_SAMPLES:
+        raise SpecInvalidError(f"sample rate must lie in (0, {MAX_SAMPLES}] Hz")
     rng = _rng(seed, stream=7)
     n = int(round(1.5 * rt60_s * sample_rate_hz))
     t = np.arange(1, n + 1) / sample_rate_hz

@@ -13,9 +13,9 @@ whole frames, and a fmt or data chunk cut short by the end of the file.
 
 write_wav always writes 32-bit float, so quantization cannot mask
 sub-1e-6 differences in round-trip checks, with the bytes of
-scipy.io.wavfile.write for float32 data. A signal float32 cannot hold
-(a sample beyond its range, or one not finite) raises SpecInvalidError
-before the file is opened.
+scipy.io.wavfile.write for float32 data; wav_bytes gives those bytes
+without a file. A signal float32 cannot hold (a sample beyond its range,
+or one not finite) raises SpecInvalidError before the file is opened.
 """
 from __future__ import annotations
 
@@ -99,12 +99,13 @@ def read_wav(path) -> TimeSignal:
     return TimeSignal(samples, rate)
 
 
-def write_wav(path, signal: TimeSignal) -> None:
+def wav_bytes(signal: TimeSignal, name) -> bytes:
+    """The bytes write_wav writes; SpecInvalidError, naming name, for a signal float32 cannot hold."""
     with np.errstate(over="ignore"):
         data = signal.samples.astype("<f4")
     if not np.all(np.isfinite(data)):
         peak = np.max(np.abs(signal.samples))
-        raise SpecInvalidError(f"{path}: a float32 WAV cannot hold samples of magnitude {peak:.3g}")
+        raise SpecInvalidError(f"{name}: a float32 WAV cannot hold samples of magnitude {peak:.3g}")
     rate = signal.sample_rate_hz
     fmt = struct.pack("<HHIIHHH", _FLOAT, 1, rate, 4 * rate, 4, 32, 0)
     header = (
@@ -113,6 +114,10 @@ def write_wav(path, signal: TimeSignal) -> None:
         + b"fact" + struct.pack("<II", 4, len(data))
         + b"data" + struct.pack("<I", data.nbytes)
     )
+    return b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header + data.tobytes()
+
+
+def write_wav(path, signal: TimeSignal) -> None:
+    data = wav_bytes(signal, path)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(header) + data.nbytes) + header)
-        fh.write(data.tobytes())
+        fh.write(data)

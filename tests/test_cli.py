@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from magphase import metrics
-from magphase.cli import build_parser, main
+from magphase.cli import _HIST_SOURCES, build_parser, main
 from magphase.errors import SpecInvalidError
 from magphase.wavio import read_wav, write_wav
 from magphase.scenes import SceneSpec, synth_scene
@@ -98,7 +98,7 @@ def test_synth_refuses_a_scene_float32_cannot_hold(tmp_path, capsys):
     argv = ["synth", "--seed", 1, "--reverb-rt60", 0.3, "--drr=-1000", "--out", out]
     with no_warnings():
         _expect_spec_error(capsys, argv, "v.wav: a float32 WAV cannot hold samples of magnitude")
-    assert not (out / "v.wav").exists() and not (out / "y.wav").exists()
+    assert not out.exists()  # s.wav was written before v.wav was refused
 
 
 def test_metrics_identical_files_all_inf(scene_dir, tmp_path, capsys):
@@ -488,16 +488,20 @@ def test_fft_at_eight_times_the_window_fft_is_accepted(scene_dir, tmp_path):
     assert json_out.read_text() == expected
 
 
-def test_histogram_outputs(scene_dir, tmp_path):
-    prefix = tmp_path / "hist"
-    code = run(
-        "histogram", "--scene", scene_dir, "--source", "compensated",
-        "--win", 200, "--hop", 80, "--out", prefix,
-    )
-    assert code == 0
-    csv_lines = (tmp_path / "hist.csv").read_text().strip().splitlines()
-    assert csv_lines[0] == "x_center,y_center,count"
-    assert (tmp_path / "hist.pgm").read_bytes().startswith(b"P5\n50 50\n255\n")
+def test_histogram_outputs(scene_dir, tmp_path, capsys):
+    for source in _HIST_SOURCES:
+        prefix = tmp_path / source
+        est = ["--est-wav", scene_dir / "y.wav"] if source == "est-wav" else []
+        code = run(
+            "histogram", "--scene", scene_dir, "--source", source, *est,
+            "--win", 200, "--hop", 80, "--out", prefix,
+        )
+        assert code == 0, source
+        retained = int(capsys.readouterr().out.split()[1])  # "retained_units N"
+        csv_lines = prefix.with_suffix(".csv").read_text().strip().splitlines()
+        assert csv_lines[0] == "x_center,y_center,count", source
+        assert sum(int(line.rsplit(",", 1)[1]) for line in csv_lines[1:]) == retained > 0, source
+        assert prefix.with_suffix(".pgm").read_bytes().startswith(b"P5\n50 50\n255\n"), source
 
 
 def test_histogram_oracle_single_ratio_row(scene_dir, tmp_path):
@@ -658,6 +662,64 @@ def test_window_the_signal_cannot_hold_exits_1_before_any_stft(
     out = tmp_path / "o"
     _expect_exit_1(capsys, [*_STFT_COMMANDS[command](scene_dir, out), *flags], match)
     assert not out.exists()
+
+
+def _expect_exit_1_leaving_no_out(capsys, argv, out, match):
+    with no_warnings():
+        _expect_exit_1(capsys, [*argv, "--out", out], match)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["--seed", -1], r"seed must lie in \[0, 2\^120\), got -1"),
+        (["--seed", 2**120], rf"seed must lie in \[0, 2\^120\), got {2**120}"),
+        (["--seed", 1, "--duration", "1e9"], r"1000000000\.0 s at 8000 Hz exceeds 16777216 samples"),
+        (["--seed", 1, "--duration", 2097.2], r"2097\.2 s at 8000 Hz exceeds 16777216 samples"),
+        # 10**400 Hz died with an OverflowError turning the scene's length into a float.
+        (["--seed", 1, "--sample-rate", 10**400], rf"1\.0 s at {10**400} Hz exceeds 16777216 samples"),
+    ],
+    ids=["negative_seed", "seed_2^120", "duration_1e9", "duration_over_2^24", "rate_1e400"],
+)
+def test_synth_refuses_a_scene_before_any_allocation(tmp_path, monkeypatch, capsys, argv, match):
+    # A negative seed died in Philox's key with a ValueError traceback, and
+    # --duration 1e9 in numpy's allocation of 58 TiB.
+    from magphase import scenes
+
+    monkeypatch.setattr(scenes, "_harmonic_voice", _must_not_run)
+    _expect_exit_1_leaving_no_out(capsys, ["synth", *argv], tmp_path / "x", match)
+
+
+@pytest.mark.parametrize(
+    "snr, match",
+    [("-1e308", r"a ratio of -1e\+308 dB needs a gain of inf, beyond float64"),
+     ("1e308", r"a ratio of 1e\+308 dB needs a gain of 0\.0, beyond float64")],
+    ids=["-1e308", "1e308"],
+)
+def test_synth_refuses_a_snr_whose_gain_leaves_float64(tmp_path, capsys, snr, match):
+    # -1e308 died with an OverflowError traceback; 1e308 exited 0 with an
+    # all-zero v.wav, its gain underflowed to 0.
+    _expect_exit_1_leaving_no_out(capsys, ["synth", "--seed", 1, f"--snr={snr}"], tmp_path / "x", match)
+
+
+@pytest.mark.parametrize(
+    "argv, problem, match",
+    [
+        (["--trend", "--pair", "ri-istft,wav"], None, "loss wav unsupported for free-mag-fixed-phase parameters"),
+        ([], '{"init_seed": -1}', r"init_seed must lie in \[0, 2\^128\), got -1"),
+        ([], f'{{"init_seed": {2**128}}}', rf"init_seed must lie in \[0, 2\^128\), got {2**128}"),
+    ],
+    ids=["trend_pair_wav", "negative_init_seed", "init_seed_2^128"],
+)
+def test_optimize_refusal_leaves_no_out(scene_dir, tmp_path, capsys, argv, problem, match):
+    # Each left an empty --out: it was made before the problem was checked.
+    # A negative init_seed died in Philox's key with a ValueError traceback.
+    if problem is not None:
+        (tmp_path / "p.json").write_text(problem)
+        argv = [*argv, "--problem", tmp_path / "p.json"]
+    argv = ["optimize", "--scene", scene_dir, "--win", 200, "--hop", 80, "--steps", 3, *argv]
+    _expect_exit_1_leaving_no_out(capsys, argv, tmp_path / "o", match)
 
 
 @pytest.mark.parametrize("prefix", [".", "/"])

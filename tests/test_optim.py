@@ -529,6 +529,30 @@ def test_a_coupled_try_maps_to_its_other_domain_once(coupled_targets, monkeypatc
     assert len(calls) == len(tries)
 
 
+@pytest.mark.parametrize(
+    "param, tag, steps",
+    [
+        # 201 steps checkpoint every 2nd step, so the last is off the cadence.
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.L2_COMPLEX_MAG, 201),
+        (Parameterization.FREE_RI, LossTag.RI_MAG, 10),
+    ],
+    ids=["l2-complex+mag-201", "ri+mag-10"],
+)
+def test_a_separable_checkpoint_maps_to_the_waveform_once(scene_targets, monkeypatch, param, tag, steps):
+    # Each checkpoint builds its waveform once; the result reads the last one's.
+    calls = _count_calls(monkeypatch, istft_array)
+    problem = OptimizationProblem(
+        parameterization=param,
+        loss=LossKind(tag),
+        targets=scene_targets,
+        cfg=CFG_SCENE,
+        steps=steps,
+    )
+    result = optimize(problem)
+    assert result.trajectory.steps[-1] == steps
+    assert len(calls) == len(result.trajectory.steps)
+
+
 def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candidate():
     # f = x^2 from x = 1 with step 2: the first try (-3) fails on value;
     # the first halving (-1) passes on value, but its gradient is NaN, so
@@ -827,6 +851,9 @@ def test_validation_errors(scene_targets):
         optimize(OptimizationProblem(**base, step_size=-1.0))
     with pytest.raises(ConfigInvalidError):
         optimize(OptimizationProblem(**base, momentum=1.0))
+    for seed in (-1, 2**128):  # outside the range of a Philox key
+        with pytest.raises(ConfigInvalidError, match="init_seed must lie in"):
+            optimize(OptimizationProblem(**base, init_seed=seed))
     with pytest.raises(MissingTargetError):
         optimize(
             OptimizationProblem(

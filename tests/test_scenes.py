@@ -126,6 +126,8 @@ def test_rir_bounds():
         synth_rir(2.0, 8000)
     with pytest.raises(SpecInvalidError):
         synth_rir(0.01, 8000)
+    with pytest.raises(SpecInvalidError, match="sample rate must lie in"):
+        synth_rir(0.3, 10**30)  # refused before its tail is allocated
 
 
 @pytest.mark.parametrize("drr", [math.nan, math.inf, -math.inf, -1e9])

@@ -1,10 +1,6 @@
-"""Smoke runs of the study scripts in scripts/ with tiny budgets, and the mutants' anchors."""
+"""The mutation sweep's anchors: each mutant's text, and README's count of the mutants."""
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
-
-import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 _UNITS = (
@@ -12,25 +8,6 @@ _UNITS = (
     " fourteen fifteen sixteen seventeen eighteen nineteen"
 ).split()
 _TENS = "- - twenty thirty forty fifty sixty seventy eighty ninety".split()
-
-
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("trend_study.py", ["--seeds", "1", "--steps", "5"]),
-        ("compensation_grid.py", ["--steps", "5", "--units", "20"]),
-        ("make_histograms.py", ["--out", "hist"]),
-    ],
-    ids=lambda v: v if isinstance(v, str) else "",
-)
-def test_script_runs(tmp_path, script, args):
-    # Run inside tmp_path so any output the script writes lands there.
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
 
 
 def _sweep():
