@@ -163,7 +163,7 @@ MUTANTS = (
         "backtrack keeps the stale gradient",
         "src/magphase/optim.py",
         "            gc = grad() if math.isfinite(fc) and fc <= f else None\n",
-        "            gc = (grad() if lr == lr0 else g) if math.isfinite(fc) and fc <= f else None\n",
+        "            gc = (grad() if i == start else g) if math.isfinite(fc) and fc <= f else None\n",
         ("tests/test_optim.py", "-k", "every_gradient_reference or finite_gradient"),
     ),
     Mutant(
@@ -253,16 +253,37 @@ MUTANTS = (
     Mutant(
         "early stop checkpoints the last try",
         "src/magphase/optim.py",
-        "            if lr <= floor:\n                return\n",
-        "            if lr <= floor:\n                yield k - 1, f, tried\n                return\n",
+        "        else:\n            return\n",
+        "        else:\n            yield k - 1, f, tried\n            return\n",
         ("tests/test_optim.py", "-k", "shared_views"),
     ),
     Mutant(
         "checkpoint reads the previous point",
         "src/magphase/optim.py",
-        "        x, point, f, g, vel = cand, tried, fc, gc, vel_try\n",
-        "        x, f, g, vel = cand, fc, gc, vel_try\n",
+        "        x, point, f, g, vel, kept = cand, tried, fc, gc, vel_try, i\n",
+        "        x, f, g, vel, kept = cand, fc, gc, vel_try, i\n",
         ("tests/test_optim.py", "-k", "shared_views"),
+    ),
+    Mutant(
+        "kept size never updated",
+        "src/magphase/optim.py",
+        "        x, point, f, g, vel, kept = cand, tried, fc, gc, vel_try, i\n",
+        "        x, point, f, g, vel = cand, tried, fc, gc, vel_try\n",
+        ("tests/test_optim.py", "-k", "search_order or warm_started"),
+    ),
+    Mutant(
+        "momentum on a warm-started try",
+        "src/magphase/optim.py",
+        "if i == 0 else -lr * g",
+        "if i == start else -lr * g",
+        ("tests/test_optim.py", "-k", "search_order"),
+    ),
+    Mutant(
+        "stall skips the larger sizes",
+        "src/magphase/optim.py",
+        "        for i in order[start:] + order[:start]:\n",
+        "        for i in order[start:]:\n",
+        ("tests/test_optim.py", "-k", "search_order"),
     ),
     Mutant(
         "float32 overflow written",
@@ -270,6 +291,13 @@ MUTANTS = (
         "    if not np.all(np.isfinite(data)):\n",
         "    if False:\n",
         ("tests/test_wavio.py", "-k", "float32_cannot_hold"),
+    ),
+    Mutant(
+        "float32 silence written",
+        "src/magphase/wavio.py",
+        "    if not data.any() and signal.samples.any():\n",
+        "    if False:\n",
+        ("tests/test_wavio.py", "-k", "rounds_to_silence"),
     ),
     Mutant(
         "scene seed range check dropped",

@@ -14,7 +14,10 @@ increase the loss is retried with a halved step size (momentum dropped),
 so the recorded loss is non-increasing. Magnitude parameters are clamped
 to be nonnegative after every step. The coupled descent evaluates each
 try once and computes a gradient only for a try that passes on its
-value.
+value. It starts each step's search at twice the size the last step
+kept, not at the full step, and tries the larger sizes only when every
+smaller one has failed, so it stops only where a search from the full
+step would.
 
 optimize is the one driver: it composes each loss through the
 parameterization's map to the complex spectrogram and that map's adjoint,
@@ -339,11 +342,17 @@ def _descend_coupled(problem, x, evaluate, project):
     evaluate(x) returns the point at parameters x, its loss, and a
     function computing the loss gradient. Yields (step, loss, point) for
     step 0 and every accepted step, with the point the loss was evaluated
-    at; stops when no step size makes progress. Each try evaluates the
-    loss once. A try whose value is finite and no higher computes its
-    gradient, and is kept if that is finite; otherwise halving goes on.
-    So the descent takes the same decisions as one that computes every
-    try's gradient.
+    at; stops when no step size makes progress. A step's sizes are lr0
+    (the momentum step) and -lr * g at lr0/2, lr0/4, ... down to the
+    floor. Each step searches them all, in a new order: from twice the
+    size the last step kept (lr0 at first), halving down to the floor,
+    then the skipped larger sizes from lr0 down. So a step keeps the size
+    a search from lr0 would keep unless a skipped larger size also
+    passes, and the run stops only where that search stops. Each try
+    evaluates the loss once. A try whose value is finite and no higher
+    computes its gradient, and is kept if that is finite; otherwise the
+    search goes on. So the descent takes the same decisions as one that
+    computes every try's gradient.
     """
     point, f, grad = evaluate(x)
     g = grad()
@@ -354,26 +363,28 @@ def _descend_coupled(problem, x, evaluate, project):
     # so step_size acts per element regardless of problem size.
     lr0 = problem.step_size * x.size
     floor = lr0 * 1e-18
+    sizes = [lr0]  # a step's sizes: lr0 halved down to the first at or below floor
+    while sizes[-1] > floor:
+        sizes.append(sizes[-1] * 0.5)
+    order = list(range(len(sizes)))
+    kept = 0  # index of the size the last step accepted
     vel = np.zeros_like(g)
     yield 0, f, point
     for k in range(1, problem.steps + 1):
-        # Fresh step size every iteration; halvings apply within the step
-        # only, so one cautious step does not slow the rest of the run.
-        lr = lr0
-        vel_try = problem.momentum * vel - lr * g
-        while True:
+        start = max(kept - 1, 0)  # twice the kept size, at most lr0
+        for i in order[start:] + order[:start]:
+            lr = sizes[i]
+            vel_try = problem.momentum * vel - lr * g if i == 0 else -lr * g  # momentum at lr0 only
             cand = project(x + vel_try)
             tried, fc, grad = evaluate(cand)
             gc = grad() if math.isfinite(fc) and fc <= f else None
             del grad
             if gc is not None and np.all(np.isfinite(gc)):
                 break
-            if lr <= floor:
-                return
             del tried  # a rejected try's views die with it
-            lr *= 0.5
-            vel_try = -lr * g  # momentum dropped on backtrack
-        x, point, f, g, vel = cand, tried, fc, gc, vel_try
+        else:
+            return
+        x, point, f, g, vel, kept = cand, tried, fc, gc, vel_try, i
         yield k, f, point
 
 

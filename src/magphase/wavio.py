@@ -15,7 +15,8 @@ write_wav always writes 32-bit float, so quantization cannot mask
 sub-1e-6 differences in round-trip checks, with the bytes of
 scipy.io.wavfile.write for float32 data; wav_bytes gives those bytes
 without a file. A signal float32 cannot hold (a sample beyond its range,
-or one not finite) raises SpecInvalidError before the file is opened.
+or one not finite, or a nonzero signal whose every sample rounds to
+zero) raises SpecInvalidError before the file is opened.
 """
 from __future__ import annotations
 
@@ -106,6 +107,9 @@ def wav_bytes(signal: TimeSignal, name) -> bytes:
     if not np.all(np.isfinite(data)):
         peak = np.max(np.abs(signal.samples))
         raise SpecInvalidError(f"{name}: a float32 WAV cannot hold samples of magnitude {peak:.3g}")
+    if not data.any() and signal.samples.any():
+        peak = np.max(np.abs(signal.samples))
+        raise SpecInvalidError(f"{name}: a float32 WAV rounds every sample to zero, the largest {peak:.3g}")
     rate = signal.sample_rate_hz
     fmt = struct.pack("<HHIIHHH", _FLOAT, 1, rate, 4 * rate, 4, 32, 0)
     header = (

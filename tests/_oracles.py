@@ -1,7 +1,8 @@
 """Shared test oracles: loss-case builders, finite-difference checks,
 per-frame-loop and full-evaluation references for the STFT maps and the
-per-unit descent, the coupled descent that takes every try's gradient,
-the optimizer that rebuilds every view from the parameters, the metrics
+per-unit descent, the coupled descent that takes every try's gradient
+and the one whose every step restarts its search at the full step, the
+optimizer that rebuilds every view from the parameters, the metrics
 that take every reference term per call, and the scipy-based reference
 WAV reader.
 
@@ -305,40 +306,81 @@ def full_eval_descend_separable(problem, x, per_unit, project):
         yield k, L, x
 
 
-# --- every-try-gradient reference for the coupled descent -------------------
+# --- references for the coupled descent ---------------------------------------
 
 
 def every_gradient_descend_coupled(problem, x, evaluate, project):
     """optim._descend_coupled as a descent that takes every try's gradient:
     each try, backtracking ones included, asks evaluate(x) for its point,
-    value and gradient. Like it, a generator of (step, loss, point) from
-    step 0 on."""
+    value and gradient. Each step tries sizes from min(lr0, 2 * kept),
+    kept the size the last step accepted, halving to the floor, then the
+    larger sizes from lr0 down. Like it, a generator of (step, loss,
+    point) from step 0 on."""
     point, f, g = evaluate(x)
     if not (math.isfinite(f) and np.all(np.isfinite(g))):
         raise DivergedError("objective non-finite at the initial point")
-    # Mean-normalized losses scale gradients by 1/element-count; undo that
-    # so step_size acts per element regardless of problem size.
+    lr0 = problem.step_size * x.size
+    floor = lr0 * 1e-18
+    kept = lr0
+    vel = np.zeros_like(g)
+
+    def sizes(start):
+        lr = start
+        while True:
+            yield lr
+            if lr <= floor:
+                break
+            lr *= 0.5
+        lr = lr0
+        while lr > start:
+            yield lr
+            lr *= 0.5
+
+    yield 0, f, point
+    for k in range(1, problem.steps + 1):
+        for lr in sizes(min(lr0, 2.0 * kept)):
+            # momentum only on the lr0 try
+            vel_try = problem.momentum * vel - lr * g if lr == lr0 else -lr * g
+            cand = project(x + vel_try)
+            pc, fc, gc = evaluate(cand)
+            if math.isfinite(fc) and np.all(np.isfinite(gc)) and fc <= f:
+                break
+        else:
+            return
+        x, point, f, g, vel, kept = cand, pc, fc, gc, vel_try, lr
+        yield k, f, point
+
+
+def restart_descend_coupled(problem, x, evaluate, project):
+    """optim._descend_coupled with the earlier search, which restarts every
+    step at lr0: the momentum step at lr0, then -lr * g at lr0/2, lr0/4,
+    ... down to the floor. The same signature, evaluate contract and
+    states; a step keeps the largest size that passes."""
+    point, f, grad = evaluate(x)
+    g = grad()
+    del grad
+    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+        raise DivergedError("objective non-finite at the initial point")
     lr0 = problem.step_size * x.size
     floor = lr0 * 1e-18
     vel = np.zeros_like(g)
     yield 0, f, point
     for k in range(1, problem.steps + 1):
-        # Fresh step size every iteration; halvings apply within the step
-        # only, so one cautious step does not slow the rest of the run.
         lr = lr0
         vel_try = problem.momentum * vel - lr * g
-        cand = project(x + vel_try)
-        pc, fc, gc = evaluate(cand)
-        ok = math.isfinite(fc) and np.all(np.isfinite(gc))
-        while not (ok and fc <= f) and lr > floor:
+        while True:
+            cand = project(x + vel_try)
+            tried, fc, grad = evaluate(cand)
+            gc = grad() if math.isfinite(fc) and fc <= f else None
+            del grad
+            if gc is not None and np.all(np.isfinite(gc)):
+                break
+            if lr <= floor:
+                return
+            del tried
             lr *= 0.5
             vel_try = -lr * g  # momentum dropped on backtrack
-            cand = project(x + vel_try)
-            pc, fc, gc = evaluate(cand)
-            ok = math.isfinite(fc) and np.all(np.isfinite(gc))
-        if not (ok and fc <= f):
-            return
-        x, point, f, g, vel = cand, pc, fc, gc, vel_try
+        x, point, f, g, vel = cand, tried, fc, gc, vel_try
         yield k, f, point
 
 

@@ -703,6 +703,14 @@ def test_synth_refuses_a_snr_whose_gain_leaves_float64(tmp_path, capsys, snr, ma
     _expect_exit_1_leaving_no_out(capsys, ["synth", "--seed", 1, f"--snr={snr}"], tmp_path / "x", match)
 
 
+def test_synth_refuses_a_snr_float32_rounds_to_silence(tmp_path, capsys):
+    # A 900 dB ratio's gain (about 1e-45) is nonzero in float64 but flushes
+    # every v.wav sample to zero in float32: it exited 0 with a silent v.wav.
+    out = tmp_path / "x"
+    match = re.escape(f"{out / 'v.wav'}: a float32 WAV rounds every sample to zero, the largest 6.03e-46")
+    _expect_exit_1_leaving_no_out(capsys, ["synth", "--seed", 1, "--snr=900"], out, match)
+
+
 @pytest.mark.parametrize(
     "argv, problem, match",
     [

@@ -353,6 +353,17 @@ def coupled_targets():
     return Targets(S=S, s=scene.s, Y=Y, y=scene.y)
 
 
+def _recorded(descend, states):
+    """descend, appending each state it yields to states as (step, loss, params bytes)."""
+
+    def run(problem, x, evaluate, project):
+        for k, f, point in descend(problem, x, evaluate, project):
+            states.append((k, f, point.params.tobytes()))
+            yield k, f, point
+
+    return run
+
+
 @pytest.mark.parametrize(
     "param, tag, steps",
     [
@@ -379,14 +390,6 @@ def test_coupled_descent_matches_every_gradient_reference(
 
     real_evaluate, descend = optim.evaluate_loss, optim._descend_coupled
     tries = []  # per evaluation: [value, loss it must not exceed, gradients computed]
-
-    def recorded(descend, states):
-        def run(problem, x, evaluate, project):
-            for k, f, point in descend(problem, x, evaluate, project):
-                states.append((k, f, point.params.tobytes()))
-                yield k, f, point
-
-        return run
 
     def counted(kind, estimate, targets):
         lv = real_evaluate(kind, estimate, targets)
@@ -416,10 +419,10 @@ def test_coupled_descent_matches_every_gradient_reference(
     )
     states, ref_states, ref_tries = [], [], []
     monkeypatch.setattr(optim, "evaluate_loss", counted)
-    monkeypatch.setattr(optim, "_descend_coupled", recorded(descend, states))
+    monkeypatch.setattr(optim, "_descend_coupled", _recorded(descend, states))
     got = optimize(problem)
     monkeypatch.setattr(optim, "evaluate_loss", real_evaluate)
-    monkeypatch.setattr(optim, "_descend_coupled", recorded(reference, ref_states))
+    monkeypatch.setattr(optim, "_descend_coupled", _recorded(reference, ref_states))
     want = optimize(problem)
     assert states == ref_states
     assert got.stop_reason == want.stop_reason
@@ -429,6 +432,62 @@ def test_coupled_descent_matches_every_gradient_reference(
         assert gradients == (math.isfinite(value) and value <= bound)
     if param is Parameterization.FREE_WAVEFORM:  # every step backtracks
         assert sum(gradients for *_, gradients in tries) < len(tries)
+
+
+@pytest.mark.parametrize(
+    "param, tag, steps, kw",
+    [
+        # The coupled benchmark's five problem kinds at its 20-step budget.
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT, 20, {}),
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT_MAG, 20, {}),
+        (Parameterization.FREE_WAVEFORM, LossTag.WAV_MAG, 20, {}),
+        (Parameterization.FREE_WAVEFORM, LossTag.RI_MAG, 20, {}),
+        (Parameterization.FREE_WAVEFORM, LossTag.PHASE, 20, {}),
+        # The every-gradient test's longer run, and a run that stops early.
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT_MAG, 50, {}),
+        (Parameterization.FREE_WAVEFORM, LossTag.WAV, 200, {"step_size": 1e14}),
+    ],
+    ids=lambda v: getattr(v, "value", v) if not isinstance(v, dict) else "",
+)
+def test_warm_started_search_keeps_the_restarting_search_states(
+    coupled_targets, param, tag, steps, kw, monkeypatch
+):
+    # Starting each step at twice the last kept size departs from the
+    # search that restarts at lr0 only where a skipped larger size would
+    # also pass; on these problems none does, so every state, checkpoint
+    # and stop equals the restarting search's bit for bit, for fewer
+    # evaluations wherever a free waveform backtracks at every step.
+    from _oracles import restart_descend_coupled
+
+    from magphase import optim
+
+    real_evaluate, descend = optim.evaluate_loss, optim._descend_coupled
+    evaluations = []
+    monkeypatch.setattr(optim, "evaluate_loss", lambda *a: evaluations.append(1) or real_evaluate(*a))
+    problem = OptimizationProblem(
+        parameterization=param,
+        loss=LossKind(tag),
+        targets=coupled_targets,
+        cfg=CFG_COUPLED,
+        steps=steps,
+        **kw,
+    )
+    states, restart_states = [], []
+    monkeypatch.setattr(optim, "_descend_coupled", _recorded(descend, states))
+    got = optimize(problem)
+    warm = len(evaluations)
+    evaluations.clear()
+    monkeypatch.setattr(optim, "_descend_coupled", _recorded(restart_descend_coupled, restart_states))
+    want = optimize(problem)
+    assert states == restart_states
+    assert got.stop_reason == want.stop_reason
+    assert got.trajectory == want.trajectory
+    if tag is LossTag.WAV:
+        assert got.stop_reason.startswith("no progress")
+    if param is Parameterization.FREE_WAVEFORM:
+        assert warm < len(evaluations)
+    else:
+        assert warm <= len(evaluations)
 
 
 def _bits(values):
@@ -580,6 +639,49 @@ def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candida
         (1.0, "value"), (1.0, "gradient"), (-3.0, "value"), (-1.0, "value"),
         (-1.0, "gradient"), (0.0, "value"), (0.0, "gradient"),
     ]
+
+
+def test_coupled_search_order_starts_at_twice_the_kept_size():
+    # lr0 = 1 over 8 parameters, so a step's 61 sizes are 2^-i, i = 0..60,
+    # 2^-60 the first at or below the floor 1e-18. Step k moves along axis k - 1 only, which no
+    # earlier step touched, so a try's size is minus its candidate's entry
+    # there and momentum shows as a change on any other axis. Each step
+    # passes the sizes its script names; a pass lowers the loss by one.
+    from types import SimpleNamespace
+
+    from magphase.optim import _descend_coupled
+
+    script = [  # (indices that pass, indices tried in order)
+        ({0}, [0]),
+        ({2}, [0, 1, 2]),  # kept 0: the search starts at lr0 with momentum
+        ({5}, [1, 2, 3, 4, 5]),  # kept 2: starts at 2^-1, no momentum
+        ({1}, [*range(4, 61), 0, 1]),  # down to the floor, then lr0 down
+        ({6}, [0, 1, 2, 3, 4, 5, 6]),
+        (set(), [*range(5, 61), *range(5)]),  # a stall: all 61 fail, then stop
+    ]
+    states, tries = [], []
+    x0 = np.zeros(8)
+
+    def evaluate(cand):
+        k = len(states)  # the step being searched; 0 for the initial point
+        if k == 0:
+            return cand, 0.0, lambda: np.eye(8)[0]
+        x = states[-1][2]
+        i = round(-math.log2(-cand[k - 1]))
+        assert cand[k - 1] == -(2.0**-i)
+        others = np.delete(cand != x, k - 1)
+        tries.append((k, i, bool(others.any())))
+        f = states[-1][1] + (-1.0 if i in script[k - 1][0] else 1.0)
+        return cand, f, lambda: np.eye(8)[k]
+
+    problem = SimpleNamespace(step_size=0.125, momentum=0.5, steps=10)
+    for state in _descend_coupled(problem, x0, evaluate, lambda x: x):
+        states.append(state)
+    assert [(k, f) for k, f, _ in states] == [(k, -float(k)) for k in range(len(script))]
+    # Step 1 has no velocity yet, so its lr0 try shows no momentum.
+    want = [(k, i, i == 0 and k > 1) for k, (_, order) in enumerate(script, 1) for i in order]
+    assert tries == want
+    assert sorted(i for k, i, _ in tries if k == len(script)) == list(range(61))
 
 
 def test_coupled_step_with_no_finite_gradient_ends_the_run(scene_targets, monkeypatch):

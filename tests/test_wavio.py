@@ -197,6 +197,16 @@ def test_write_wav_refuses_what_float32_cannot_hold(tmp_path, sample):
     assert not path.exists()
 
 
+def test_write_wav_refuses_a_signal_float32_rounds_to_silence(tmp_path):
+    # 1e-46 is below float32's smallest subnormal: the file read back all zeros.
+    path = tmp_path / "faint.wav"
+    with pytest.raises(SpecInvalidError, match="a float32 WAV rounds every sample to zero, the largest 1e-46"):
+        write_wav(path, TimeSignal([0.0, 1e-46, -5e-47], 16000))
+    assert not path.exists()
+    write_wav(path, TimeSignal([0.0, 0.0], 16000))  # silence stays writable
+    assert read_wav(path).samples.tolist() == [0.0, 0.0]
+
+
 def riff(*chunks) -> bytes:
     body = b"WAVE" + b"".join(chunks)
     return b"RIFF" + struct.pack("<I", len(body)) + body
