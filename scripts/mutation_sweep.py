@@ -358,6 +358,41 @@ MUTANTS = (
         "                checkpoint(k, loss_k, point_at(x))\n                point = point_at(x)\n",
         ("tests/test_optim.py", "-k", "separable_checkpoint_maps"),
     ),
+    Mutant(
+        "problem json read without decoding check",
+        "src/magphase/cli.py",
+        "        except UnicodeDecodeError as exc:\n",
+        "        except ArithmeticError as exc:\n",
+        ("tests/test_cli.py", "-k", "not_utf8"),
+    ),
+    Mutant(
+        "retry gathers when most units failed",
+        "src/magphase/optim.py",
+        "            if 2 * idx.size <= cand.size:\n",
+        "            if 2 * idx.size > cand.size:\n",
+        ("tests/test_optim.py", "-k", "retrying_failed_units"),
+    ),
+    Mutant(
+        "optimize keeps the initial parameters",
+        "src/magphase/optim.py",
+        "    x = project(x)  # the initial parameters go once projected\n",
+        "    x0 = x\n    x = project(x0)\n",
+        ("tests/test_optim.py", "-k", "holds_only_the_maps"),
+    ),
+    Mutant(
+        "conj(unit) built for a separable run",
+        "src/magphase/optim.py",
+        "conj_unit = None if loss.tag in SEPARABLE_TAGS else np.conj(unit)",
+        "conj_unit = np.conj(unit)",
+        ("tests/test_optim.py", "-k", "holds_only_the_maps"),
+    ),
+    Mutant(
+        "negative magnitude accepted",
+        "src/magphase/types.py",
+        "        if np.any((data < 0) & (data > -np.inf)):  # -inf is left to the finiteness checks\n",
+        "        if False:\n",
+        ("tests/test_types.py", "-k", "refuses_a_negative_entry"),
+    ),
 )
 
 

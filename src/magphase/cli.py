@@ -202,7 +202,9 @@ def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.Optimi
     doc = {}
     if args.problem is not None:
         try:
-            doc = json.loads(Path(args.problem).read_text())
+            doc = json.loads(Path(args.problem).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise SpecInvalidError(f"problem JSON {args.problem} is not UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise SpecInvalidError(f"problem JSON {args.problem} is malformed: {exc}") from None
         if not isinstance(doc, dict):

@@ -161,9 +161,12 @@ def _bind(body, *refs):
     body(x, *refs) maps x and the reference maps refs (None where unused)
     to (value map, function computing the gradient map). f(x) takes x and
     refs whole. f(values, at=flat_idx) takes the values at the flat unit
-    indices at and reads every reference map there; since body is
-    elementwise, its maps equal the whole maps at at bit for bit. body
-    must return new arrays: the per-unit descent writes into them.
+    indices at and reads every reference map there, a gathered copy of
+    each; since body is elementwise, its maps equal the whole maps at at
+    bit for bit, so a caller that needs most units may take f(x) and read
+    it at at instead (the per-unit descent's retries do). body must
+    return new arrays and leave x as it is: the per-unit descent writes
+    into the maps and passes its candidate itself.
     """
     flat = [None if r is None else r.reshape(-1) for r in refs]
 

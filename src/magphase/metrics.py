@@ -126,8 +126,10 @@ def snr(est: TimeSignal, ref: TimeSignal) -> float:
 def _msnr_sums(S: np.ndarray, est: np.ndarray) -> tuple:
     """Energy sums of |S| and |S| - |est|; a real est is already a magnitude."""
     ref = np.abs(S)
-    mag = np.abs(est) if np.iscomplexobj(est) else est
-    return float(np.sum(ref**2)), float(np.sum((ref - mag) ** 2))
+    err = ref - (np.abs(est) if np.iscomplexobj(est) else est)
+    ref **= 2  # in place: no second map of either
+    err **= 2
+    return float(np.sum(ref)), float(np.sum(err))
 
 
 def msnr(est: Spectrogram | MagSpectrogram, S: Spectrogram) -> float:
@@ -152,10 +154,14 @@ def psnr(est: Spectrogram, S: Spectrogram) -> float:
     """
     same_shape(est.data, S.data)
     _require_finite(est.data, "estimate spectrogram")
-    gap = 1.0 - np.cos(S.phase - phase_of(est))
+    gap = phase_of(est)  # 1 - cos(angle S - angle est), in this one buffer
+    np.subtract(S.phase, gap, out=gap)
+    np.cos(gap, out=gap)
+    np.subtract(1.0, gap, out=gap)
 
     def sums(S):
-        mag2 = np.abs(S) ** 2
+        mag2 = np.abs(S)
+        mag2 **= 2
         return float(np.sum(mag2)), float(np.sum(2.0 * mag2 * gap))
 
     (num, den), _ = _energy_sums(sums, S.data, mixed=False)

@@ -33,9 +33,10 @@ loss without an iSTFT inside) are line-searched per unit, each unit
 halving its own step independently; this is what makes pointwise
 convergence possible at all, since under a single global step the many
 already-converged units veto any move large enough to help a distant
-straggler. A retry evaluates only the units whose step failed, so a step
-costs one full evaluation plus work in proportion to the failing units;
-the results equal those of re-evaluating every unit bit for bit. Losses
+straggler. A retry evaluates only the units whose step failed, or the
+whole map when more than half of them failed, so a retry costs at most
+twice the failing units' share of a full evaluation; the results equal
+those of re-evaluating every unit bit for bit. Losses
 coupled across units by an iSTFT/STFT (and all waveform-parameter runs)
 use one global step with the same halving rule; there step sizes are
 interpreted per element (mean-normalized losses carry a 1/count gradient
@@ -191,7 +192,8 @@ def _parameterize(problem: OptimizationProblem):
     (value maps whose mean is evaluate_loss's value, gradients
     element-count times its own), or None for a coupled loss. A
     fixed-phase kernel and the map to the spectrogram share one unit
-    vector."""
+    vector; its conjugate, which only chain reads, is built only for a
+    coupled loss."""
     cfg, loss = problem.cfg, problem.loss
     targets = problem.targets
     sig = targets.s if targets.s is not None else targets.y  # output rate and length
@@ -231,7 +233,7 @@ def _parameterize(problem: OptimizationProblem):
     if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:
         phase = fixed_phase(problem)
         unit = np.exp(1j * phase)
-        conj_unit = np.conj(unit)
+        conj_unit = None if loss.tag in SEPARABLE_TAGS else np.conj(unit)
         if problem.init == "mixture":
             (Y,) = _require(targets, "Y")
             x0 = np.abs(Y.data)
@@ -293,13 +295,18 @@ def _descend_separable(problem, x, per_unit, project):
     """Per-unit momentum GD: every T-F unit line-searches its own step.
 
     Yields (step, loss map, params) for step 0 and every step after it.
-    A retry evaluates only the units whose step failed, through the
-    kernel's per_unit(values, at=flat_idx) form; the step then commits
-    the candidate everywhere except at the units still failing, which
-    keep their point and drop their momentum.
+    A retry halves the step of the units whose step failed and
+    evaluates them again: those units alone, through the kernel's
+    per_unit(values, at=flat_idx) form, or, when more than half of the
+    units failed, the whole candidate map, read at those units, which
+    gathers no copy of it or of the reference maps (_bind makes the two
+    equal bit for bit). The step then commits the candidate everywhere
+    except at the units still failing, which keep their point and drop
+    their momentum.
     """
     L, grad = per_unit(x)
     G = grad()
+    del grad  # a gradient function may hold the kernel's full-size intermediates
     if not (np.all(np.isfinite(L)) and np.all(np.isfinite(G))):
         raise DivergedError("objective non-finite at the initial point")
     lr = np.full(L.shape, problem.step_size)
@@ -311,6 +318,7 @@ def _descend_separable(problem, x, per_unit, project):
         cand = project(x + vel)
         Lc, grad = per_unit(cand)
         Gc = grad()
+        del grad
         # Flat views: every array here is a fresh C-contiguous result.
         x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_ = (
             a.reshape(-1) for a in (x, L, G, lr, vel, cand, Lc, Gc)
@@ -322,16 +330,24 @@ def _descend_separable(problem, x, per_unit, project):
             lr_[idx] *= 0.5
             vel_[idx] = -lr_[idx] * G_[idx]  # momentum dropped
             cand_[idx] = project(x_[idx] + vel_[idx])
-            Lc_[idx], grad = per_unit(cand_[idx], at=idx)
-            Gc_[idx] = grad()
-            idx = idx[_failed(Lc_[idx], Gc_[idx], L_[idx])]
+            if 2 * idx.size <= cand.size:
+                Lc_[idx], grad = per_unit(cand_[idx], at=idx)
+                Gc_[idx] = grad()
+                idx = idx[_failed(Lc_[idx], Gc_[idx], L_[idx])]
+            else:  # most units failed: evaluate the whole map, and gather nothing from it
+                whole, grad = per_unit(cand)
+                Lc_[idx] = whole.reshape(-1)[idx]
+                del whole
+                Gc_[idx] = grad().reshape(-1)[idx]
+                idx = np.flatnonzero(_failed(Lc, Gc, L))  # every other unit has passed
+            del grad
             tries += 1
         cand_[idx] = x_[idx]
         vel_[idx] = 0.0
         Lc_[idx] = L_[idx]
         Gc_[idx] = G_[idx]
         # Drop the views, or they would keep this step's arrays alive into the next.
-        del x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_, grad
+        del x_, L_, G_, lr_, vel_, cand_, Lc_, Gc_
         x, L, G = cand, Lc, Gc
         yield k, L, x
 
@@ -396,6 +412,11 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     Recorded loss is monotonically non-increasing. Separable objectives
     descend per T-F unit; coupled ones use a single global step, and stop
     early if no step size makes progress, which stop_reason reports.
+
+    Of the spectrogram's size, a separable run holds only what it reads:
+    the descent's state (five maps, eight during a step), the kernel's
+    reference maps, the fixed phase's unit vector, and a checkpoint's
+    views while it runs; not the initial parameters.
     """
     if problem.steps < 1:
         raise ConfigInvalidError("steps must be >= 1")
@@ -419,7 +440,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     for spec in (targets.S, targets.Y):
         if spec is not None and spec.config != cfg:
             raise ConfigInvalidError(f"a target was taken with {spec.config}, not with {cfg}")
-    x0, point_at, chain, project, per_unit = _parameterize(problem)
+    x, point_at, chain, project, per_unit = _parameterize(problem)
 
     def evaluate(x):
         """The point at x, its loss, and a function computing the loss gradient in x."""
@@ -440,7 +461,7 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
             si = floored_si_sdr(point.signal, targets.s)
         traj.append(step, float(np.mean(loss_map)), si, ms, ps)
 
-    x = project(np.array(x0))
+    x = project(x)  # the initial parameters go once projected
     every = max(1, problem.steps // 100)
     if per_unit is None:
         for k, loss_k, point in _descend_coupled(problem, x, evaluate, project):

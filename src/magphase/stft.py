@@ -187,7 +187,8 @@ def istft_array(data: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
         raise ShapeMismatchError("out_len must be nonnegative")
     frames, wl = data.shape[0], cfg.win_length_samples
     synthesis = window_pair(cfg).synthesis
-    segs = np.fft.irfft(data, n=cfg.fft_size, axis=1)[:, :wl] * synthesis
+    segs = np.fft.irfft(data, n=cfg.fft_size, axis=1)[:, :wl]
+    segs *= synthesis  # in place: no second frames x win array
     buf = _overlap_add(segs, cfg.hop_length_samples)
     _normalize(buf, cfg, frames)
     return _trim(buf, cfg, out_len)

@@ -172,13 +172,16 @@ class Spectrogram:
 
 @dataclass(frozen=True)
 class MagSpectrogram:
-    """Nonnegative real matrix [num_frames x num_bins]."""
+    """Nonnegative real matrix [num_frames x num_bins]; a finite negative entry is refused."""
 
     data: np.ndarray
     config: StftConfig
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _readonly(self.data, np.float64, 2, "magnitude matrix"))
+        data = _readonly(self.data, np.float64, 2, "magnitude matrix")
+        if np.any((data < 0) & (data > -np.inf)):  # -inf is left to the finiteness checks
+            raise ShapeMismatchError("magnitude matrix has negative entries")
+        object.__setattr__(self, "data", data)
 
 
 def same_shape(*arrays: np.ndarray) -> None:
@@ -216,9 +219,7 @@ def validate_spectrogram(X: Spectrogram) -> None:
 
 
 def validate_magnitude(M: MagSpectrogram) -> None:
-    _validate_matrix(M, "magnitude matrix")
-    if np.any(M.data < 0):
-        raise ShapeMismatchError("magnitude matrix has negative entries")
+    _validate_matrix(M, "magnitude matrix")  # the container refuses a negative entry
 
 
 def magnitude_of(X: Spectrogram) -> MagSpectrogram:

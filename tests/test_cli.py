@@ -730,6 +730,15 @@ def test_optimize_refusal_leaves_no_out(scene_dir, tmp_path, capsys, argv, probl
     _expect_exit_1_leaving_no_out(capsys, argv, tmp_path / "o", match)
 
 
+def test_optimize_problem_that_is_not_utf8_is_refused(scene_dir, tmp_path, capsys):
+    # Path.read_text died with a UnicodeDecodeError traceback.
+    (tmp_path / "p.json").write_bytes(b'{"init": "\xff"}')
+    argv = ["optimize", "--scene", scene_dir, "--steps", 3, "--problem", tmp_path / "p.json"]
+    match = re.escape(f"problem JSON {tmp_path / 'p.json'} is not UTF-8: ") + ".*byte 0xff"
+    _expect_spec_error(capsys, [*argv, "--out", tmp_path / "o"], match)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("prefix", [".", "/"])
 def test_histogram_refuses_a_prefix_with_no_file_name(scene_dir, monkeypatch, capsys, prefix):
     # with_suffix raised "has an empty name" after the histogram was built.

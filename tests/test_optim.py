@@ -612,6 +612,41 @@ def test_a_separable_checkpoint_maps_to_the_waveform_once(scene_targets, monkeyp
     assert len(calls) == len(result.trajectory.steps)
 
 
+def test_a_separable_run_holds_only_the_maps_it_reads():
+    # The traced peak of a fixed-phase l2-complex run is bounded by what the
+    # run must hold at its largest moment, the whole-map retry of step 2,
+    # where momentum overshoots at nearly every unit. In real maps of the
+    # spectrogram's shape (M bytes each):
+    # - the unit vector e^{j phase} and the kernel's conj(unit) * S, both
+    #   complex: 4 M;
+    # - the descent's x, L, G, lr, vel and its candidate cand, Lc, Gc: 8 M;
+    # - the failing units' flat int64 indices: at most 1 M;
+    # - the kernel's working maps, m - proj and the two squares: 3 M;
+    # - what the checkpoints keep for the later ones: S.phase, 1 M, and
+    #   the iSTFT's overlap coverage, one float per padded sample.
+    # Keeping the initial parameters (1 M) or conj(unit) (2 M) exceeds it.
+    import tracemalloc
+
+    cfg = StftConfig.for_window(512, 128)
+    rng = np.random.default_rng(0)
+    s = TimeSignal(rng.standard_normal(64000), 16000)
+    y = TimeSignal(s.samples + rng.standard_normal(64000), 16000)
+    targets = Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)
+    M = 8 * targets.S.data.size
+    coverage = 8 * ((targets.S.num_frames - 1) * cfg.hop_length_samples + cfg.win_length_samples)
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE, loss=QUAD_L2,
+        targets=targets, cfg=cfg, steps=2,
+    )
+    tracemalloc.start()
+    try:
+        optimize(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * M + coverage
+
+
 def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candidate():
     # f = x^2 from x = 1 with step 2: the first try (-3) fails on value;
     # the first halving (-1) passes on value, but its gradient is NaN, so
@@ -1174,11 +1209,18 @@ def test_separable_kernels_at_units_match_full_maps(scene_targets, tag, param):
         assert grad().tobytes() == G.reshape(-1)[at].tobytes()
 
 
-@pytest.mark.parametrize("tag", [LossTag.RI, LossTag.RI_MAG], ids=lambda t: t.value)
+@pytest.mark.parametrize(
+    "tag",
+    [LossTag.RI, LossTag.RI_MAG, LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG],
+    ids=lambda t: t.value,
+)
 def test_retrying_failed_units_matches_full_evaluation(scene_targets, tag, monkeypatch):
-    # The L1 pair of the trend comparison backtracks on a few percent of
-    # the units per step; retrying only those must reproduce the
-    # full-evaluation descent exactly, checkpoints included.
+    # Both pairs of the trend comparison backtrack: the L1 pair on more
+    # than half of the units at most steps and on fewer in the later
+    # retries, l2-complex on nearly all of them at step 2. A retry evaluates the
+    # failing units alone, or the whole map when more than half failed;
+    # both must reproduce the full-evaluation descent exactly, checkpoints
+    # included.
     from _oracles import full_eval_descend_separable
 
     from magphase import optim
@@ -1190,12 +1232,24 @@ def test_retrying_failed_units_matches_full_evaluation(scene_targets, tag, monke
         cfg=CFG_SCENE,
         steps=150,
     )
+    calls, kernel = [], optim.fixed_phase_kernel
+
+    def spied_kernel(*args):
+        per_unit = kernel(*args)
+        return lambda x, at=None: calls.append(at) or per_unit(x, at=at)
+
+    monkeypatch.setattr(optim, "fixed_phase_kernel", spied_kernel)
     got = optimize(problem)
+    gathered = [at.size for at in calls if at is not None]
+    whole_map_retries = sum(at is None for at in calls) - (problem.steps + 1)  # less each step's first
     monkeypatch.setattr(optim, "_descend_separable", full_eval_descend_separable)
     want = optimize(problem)
     assert got.params.tobytes() == want.params.tobytes()
     assert got.final_loss == want.final_loss
     assert got.trajectory == want.trajectory
+    assert gathered and 2 * max(gathered) <= scene_targets.S.data.size
+    # l2-complex+mag never fails on more than half of this scene's units.
+    assert (whole_map_retries > 0) == (tag is not LossTag.L2_COMPLEX_MAG)
 
 
 def test_compensated_magnitude_helper(scene_targets):

@@ -113,6 +113,18 @@ def test_magnitude_negative_rejected():
         validate_magnitude(MagSpectrogram(np.array([[-0.1, 0, 0]]), CFG))
 
 
+def test_magnitude_container_refuses_a_negative_entry():
+    # msnr(MagSpectrogram(-|S|), S) read -6.02 dB: only validate_magnitude
+    # checked the sign, and no metric calls it.
+    S = spec([1 + 1j, -2, 0.5j])
+    with pytest.raises(ShapeMismatchError, match="magnitude matrix has negative entries"):
+        MagSpectrogram(-np.abs(S.data), CFG)
+    signed_zero = MagSpectrogram(np.array([[-0.0, 0.0, 1.0]]), CFG)  # -0.0 is not below 0
+    validate_magnitude(signed_zero)
+    with pytest.raises(NonFiniteError):  # -inf is refused as non-finite, like +inf and NaN
+        validate_magnitude(MagSpectrogram(np.array([[-np.inf, 0.0, 1.0]]), CFG))
+
+
 def test_spectrogram_keeps_its_phase_read_only():
     # S.phase is phase_of(S) bit for bit, taken once and kept; a caller
     # cannot write into the copy every later reader shares.
