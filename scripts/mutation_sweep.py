@@ -393,6 +393,41 @@ MUTANTS = (
         "        if False:\n",
         ("tests/test_types.py", "-k", "refuses_a_negative_entry"),
     ),
+    Mutant(
+        "one-sample window accepted",
+        "src/magphase/types.py",
+        "        if wl < 2 or hl < 1:",
+        "        if wl < 1 or hl < 1:",
+        ("tests/test_cli.py", "-k", "one_sample_window"),
+    ),
+    Mutant(
+        "adopt casts by copying",
+        "src/magphase/types.py",
+        "    arr = np.array(a, dtype=dtype, copy=not adopt)\n",
+        "    arr = np.array(a, dtype=dtype, copy=None if adopt else True)\n",
+        ("tests/test_types.py", "-k", "adopted_array"),
+    ),
+    Mutant(
+        "istft returns its overlap-add view",
+        "src/magphase/stft.py",
+        "    return _trim(buf, cfg, out_len)\n",
+        "    return buf[_edge_pad(cfg) :][:out_len]\n",
+        ("tests/test_optim.py", "-k", "alias_work"),
+    ),
+    Mutant(
+        "adjoint returns its work spectrum",
+        "src/magphase/stft.py",
+        "    g_spec = spec * scale\n",
+        "    g_spec = np.multiply(spec, scale, out=spec)\n",
+        ("tests/test_optim.py", "-k", "alias_work"),
+    ),
+    Mutant(
+        "workspace kept at module level",
+        "src/magphase/optim.py",
+        "    work = {} if waveform or loss.tag not in SEPARABLE_TAGS else None\n",
+        '    work = globals().setdefault("_work", {})\n',
+        ("tests/test_optim.py", "-k", "holds_its_state or holds_only_the_maps"),
+    ),
 )
 
 

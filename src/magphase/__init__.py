@@ -13,7 +13,6 @@ from .losses import (
     LossTag,
     LossValue,
     Targets,
-    all_loss_kinds,
     evaluate_loss,
     parse_loss_spec,
     pit_wrap,

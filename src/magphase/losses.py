@@ -35,6 +35,10 @@ on STFT(y).
 An estimate may also be a Point, which holds it in both domains; the
 other-domain view a loss needs it then takes from the point instead of
 building it, so whoever reads the views after the loss builds neither.
+A point may carry its run's workspace (a dict of work arrays, see stft),
+which the loss passes to every transform it runs, so a coupled step's
+transforms reuse their work arrays; what the loss returns is fresh all
+the same.
 
 Gradients with respect to complex spectrogram parameters are packed as
 dL/dRe + 1j * dL/dIm.
@@ -61,10 +65,6 @@ SPECTROGRAM_TAGS = frozenset(LossTag) - MAGNITUDE_TAGS - WAVEFORM_TAGS
 SEPARABLE_TAGS = MAGNITUDE_TAGS | frozenset(
     {LossTag.RI, LossTag.RI_MAG, LossTag.PHASE, LossTag.L2_COMPLEX, LossTag.L2_COMPLEX_MAG}
 )
-
-
-def all_loss_kinds() -> tuple[LossKind, ...]:
-    return tuple(LossKind(tag) for tag in LossTag)
 
 
 def parse_loss_tag(name: str) -> LossTag:
@@ -120,6 +120,10 @@ class Point:
     spectrogram is the STFT of its signal under that config. evaluate_loss
     takes a view so derived from the point where it needs it, instead of
     building it.
+
+    work is the workspace of the run the point belongs to, or None. The
+    builders and evaluate_loss hand it to the transforms they run; the
+    views themselves are fresh arrays, which no later use of work touches.
     """
 
     params: object
@@ -128,6 +132,7 @@ class Point:
     _: KW_ONLY
     istft_length: int | None = None
     stft_config: StftConfig | None = None
+    work: dict | None = None
 
     @cached_property
     def spectrogram(self) -> Spectrogram:
@@ -358,7 +363,7 @@ def _magnitude_term(X: np.ndarray, S: Spectrogram, mag_weight: float) -> LossVal
     return LossValue(mag.value, lambda: mag.gradient() * _unit(X))
 
 
-def _waveform_loss(y, s, S, cfg, time_weight, mag_weight, Y=None) -> LossValue:
+def _waveform_loss(y, s, S, cfg, time_weight, mag_weight, Y=None, work=None) -> LossValue:
     """Mean time L1 of samples y vs s, plus the magnitude term of Y = STFT(y)
     unless S is None; Y is built here unless the caller holds it."""
     e = y - s.samples
@@ -367,8 +372,8 @@ def _waveform_loss(y, s, S, cfg, time_weight, mag_weight, Y=None) -> LossValue:
     )
     if S is None:
         return wav
-    mag = _magnitude_term(stft_array(y, cfg) if Y is None else Y, S, mag_weight)
-    return _sum(wav, LossValue(mag.value, lambda: stft_adjoint(mag.gradient(), cfg, e.size)))
+    mag = _magnitude_term(stft_array(y, cfg, work) if Y is None else Y, S, mag_weight)
+    return _sum(wav, LossValue(mag.value, lambda: stft_adjoint(mag.gradient(), cfg, e.size, work)))
 
 
 def _check_istft_shapes(est: Spectrogram, s: TimeSignal) -> None:
@@ -395,8 +400,10 @@ def evaluate_loss(
     domain = MagSpectrogram if tag in MAGNITUDE_TAGS else Spectrogram
     domain = TimeSignal if tag in WAVEFORM_TAGS else domain
     point = estimate if isinstance(estimate, Point) and domain is not MagSpectrogram else None
+    work = None
     if point is not None:
         estimate = point.signal if domain is TimeSignal else point.spectrogram
+        work = point.work
     if not isinstance(estimate, domain):
         raise MissingTargetError(f"loss {tag.value} expects a {domain.__name__} estimate")
 
@@ -414,7 +421,7 @@ def evaluate_loss(
         cfg = None if S is None else S.config
         held = cfg is not None and point is not None and point.stft_config == cfg
         Y = point.spectrogram.data if held else None
-        return _waveform_loss(estimate.samples, s, S, cfg, tw, mw, Y)
+        return _waveform_loss(estimate.samples, s, S, cfg, tw, mw, Y, work)
 
     _check_istft_shapes(estimate, s)
     if S is not None:
@@ -422,9 +429,9 @@ def evaluate_loss(
     cfg = estimate.config
     on_estimate = tag is LossTag.MAG_RI_ISTFT
     held = point is not None and point.istft_length == len(s)
-    y = point.signal.samples if held else istft_array(estimate.data, cfg, len(s))
-    wav = _waveform_loss(y, s, None if on_estimate else S, cfg, tw, mw)
-    lv = LossValue(wav.value, lambda: istft_adjoint(wav.gradient(), cfg, estimate.num_frames))
+    y = point.signal.samples if held else istft_array(estimate.data, cfg, len(s), work)
+    wav = _waveform_loss(y, s, None if on_estimate else S, cfg, tw, mw, work=work)
+    lv = LossValue(wav.value, lambda: istft_adjoint(wav.gradient(), cfg, estimate.num_frames, work))
     return _sum(lv, _magnitude_term(estimate.data, S, mw)) if on_estimate else lv
 
 

@@ -126,7 +126,8 @@ def snr(est: TimeSignal, ref: TimeSignal) -> float:
 def _msnr_sums(S: np.ndarray, est: np.ndarray) -> tuple:
     """Energy sums of |S| and |S| - |est|; a real est is already a magnitude."""
     ref = np.abs(S)
-    err = ref - (np.abs(est) if np.iscomplexobj(est) else est)
+    mag = np.abs(est) if np.iscomplexobj(est) else est
+    err = np.subtract(ref, mag, out=None if mag is est else mag)  # into |est| when it is new
     ref **= 2  # in place: no second map of either
     err **= 2
     return float(np.sum(ref)), float(np.sum(err))
@@ -160,9 +161,12 @@ def psnr(est: Spectrogram, S: Spectrogram) -> float:
     np.subtract(1.0, gap, out=gap)
 
     def sums(S):
-        mag2 = np.abs(S)
+        mag2 = np.abs(S)  # |S| once, and every product in its buffer
         mag2 **= 2
-        return float(np.sum(mag2)), float(np.sum(2.0 * mag2 * gap))
+        energy = float(np.sum(mag2))
+        np.multiply(2.0, mag2, out=mag2)
+        mag2 *= gap
+        return energy, float(np.sum(mag2))
 
     (num, den), _ = _energy_sums(sums, S.data, mixed=False)
     if num == 0.0:

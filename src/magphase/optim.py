@@ -28,6 +28,17 @@ waveform at their first read and keeps them. The coupled descent yields
 the point its loss was evaluated at, so its checkpoint and the result
 read the views that loss built.
 
+A coupled run holds one workspace (stft's dict of work arrays) for its
+transforms, reached through each Point it evaluates: the iSTFT's and
+STFT's frame matrices, padded buffers, spectra and overlap-add sums are
+reused from step to step instead of allocated and thrown away. A work
+array never leaves the function that fills it, so what a step keeps
+(its point's views, x, g, the momentum) is fresh and no later step
+overwrites it. Its point views adopt the arrays they build rather than
+copy them. The chain rule of a fixed phase writes conj(unit) * g into
+the fresh spectrogram gradient it is given, whose real part it returns.
+A separable run holds no workspace, and its views copy.
+
 Objectives that decompose per T-F unit (every fixed-phase or free-complex
 loss without an iSTFT inside) are line-searched per unit, each unit
 halving its own step independently; this is what makes pointwise
@@ -188,19 +199,29 @@ def _parameterize(problem: OptimizationProblem):
     parameters, the map from parameters to their Point (the estimate as a
     complex spectrogram and as a waveform), the adjoint of the map to the
     spectrogram (which carries a spectrogram gradient back to the
-    parameters), the feasibility projection, and the per-unit kernel
+    parameters, and may overwrite that gradient, a fresh array the loss
+    made for it), the feasibility projection, and the per-unit kernel
     (value maps whose mean is evaluate_loss's value, gradients
     element-count times its own), or None for a coupled loss. A
     fixed-phase kernel and the map to the spectrogram share one unit
     vector; its conjugate, which only chain reads, is built only for a
-    coupled loss."""
+    coupled loss. So is the run's workspace, which every point and chain
+    pass to the transforms, and so is adoption: only a coupled run's views
+    hand their containers the arrays they build instead of a copy."""
     cfg, loss = problem.cfg, problem.loss
     targets = problem.targets
     sig = targets.s if targets.s is not None else targets.y  # output rate and length
     rate = sig.sample_rate_hz if sig is not None else DEFAULT_SAMPLE_RATE_HZ
     rng = np.random.Generator(np.random.Philox(key=problem.init_seed))
+    waveform = problem.parameterization is Parameterization.FREE_WAVEFORM
+    work = {} if waveform or loss.tag not in SEPARABLE_TAGS else None
+    # Only a coupled run's views adopt what they build. A separable run's
+    # views copy: the freed originals raise glibc's mmap threshold above a
+    # spectrogram's size, and without them a CLI command after a separable
+    # run mapped and faulted its maps anew, and ran slower (measured).
+    adopt = work is not None
 
-    if problem.parameterization is Parameterization.FREE_WAVEFORM:
+    if waveform:
         y_ref = targets.y if targets.y is not None else targets.s
         if y_ref is None:
             raise MissingTargetError("free-waveform parameters need y or s for length")
@@ -215,16 +236,16 @@ def _parameterize(problem: OptimizationProblem):
             x0 = rng.standard_normal(n) * scale
 
         def chain(g):
-            return stft_adjoint(g, cfg, n)
+            return stft_adjoint(g, cfg, n, work)
 
         def spectrogram(p):
-            return Spectrogram(stft_array(p.params, cfg), cfg)
+            return Spectrogram(stft_array(p.params, cfg, p.work), cfg, adopt=adopt)
 
         def signal(p):
             return TimeSignal(p.params, rate)
 
         def point_at(x):
-            return Point(x, spectrogram, signal, stft_config=cfg)
+            return Point(x, spectrogram, signal, stft_config=cfg, work=work)
 
         return x0, point_at, chain, _identity, None
 
@@ -247,7 +268,7 @@ def _parameterize(problem: OptimizationProblem):
             return x * unit
 
         def chain(g):
-            return (conj_unit * g).real
+            return np.multiply(conj_unit, g, out=g).real  # into g, which the loss made fresh
 
         def project(x):
             return np.maximum(x, 0.0)
@@ -264,18 +285,19 @@ def _parameterize(problem: OptimizationProblem):
         else:
             scale = float(np.mean(np.abs(ref.data))) or 1.0
             x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-        to_complex = chain = project = _identity
+        to_complex = np.copy if adopt else _identity  # the parameters stay the descent's
+        chain = project = _identity
 
     n = len(sig) if sig is not None else (x0.shape[0] - 1) * cfg.hop_length_samples
 
     def spectrogram(p):
-        return Spectrogram(to_complex(p.params), cfg)
+        return Spectrogram(to_complex(p.params), cfg, adopt=adopt)
 
     def signal(p):
-        return TimeSignal(istft_array(p.spectrogram.data, cfg, n), rate)
+        return TimeSignal(istft_array(p.spectrogram.data, cfg, n, p.work), rate, adopt=adopt)
 
     def point_at(x):
-        return Point(x, spectrogram, signal, istft_length=n)
+        return Point(x, spectrogram, signal, istft_length=n, work=work)
 
     if loss.tag not in SEPARABLE_TAGS:
         per_unit = None
@@ -416,7 +438,13 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     Of the spectrogram's size, a separable run holds only what it reads:
     the descent's state (five maps, eight during a step), the kernel's
     reference maps, the fixed phase's unit vector, and a checkpoint's
-    views while it runs; not the initial parameters.
+    views while it runs; not the initial parameters. A coupled run holds
+    its state (x, g and the momentum, plus a try's), the kept point's and
+    a try's views, the unit vector and its conjugate, and its workspace:
+    a frame matrix, a windowed-segment matrix and a complex spectrum the
+    size of the spectrogram, and two buffers the length of the padded
+    signal. Neither holds the initial parameters, and the workspace goes
+    with the run.
     """
     if problem.steps < 1:
         raise ConfigInvalidError("steps must be >= 1")
@@ -464,7 +492,9 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     x = project(x)  # the initial parameters go once projected
     every = max(1, problem.steps // 100)
     if per_unit is None:
-        for k, loss_k, point in _descend_coupled(problem, x, evaluate, project):
+        descent = _descend_coupled(problem, x, evaluate, project)
+        del x  # or the initial parameters would outlive the descent's first step
+        for k, loss_k, point in descent:
             if k % every == 0:
                 checkpoint(k, loss_k, point)
     else:

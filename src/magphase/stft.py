@@ -23,6 +23,15 @@ are deterministic and equal those of a per-frame loop bit for bit.
 The module also exposes the adjoints of both linear maps (with respect
 to the real inner product, complex matrices read as Re/Im pairs); loss
 gradients that travel through an iSTFT or STFT are built on them.
+
+The four array transforms take an optional workspace, a plain dict of
+work arrays by name: a coupled descent holds one for its run, so its
+frame matrices, padded buffers and overlap-add sums are reused from call
+to call instead of allocated anew. A work array never leaves the
+function that fills it: every transform returns a fresh array, with or
+without a workspace, and the bits do not depend on which. Separable runs
+and one-shot transforms pass none, and allocate as they would without
+the option. Writing the FFTs into work arrays needs NumPy 2's out=.
 """
 from __future__ import annotations
 
@@ -47,6 +56,28 @@ from .types import (
 _COVERAGE_TINY = 1e-12
 # Entries per plan cache: far more configs and frame counts than one run uses.
 _PLAN_CACHE_SIZE = 16
+
+
+def _scratch(work: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray | None:
+    """work's array under name, made anew and uninitialized when the shape or
+    dtype asked for differs; None without a workspace, which numpy's out=
+    reads as "allocate". The caller overwrites the array and is done with it
+    when it returns, so functions that do not call each other share names."""
+    if work is None:
+        return None
+    a = work.get(name)
+    if a is None or a.shape != shape or a.dtype != dtype:
+        a = work[name] = np.empty(shape, dtype)
+    return a
+
+
+def _zeros(work: dict | None, name: str, shape: tuple) -> np.ndarray:
+    """A float64 array of zeros: work's under name, or np.zeros without a workspace."""
+    buf = _scratch(work, name, shape)
+    if buf is None:
+        return np.zeros(shape)
+    buf.fill(0.0)
+    return buf
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -101,7 +132,7 @@ def _buffer_len(num_frames: int, cfg: StftConfig) -> int:
     return (num_frames - 1) * cfg.hop_length_samples + cfg.win_length_samples
 
 
-def _overlap_add(segs: np.ndarray, hop: int) -> np.ndarray:
+def _overlap_add(segs: np.ndarray, hop: int, work: dict | None = None) -> np.ndarray:
     """Sum of frame t's segment placed at t * hop, earliest frame first.
 
     The buffer is viewed as hop-wide rows; column block j of every frame
@@ -111,7 +142,7 @@ def _overlap_add(segs: np.ndarray, hop: int) -> np.ndarray:
     """
     frames, wl = segs.shape
     blocks = -(-wl // hop)
-    buf = np.zeros((frames + blocks - 1, hop))
+    buf = _zeros(work, "overlap_add", (frames + blocks - 1, hop))
     for j in reversed(range(blocks)):
         cols = min(hop, wl - j * hop)
         buf[j : j + frames, :cols] += segs[:, j * hop : j * hop + cols]
@@ -146,23 +177,33 @@ def _trim(buf: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
     return out
 
 
+def _padded(
+    samples: np.ndarray, cfg: StftConfig, num_frames: int, work: dict | None
+) -> np.ndarray:
+    """The overlap-add buffer of num_frames frames holding samples after the edge pad, else 0."""
+    buf = _zeros(work, "padded", (_buffer_len(num_frames, cfg),))
+    pad = _edge_pad(cfg)
+    avail = min(samples.shape[0], buf.shape[0] - pad)
+    buf[pad : pad + avail] = samples[:avail]
+    return buf
+
+
 def stft(x: TimeSignal, cfg: StftConfig) -> Spectrogram:
     """One-sided STFT, fft_size//2 + 1 bins, unscaled forward DFT."""
     validate_signal(x)
-    data = stft_array(x.samples, cfg)
-    return Spectrogram(data, cfg)
+    # Copied, not adopted: freeing the transform's own array here is what lifts
+    # glibc's mmap threshold above a spectrogram's size in a CLI command; adopted,
+    # every later spectrogram was mapped and faulted anew (measured).
+    return Spectrogram(stft_array(x.samples, cfg), cfg)
 
 
-def stft_array(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
+def stft_array(samples: np.ndarray, cfg: StftConfig, work: dict | None = None) -> np.ndarray:
     wl, hop = cfg.win_length_samples, cfg.hop_length_samples
-    n = samples.shape[0]
-    frames = num_frames_for(n, cfg)
-    buf = np.zeros(_buffer_len(frames, cfg))
-    pad = _edge_pad(cfg)
-    buf[pad : pad + n] = samples
-    segs = sliding_window_view(buf, wl)[::hop]
+    frames = num_frames_for(samples.shape[0], cfg)
+    segs = sliding_window_view(_padded(samples, cfg, frames, work), wl)[::hop]
     assert segs.shape[0] == frames
-    return np.fft.rfft(segs * analysis_window(cfg), n=cfg.fft_size, axis=1)
+    windowed = np.multiply(segs, analysis_window(cfg), out=_scratch(work, "segments", segs.shape))
+    return np.fft.rfft(windowed, n=cfg.fft_size, axis=1)
 
 
 def istft(
@@ -178,7 +219,9 @@ def istft(
     return TimeSignal(istft_array(X.data, X.config, out_len), sample_rate_hz)
 
 
-def istft_array(data: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
+def istft_array(
+    data: np.ndarray, cfg: StftConfig, out_len: int, work: dict | None = None
+) -> np.ndarray:
     if data.shape[1] != cfg.num_bins:
         raise ShapeMismatchError(
             f"spectrogram has {data.shape[1]} bins, config implies {cfg.num_bins}"
@@ -187,9 +230,10 @@ def istft_array(data: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
         raise ShapeMismatchError("out_len must be nonnegative")
     frames, wl = data.shape[0], cfg.win_length_samples
     synthesis = window_pair(cfg).synthesis
-    segs = np.fft.irfft(data, n=cfg.fft_size, axis=1)[:, :wl]
+    full = _scratch(work, "frames", (frames, cfg.fft_size))
+    segs = np.fft.irfft(data, n=cfg.fft_size, axis=1, out=full)[:, :wl]
     segs *= synthesis  # in place: no second frames x win array
-    buf = _overlap_add(segs, cfg.hop_length_samples)
+    buf = _overlap_add(segs, cfg.hop_length_samples, work)
     _normalize(buf, cfg, frames)
     return _trim(buf, cfg, out_len)
 
@@ -213,7 +257,9 @@ def consistency_project(X: Spectrogram, out_len: int | None = None) -> Spectrogr
     return Spectrogram(stft_array(istft_array(X.data, cfg, out_len), cfg), cfg)
 
 
-def istft_adjoint(g_time: np.ndarray, cfg: StftConfig, num_frames: int) -> np.ndarray:
+def istft_adjoint(
+    g_time: np.ndarray, cfg: StftConfig, num_frames: int, work: dict | None = None
+) -> np.ndarray:
     """Adjoint of istft_array(., cfg, len(g_time)) for a fixed frame count.
 
     Maps a time-domain cotangent to a complex [frames x bins] cotangent,
@@ -221,13 +267,12 @@ def istft_adjoint(g_time: np.ndarray, cfg: StftConfig, num_frames: int) -> np.nd
     """
     wl, hop, nfft = cfg.win_length_samples, cfg.hop_length_samples, cfg.fft_size
     synthesis = window_pair(cfg).synthesis
-    buf = np.zeros(_buffer_len(num_frames, cfg))
-    pad = _edge_pad(cfg)
-    avail = min(g_time.shape[0], buf.shape[0] - pad)
-    buf[pad : pad + avail] = g_time[:avail]
+    buf = _padded(g_time, cfg, num_frames, work)
     _normalize(buf, cfg, num_frames)
-    segs = sliding_window_view(buf, wl)[::hop] * synthesis
-    spec = np.fft.rfft(segs, n=nfft, axis=1)
+    segs = sliding_window_view(buf, wl)[::hop]
+    segs = np.multiply(segs, synthesis, out=_scratch(work, "segments", segs.shape))
+    spectrum = _scratch(work, "spectrum", (num_frames, cfg.num_bins), np.complex128)
+    spec = np.fft.rfft(segs, n=nfft, axis=1, out=spectrum)
     # Adjoint of irfft: interior bins carry weight 2/N (they stand for a
     # conjugate pair), DC and Nyquist carry 1/N with no imaginary part.
     scale = np.full(cfg.num_bins, 2.0 / nfft)
@@ -241,7 +286,9 @@ def istft_adjoint(g_time: np.ndarray, cfg: StftConfig, num_frames: int) -> np.nd
     return g_spec
 
 
-def stft_adjoint(g_spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarray:
+def stft_adjoint(
+    g_spec: np.ndarray, cfg: StftConfig, out_len: int, work: dict | None = None
+) -> np.ndarray:
     """Adjoint of stft_array(., cfg) for an input of out_len samples."""
     wl, nfft = cfg.win_length_samples, cfg.fft_size
     # Adjoint of rfft: unpack the one-sided cotangent (irfft halves the
@@ -251,5 +298,9 @@ def stft_adjoint(g_spec: np.ndarray, cfg: StftConfig, out_len: int) -> np.ndarra
     c[0] = 1.0
     if nfft % 2 == 0:
         c[-1] = 1.0
-    segs = np.fft.irfft(g_spec * c, n=nfft, axis=1)[:, :wl] * nfft * analysis_window(cfg)
-    return _trim(_overlap_add(segs, cfg.hop_length_samples), cfg, out_len)
+    frames = g_spec.shape[0]
+    unpacked = np.multiply(g_spec, c, out=_scratch(work, "spectrum", g_spec.shape, np.complex128))
+    full = np.fft.irfft(unpacked, n=nfft, axis=1, out=_scratch(work, "frames", (frames, nfft)))
+    segs = np.multiply(full[:, :wl], nfft, out=_scratch(work, "segments", (frames, wl)))
+    segs *= analysis_window(cfg)
+    return _trim(_overlap_add(segs, cfg.hop_length_samples, work), cfg, out_len)

@@ -2,13 +2,16 @@
 
 All containers are immutable after construction (arrays are copied and
 marked read-only), so values can be shared freely across threads. A
-spectrogram's phase is taken at its first use and kept, read-only.
+coupled descent's point views hand their containers the arrays they
+have just built (adopt=True), which are marked read-only in place of a copy, since
+nothing else holds them. A spectrogram's phase is taken at its first use
+and kept, read-only.
 Internal arithmetic is float64/complex128 throughout; file I/O may
 narrow to float32.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -26,9 +29,12 @@ from .errors import (
 DEFAULT_SAMPLE_RATE_HZ = 16000
 
 
-def _readonly(a, dtype, ndim: int, what: str) -> np.ndarray:
-    """A frozen copy of a cast to dtype; ShapeMismatchError unless it is ndim-D."""
-    arr = np.array(a, dtype=dtype, copy=True)
+def _readonly(a, dtype, ndim: int, what: str, adopt: bool = False) -> np.ndarray:
+    """A frozen copy of a cast to dtype, or a itself frozen if adopt;
+    ShapeMismatchError unless it is ndim-D. Adopting relies on NumPy 2's
+    copy=False, which raises ValueError where a copy would be needed (a not
+    an array of dtype); NumPy 1 would copy there."""
+    arr = np.array(a, dtype=dtype, copy=not adopt)
     if arr.ndim != ndim:
         raise ShapeMismatchError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -46,8 +52,10 @@ class StftConfig:
     def __post_init__(self):
         wl = self.win_length_samples
         hl = self.hop_length_samples
-        if wl < 1 or hl < 1:
-            raise ConfigInvalidError("window and hop lengths must be positive")
+        if wl < 2 or hl < 1:  # a one-sample periodic window is 0, and so is its STFT
+            raise ConfigInvalidError(
+                f"window must be at least 2 samples and hop at least 1, got {wl} and {hl}"
+            )
         if hl > wl:
             raise ConfigInvalidError(f"hop {hl} exceeds window length {wl}")
         if self.fft_size < wl:
@@ -132,9 +140,12 @@ class TimeSignal:
 
     samples: np.ndarray
     sample_rate_hz: int
+    _: KW_ONLY
+    adopt: InitVar[bool] = False  # samples are a new float64 array no one else holds
 
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _readonly(self.samples, np.float64, 1, "time signal"))
+    def __post_init__(self, adopt):
+        samples = _readonly(self.samples, np.float64, 1, "time signal", adopt)
+        object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -150,9 +161,12 @@ class Spectrogram:
 
     data: np.ndarray
     config: StftConfig
+    _: KW_ONLY
+    adopt: InitVar[bool] = False  # data is a new complex128 array no one else holds
 
-    def __post_init__(self):
-        object.__setattr__(self, "data", _readonly(self.data, np.complex128, 2, "spectrogram"))
+    def __post_init__(self, adopt):
+        data = _readonly(self.data, np.complex128, 2, "spectrogram", adopt)
+        object.__setattr__(self, "data", data)
 
     @property
     def num_frames(self) -> int:

@@ -664,6 +664,30 @@ def test_window_the_signal_cannot_hold_exits_1_before_any_stft(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [*sorted(_STFT_COMMANDS), "optimize-trend"])
+@pytest.mark.parametrize(
+    "flags", [("--win", 1, "--hop", 1), ("--win-ms", 0.1, "--hop-ms", 0.1)], ids=["win", "win_ms"]
+)
+def test_a_one_sample_window_exits_1_before_any_stft(
+    scene_dir, tmp_path, monkeypatch, capsys, command, flags
+):
+    # A one-sample periodic sqrt-Hann window is identically 0, so every STFT
+    # under it is 0: histogram exited 0 with an empty histogram, metrics and
+    # optimize --trend failed later on a silent reference, and mask on zero
+    # overlap power. 0.1 ms at 8 kHz rounds to one sample.
+    from magphase import cli
+
+    monkeypatch.setattr(cli, "stft", _must_not_run)
+    out = tmp_path / "o"
+    if command == "optimize-trend":
+        argv = [*_STFT_COMMANDS["optimize"](scene_dir, out), "--trend"]
+    else:
+        argv = _STFT_COMMANDS[command](scene_dir, out)
+    match = "window must be at least 2 samples and hop at least 1, got 1 and 1"
+    _expect_exit_1(capsys, [*argv, *flags], match)
+    assert not out.exists()
+
+
 def _expect_exit_1_leaving_no_out(capsys, argv, out, match):
     with no_warnings():
         _expect_exit_1(capsys, [*argv, "--out", out], match)

@@ -647,6 +647,115 @@ def test_a_separable_run_holds_only_the_maps_it_reads():
     assert peak <= 17 * M + coverage
 
 
+def _result_bytes(result):
+    traj = result.trajectory
+    columns = (traj.loss, traj.si_sdr_db, traj.msnr_db, traj.psnr_db)
+    views = (result.params, result.spectrogram.data, result.signal.samples)
+    return [a.tobytes() for a in views] + [traj.steps] + [_bits(c) for c in columns]
+
+
+@pytest.mark.parametrize(
+    "param, tag",
+    [
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT),
+        (Parameterization.FREE_MAG_FIXED_PHASE, LossTag.RI_ISTFT_MAG),
+        (Parameterization.FREE_RI, LossTag.RI_ISTFT),
+        (Parameterization.FREE_WAVEFORM, LossTag.WAV_MAG),
+    ],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_results_never_alias_work_arrays(coupled_targets, monkeypatch, param, tag):
+    # A coupled run's transforms reuse work arrays; nothing the run yields
+    # or returns may share one. Every point the first run yields keeps the
+    # bytes of its views, and its result keeps every byte, through the rest
+    # of that run and through a second run of the same shapes. So does a
+    # gradient through the rest of the evaluations at one run's points.
+    from magphase import optim
+
+    def problem(loss_tag, **kw):
+        return OptimizationProblem(
+            parameterization=param, loss=LossKind(loss_tag), targets=coupled_targets,
+            cfg=CFG_COUPLED, steps=6, **kw,
+        )
+
+    points = []
+    descend = optim._descend_coupled
+
+    def recording(*args):
+        for k, f, point in descend(*args):
+            points.append((point, point.spectrogram.data.tobytes(), point.signal.samples.tobytes()))
+            yield k, f, point
+
+    monkeypatch.setattr(optim, "_descend_coupled", recording)
+    first = optimize(problem(tag))
+    want = _result_bytes(first)
+    monkeypatch.undo()
+    optimize(problem(LossTag.RI_ISTFT if tag is not LossTag.RI_ISTFT else LossTag.RI_ISTFT_MAG))
+    assert _result_bytes(first) == want
+    assert len(points) == 7
+    for point, spec, sig in points:
+        assert point.spectrogram.data.tobytes() == spec
+        assert point.signal.samples.tobytes() == sig
+
+    x0, point_at, chain, project, _ = _parameterize(problem(tag))
+    if param is Parameterization.FREE_WAVEFORM:
+        chain = np.asarray  # a waveform loss's gradient is in the parameters already
+    gradients = []
+    for x in (x0, project(0.5 * x0), project(2.0 * x0)):
+        g = chain(evaluate_loss(LossKind(tag), point_at(x), coupled_targets).gradient())
+        gradients.append((g, g.tobytes()))
+    assert all(g.tobytes() == b for g, b in gradients)
+
+
+def test_a_coupled_run_holds_its_state_and_work_arrays_only():
+    # Bounds derived from what a fixed-phase ri-istft run holds, in maps of
+    # the spectrogram's shape (M bytes real, 2 M complex), padded-buffer
+    # lengths (B bytes) and signal lengths (T bytes). Its largest moment is
+    # a try's gradient, in the iSTFT adjoint:
+    # - the unit vector e^{j phase} and its conjugate: 4 M;
+    # - the reference phase the checkpoints keep (1 M) and the overlap
+    #   coverage (B);
+    # - the workspace: a frame matrix (frames x fft) and a windowed-segment
+    #   matrix (frames x window), 2 M each, the complex spectrum, 2 M, and
+    #   the padded and overlap-add buffers, B each: 6 M + 2 B;
+    # - the kept state x, the momentum and g, the real part of a complex
+    #   gradient: 4 M; the try's candidate and step: 2 M;
+    # - the kept point's and the try's spectrograms and waveforms: 4 M + 2 T;
+    # - the loss's residual and its time gradient (T each), and the fresh
+    #   spectrogram gradient the adjoint returns (2 M), while NumPy casts the
+    #   real scale to complex through its ufunc buffer, np.getbufsize()
+    #   complex elements (C; 8192 of them, 128 KiB, on NumPy 2.4).
+    # That is 23 M + 3 B + 4 T + C, plus 64 KiB for Python objects.
+    # Keeping the initial parameters adds 1 M. Once the run has returned and
+    # its result is dropped, only the reference phase and the coverage may
+    # stay: a workspace kept past the run (6 M + 2 B) exceeds that.
+    import tracemalloc
+
+    cfg = StftConfig.for_window(512, 128)
+    rng = np.random.default_rng(0)
+    s = TimeSignal(rng.standard_normal(64000), 16000)
+    y = TimeSignal(s.samples + rng.standard_normal(64000), 16000)
+    targets = Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)
+    M = 8 * targets.S.data.size
+    B = 8 * ((targets.S.num_frames - 1) * cfg.hop_length_samples + cfg.win_length_samples)
+    T = 8 * len(s)
+    problem = OptimizationProblem(
+        parameterization=Parameterization.FREE_MAG_FIXED_PHASE, loss=LossKind(LossTag.RI_ISTFT),
+        targets=targets, cfg=cfg, steps=3,
+    )
+    tracemalloc.start()
+    try:
+        result = optimize(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+        del result
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    C = 16 * np.getbufsize()
+    assert peak <= 23 * M + 3 * B + 4 * T + C + 2**16
+    assert held <= M + B + M // 8  # the phase, the coverage, and small objects
+
+
 def test_coupled_backtrack_rejects_non_finite_gradient_at_value_accepted_candidate():
     # f = x^2 from x = 1 with step 2: the first try (-3) fails on value;
     # the first halving (-1) passes on value, but its gradient is NaN, so

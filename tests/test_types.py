@@ -146,6 +146,20 @@ def test_containers_are_readonly():
         X.data[0, 0] = 0
 
 
+def test_an_adopted_array_is_frozen_in_place_and_never_cast():
+    # adopt=True takes the array itself, read-only; one that would need a
+    # cast is refused (NumPy 2's copy=False), never silently copied.
+    samples = np.array([1.0, 2.0])
+    assert TimeSignal(samples, 8000, adopt=True).samples is samples
+    assert not samples.flags.writeable
+    data = np.ones((2, 3), np.complex128)
+    assert Spectrogram(data, CFG, adopt=True).data is data
+    with pytest.raises(ValueError):
+        TimeSignal(np.array([1, 2]), 8000, adopt=True)
+    with pytest.raises(ValueError):
+        Spectrogram(np.ones((2, 3)), CFG, adopt=True)
+
+
 def test_config_invariants():
     with pytest.raises(ConfigInvalidError):
         StftConfig(4, 5, 8)  # hop > window
@@ -153,6 +167,8 @@ def test_config_invariants():
         StftConfig(8, 2, 4)  # fft < window
     with pytest.raises(ConfigInvalidError):
         StftConfig(0, 1, 4)
+    with pytest.raises(ConfigInvalidError, match="at least 2 samples"):
+        StftConfig(1, 1, 1)  # a one-sample periodic window is identically 0
 
 
 def test_config_for_window_pow2():
