@@ -13,7 +13,7 @@ which then has to be rewritten).
     python3 scripts/mutation_sweep.py
 
 This is not part of Tier-1: it runs a test subset twice per mutant (clean
-and mutated), about two minutes in all.
+and mutated), about five minutes in all.
 """
 import os
 import shutil
@@ -337,18 +337,16 @@ MUTANTS = (
     Mutant(
         "optimize makes --out before the checks",
         "src/magphase/cli.py",
-        "    targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)\n",
-        "    targets = optim.Targets(S=stft(s, cfg), s=s, Y=stft(y, cfg), y=y)\n"
-        "    out.mkdir(parents=True, exist_ok=True)\n",
+        "    targets = optim.Targets(S=S, s=s, Y=Y, y=y)\n",
+        "    targets = optim.Targets(S=S, s=s, Y=Y, y=y)\n    out.mkdir(parents=True, exist_ok=True)\n",
         ("tests/test_cli.py", "-k", "refusal_leaves_no_out"),
     ),
     Mutant(
         "synth makes --out before the wav check",
         "src/magphase/cli.py",
-        "    files = {name: wavio.wav_bytes(x, out / name) for name, x in signals.items() if x is not None}\n"
-        "    out.mkdir(parents=True, exist_ok=True)\n",
+        "    files = {out / k: wavio.wav_bytes(x, out / k) for k, x in signals.items() if x is not None}\n",
         "    out.mkdir(parents=True, exist_ok=True)\n"
-        "    files = {name: wavio.wav_bytes(x, out / name) for name, x in signals.items() if x is not None}\n",
+        "    files = {out / k: wavio.wav_bytes(x, out / k) for k, x in signals.items() if x is not None}\n",
         ("tests/test_cli.py", "-k", "float32_cannot_hold"),
     ),
     Mutant(
@@ -382,7 +380,7 @@ MUTANTS = (
     Mutant(
         "conj(unit) built for a separable run",
         "src/magphase/optim.py",
-        "conj_unit = None if loss.tag in SEPARABLE_TAGS else np.conj(unit)",
+        "conj_unit = np.conj(unit) if coupled else None",
         "conj_unit = np.conj(unit)",
         ("tests/test_optim.py", "-k", "holds_only_the_maps"),
     ),
@@ -424,9 +422,45 @@ MUTANTS = (
     Mutant(
         "workspace kept at module level",
         "src/magphase/optim.py",
-        "    work = {} if waveform or loss.tag not in SEPARABLE_TAGS else None\n",
+        "    work = {} if coupled else None\n",
         '    work = globals().setdefault("_work", {})\n',
         ("tests/test_optim.py", "-k", "holds_its_state or holds_only_the_maps"),
+    ),
+    Mutant(
+        "mask makes --out before its wav",
+        "src/magphase/cli.py",
+        '    files = {out / "enhanced.wav": wavio.wav_bytes(enhanced, out / "enhanced.wav")}\n',
+        "    out.mkdir(parents=True, exist_ok=True)\n"
+        '    files = {out / "enhanced.wav": wavio.wav_bytes(enhanced, out / "enhanced.wav")}\n',
+        ("tests/test_cli.py", "-k", "too_faint"),
+    ),
+    Mutant(
+        "optimize writes its trajectory first",
+        "src/magphase/cli.py",
+        '    files = {out / "trajectory.csv": result.trajectory.csv()}\n',
+        '    _write({out / "trajectory.csv": result.trajectory.csv()})\n    files = {}\n',
+        ("tests/test_cli.py", "-k", "last_output and optimize"),
+    ),
+    Mutant(
+        "metrics writes --json first",
+        "src/magphase/cli.py",
+        "        files[Path(args.json_out)] = rep.to_json()\n",
+        "        _write({Path(args.json_out): rep.to_json()})\n",
+        ("tests/test_cli.py", "-k", "last_output and metrics"),
+    ),
+    Mutant(
+        "histogram writes its csv first",
+        "src/magphase/cli.py",
+        "    _write({csv: hist.csv(), pgm: hist.pgm()})",
+        "    _write({csv: hist.csv()})\n    _write({pgm: hist.pgm()})",
+        ("tests/test_cli.py", "-k", "last_output and histogram"),
+    ),
+    Mutant(
+        "written file's directory left unmade",
+        "src/magphase/cli.py",
+        "        path.parent.mkdir(parents=True, exist_ok=True)\n",
+        "",
+        ("tests/test_cli.py", "-k", "parent_directories"),
     ),
 )
 

@@ -37,7 +37,6 @@ from .types import (
     TimeSignal,
     magnitude_of,
     phase_of,
-    validate_magnitude,
     validate_signal,
     validate_spectrogram,
 )

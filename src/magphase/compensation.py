@@ -96,22 +96,19 @@ class Histogram2D:
     def y_centers(self) -> np.ndarray:
         return 0.5 * (self.y_edges[:-1] + self.y_edges[1:])
 
-    def to_csv(self, path) -> None:
-        xc, yc = self.x_centers(), self.y_centers()
-        with open(path, "w") as fh:
-            fh.write("x_center,y_center,count\n")
-            for i in range(len(xc)):
-                for j in range(len(yc)):
-                    fh.write(f"{xc[i]:.4f},{yc[j]:.4f},{int(self.counts[i, j])}\n")
+    def csv(self):
+        """The CSV's lines, a header and one line per cell, each formatted as it is drawn."""
+        yield "x_center,y_center,count\n"
+        for i, x in enumerate(self.x_centers()):
+            for j, y in enumerate(self.y_centers()):
+                yield f"{x:.4f},{y:.4f},{int(self.counts[i, j])}\n"
 
-    def to_pgm(self, path) -> None:
+    def pgm(self) -> bytes:
         """P5 grayscale, max count mapped to white, low ratios at the bottom."""
         peak = max(int(self.counts.max()), 1)
         img = np.round(self.counts.T[::-1] * (255.0 / peak)).astype(np.uint8)
         h, w = img.shape
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-            fh.write(img.tobytes())
+        return f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes()
 
 
 def histogram2d(

@@ -134,13 +134,13 @@ class OptimizationProblem:
     momentum: float = 0.9
 
 
-def _write_csv(path, key: str, rows) -> None:
-    """A run's CSV: one (key, loss, si_sdr_db, msnr_db, psnr_db) row each; None writes empty."""
-    with open(path, "w") as fh:
-        fh.write(f"{key},loss,si_sdr_db,msnr_db,psnr_db\n")
-        for first, loss, *dbs in rows:
-            cells = ("" if v is None else format_db(v) for v in dbs)
-            fh.write(f"{first},{loss:.12g},{','.join(cells)}\n")
+def _csv(key: str, rows) -> str:
+    """A run's CSV: one (key, loss, si_sdr_db, msnr_db, psnr_db) row each; a None cell is empty."""
+    lines = [f"{key},loss,si_sdr_db,msnr_db,psnr_db\n"]
+    for first, loss, *dbs in rows:
+        cells = ("" if v is None else format_db(v) for v in dbs)
+        lines.append(f"{first},{loss:.12g},{','.join(cells)}\n")
+    return "".join(lines)
 
 
 @dataclass
@@ -160,9 +160,8 @@ class TrajectoryRecord:
         self.msnr_db.append(ms)
         self.psnr_db.append(ps)
 
-    def to_csv(self, path) -> None:
-        rows = zip(self.steps, self.loss, self.si_sdr_db, self.msnr_db, self.psnr_db)
-        _write_csv(path, "step", rows)
+    def csv(self) -> str:
+        return _csv("step", zip(self.steps, self.loss, self.si_sdr_db, self.msnr_db, self.psnr_db))
 
 
 @dataclass(frozen=True)
@@ -202,24 +201,24 @@ def _parameterize(problem: OptimizationProblem):
     parameters, and may overwrite that gradient, a fresh array the loss
     made for it), the feasibility projection, and the per-unit kernel
     (value maps whose mean is evaluate_loss's value, gradients
-    element-count times its own), or None for a coupled loss. A
-    fixed-phase kernel and the map to the spectrogram share one unit
-    vector; its conjugate, which only chain reads, is built only for a
-    coupled loss. So is the run's workspace, which every point and chain
-    pass to the transforms, and so is adoption: only a coupled run's views
-    hand their containers the arrays they build instead of a copy."""
+    element-count times its own), or None for a coupled run (a coupled
+    loss, or waveform parameters). A fixed-phase kernel and the map to the
+    spectrogram share one unit vector; its conjugate, which only chain
+    reads, is built only for a coupled run. So is the run's workspace,
+    which every point and chain pass to the transforms, and so is
+    adoption: only a coupled run's views adopt the arrays they build."""
     cfg, loss = problem.cfg, problem.loss
     targets = problem.targets
     sig = targets.s if targets.s is not None else targets.y  # output rate and length
     rate = sig.sample_rate_hz if sig is not None else DEFAULT_SAMPLE_RATE_HZ
     rng = np.random.Generator(np.random.Philox(key=problem.init_seed))
     waveform = problem.parameterization is Parameterization.FREE_WAVEFORM
-    work = {} if waveform or loss.tag not in SEPARABLE_TAGS else None
+    coupled = waveform or loss.tag not in SEPARABLE_TAGS
+    work = {} if coupled else None
     # Only a coupled run's views adopt what they build. A separable run's
     # views copy: the freed originals raise glibc's mmap threshold above a
     # spectrogram's size, and without them a CLI command after a separable
     # run mapped and faulted its maps anew, and ran slower (measured).
-    adopt = work is not None
 
     if waveform:
         y_ref = targets.y if targets.y is not None else targets.s
@@ -239,7 +238,7 @@ def _parameterize(problem: OptimizationProblem):
             return stft_adjoint(g, cfg, n, work)
 
         def spectrogram(p):
-            return Spectrogram(stft_array(p.params, cfg, p.work), cfg, adopt=adopt)
+            return Spectrogram(stft_array(p.params, cfg, p.work), cfg, adopt=coupled)
 
         def signal(p):
             return TimeSignal(p.params, rate)
@@ -254,7 +253,7 @@ def _parameterize(problem: OptimizationProblem):
     if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:
         phase = fixed_phase(problem)
         unit = np.exp(1j * phase)
-        conj_unit = None if loss.tag in SEPARABLE_TAGS else np.conj(unit)
+        conj_unit = np.conj(unit) if coupled else None
         if problem.init == "mixture":
             (Y,) = _require(targets, "Y")
             x0 = np.abs(Y.data)
@@ -285,21 +284,21 @@ def _parameterize(problem: OptimizationProblem):
         else:
             scale = float(np.mean(np.abs(ref.data))) or 1.0
             x0 = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
-        to_complex = np.copy if adopt else _identity  # the parameters stay the descent's
+        to_complex = np.copy if coupled else _identity  # the parameters stay the descent's
         chain = project = _identity
 
     n = len(sig) if sig is not None else (x0.shape[0] - 1) * cfg.hop_length_samples
 
     def spectrogram(p):
-        return Spectrogram(to_complex(p.params), cfg, adopt=adopt)
+        return Spectrogram(to_complex(p.params), cfg, adopt=coupled)
 
     def signal(p):
-        return TimeSignal(istft_array(p.spectrogram.data, cfg, n, p.work), rate, adopt=adopt)
+        return TimeSignal(istft_array(p.spectrogram.data, cfg, n, p.work), rate, adopt=coupled)
 
     def point_at(x):
         return Point(x, spectrogram, signal, istft_length=n, work=work)
 
-    if loss.tag not in SEPARABLE_TAGS:
+    if coupled:
         per_unit = None
     elif problem.parameterization is Parameterization.FREE_RI or loss.tag in MAGNITUDE_TAGS:
         per_unit = unit_kernel(loss, targets)
@@ -537,8 +536,8 @@ class TrendReport:
     msnr_improved: bool
     si_sdr_not_better: bool
 
-    def to_csv(self, path) -> None:
-        _write_csv(path, "arm", map(astuple, (self.without_mag, self.with_mag)))
+    def csv(self) -> str:
+        return _csv("arm", map(astuple, (self.without_mag, self.with_mag)))
 
 
 def run_trend_experiment(

@@ -33,7 +33,7 @@ def _readonly(a, dtype, ndim: int, what: str, adopt: bool = False) -> np.ndarray
     """A frozen copy of a cast to dtype, or a itself frozen if adopt;
     ShapeMismatchError unless it is ndim-D. Adopting relies on NumPy 2's
     copy=False, which raises ValueError where a copy would be needed (a not
-    an array of dtype); NumPy 1 would copy there."""
+    an array of dtype)."""
     arr = np.array(a, dtype=dtype, copy=not adopt)
     if arr.ndim != ndim:
         raise ShapeMismatchError(f"{what} must be {ndim}-D, got shape {arr.shape}")
@@ -219,21 +219,15 @@ def validate_signal(x: TimeSignal) -> None:
         raise NonFiniteError("signal contains NaN or Inf")
 
 
-def _validate_matrix(X: Spectrogram | MagSpectrogram, what: str) -> None:
-    """Raise unless X has the bins its config implies and only finite entries."""
+def validate_spectrogram(X: Spectrogram | MagSpectrogram) -> None:
+    """Raise unless X has the bins its config implies and only finite entries. A
+    MagSpectrogram, whose container refuses a negative entry, is a "magnitude matrix" here."""
+    what = "magnitude matrix" if isinstance(X, MagSpectrogram) else "spectrogram"
     bins = X.data.shape[1]
     if bins != X.config.num_bins:
         raise ShapeMismatchError(f"{what} has {bins} bins, config implies {X.config.num_bins}")
     if not np.all(np.isfinite(X.data)):
         raise NonFiniteError(f"{what} contains NaN or Inf")
-
-
-def validate_spectrogram(X: Spectrogram) -> None:
-    _validate_matrix(X, "spectrogram")
-
-
-def validate_magnitude(M: MagSpectrogram) -> None:
-    _validate_matrix(M, "magnitude matrix")  # the container refuses a negative entry
 
 
 def magnitude_of(X: Spectrogram) -> MagSpectrogram:

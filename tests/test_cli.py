@@ -1,13 +1,15 @@
+import ast
 import contextlib
 import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from magphase import metrics
+from magphase import cli, compensation, metrics, optim, scenes
 from magphase.cli import _HIST_SOURCES, build_parser, main
 from magphase.errors import SpecInvalidError
 from magphase.wavio import read_wav, write_wav
@@ -144,6 +146,16 @@ def test_metrics_csv_schema(scene_dir, tmp_path):
     lines = csv_out.read_text().strip().splitlines()
     assert lines[0] == "si_sdr_db,snr_db,msnr_db,psnr_db"
     assert len(lines[1].split(",")) == 4
+
+
+def test_metrics_makes_the_parent_directories_of_json_and_csv(scene_dir, tmp_path):
+    # As for --out. --json ok.json --csv missing/x.csv wrote ok.json and
+    # then exited 1 with an io error.
+    json_out, csv_out = tmp_path / "ok.json", tmp_path / "missing" / "x.csv"
+    argv = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav", "--win", 200, "--hop", 80]
+    assert run(*argv, "--json", json_out, "--csv", csv_out) == 0
+    assert set(json.loads(json_out.read_text())) == {"si_sdr_db", "snr_db", "msnr_db", "psnr_db"}
+    assert csv_out.read_text().startswith("si_sdr_db,snr_db,msnr_db,psnr_db\n")
 
 
 def test_mask_iam_noiseless_recovers_source(clean_dir, tmp_path):
@@ -754,6 +766,93 @@ def test_optimize_refusal_leaves_no_out(scene_dir, tmp_path, capsys, argv, probl
     _expect_exit_1_leaving_no_out(capsys, argv, tmp_path / "o", match)
 
 
+@pytest.mark.parametrize("kind", ["iam", "psm", "psm-trunc"])
+def test_mask_on_a_scene_too_faint_for_float32_leaves_no_out(tmp_path, capsys, kind):
+    # At a peak of 1e-38 every masked sample rounds to zero in float32, so
+    # enhanced.wav is refused: that was after --out was made, left empty.
+    scene = synth_scene(SceneSpec(seed=3))
+    gain = 1e-38 / max(np.max(np.abs(scene.s.samples)), np.max(np.abs(scene.y.samples)))
+    faint = tmp_path / "faint"
+    faint.mkdir()
+    for name, x in (("s.wav", scene.s), ("y.wav", scene.y)):
+        write_wav(faint / name, TimeSignal(x.samples * gain, x.sample_rate_hz))
+    out = tmp_path / "o"
+    match = re.escape(f"{out / 'enhanced.wav'}: a float32 WAV rounds every sample to zero") + ".*"
+    argv = ["mask", "--kind", kind, "--scene", faint, "--win", 200, "--hop", 80]
+    _expect_exit_1_leaving_no_out(capsys, argv, out, match)
+
+
+def _planted(*args):
+    raise SpecInvalidError("planted at the last output")
+
+
+# Each command (its STFT flags aside), the builder of the last output it
+# makes, and the paths it writes, relative to the working directory.
+_LAST_OUTPUT = {
+    "synth": ("synth --seed 1 --out o", scenes.SceneSpec, "as_dict", ["o"]),
+    "metrics": (
+        "metrics --est {scene}/y.wav --ref {scene}/s.wav --json m.json --csv m.csv",
+        metrics.MetricReport,
+        "csv_row",
+        ["m.json", "m.csv"],
+    ),
+    "mask": ("mask --kind iam --scene {scene} --out o", metrics.MetricReport, "as_dict", ["o"]),
+    "optimize": ("optimize --steps 3 --scene {scene} --out o", metrics.MetricReport, "to_json", ["o"]),
+    "optimize-trend": ("optimize --trend --steps 3 --scene {scene} --out o", optim.TrendReport, "csv", ["o"]),
+    "histogram": (
+        "histogram --source oracle --scene {scene} --out h",
+        compensation.Histogram2D,
+        "pgm",
+        ["h.csv", "h.pgm"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_LAST_OUTPUT))
+def test_a_command_refused_at_its_last_output_writes_nothing(
+    scene_dir, tmp_path, monkeypatch, capsys, command
+):
+    # Each command builds every output before it writes one. Before, each
+    # had made --out or written a first file by the time its last output
+    # was built.
+    argv, owner, builder, written = _LAST_OUTPUT[command]
+    argv = [a.format(scene=scene_dir) for a in argv.split()]
+    if command != "synth":
+        argv += ["--win", "200", "--hop", "80"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(owner, builder, _planted)
+    _expect_exit_1(capsys, argv, "planted at the last output")
+    assert not [name for name in written if (tmp_path / name).exists()]
+
+
+_WRITING_CALLS = {"mkdir", "makedirs", "touch", "write_text", "write_bytes"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    modes = [*call.args[1:2], *(k.value for k in call.keywords if k.arg == "mode")]
+    return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+") for m in modes)
+
+
+def test_only_the_cli_writer_and_write_wav_touch_the_filesystem():
+    # Every command writes through cli._write, after all that can refuse it;
+    # a second writer could make --out before a refusal again.
+    writers = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in _WRITING_CALLS or (name == "open" and _opens_for_writing(node)):
+                writers.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem)
+    assert writers == {"cli._write", "wavio.write_wav"}
+
+
 def test_optimize_problem_that_is_not_utf8_is_refused(scene_dir, tmp_path, capsys):
     # Path.read_text died with a UnicodeDecodeError traceback.
     (tmp_path / "p.json").write_bytes(b'{"init": "\xff"}')
@@ -768,7 +867,7 @@ def test_histogram_refuses_a_prefix_with_no_file_name(scene_dir, monkeypatch, ca
     # with_suffix raised "has an empty name" after the histogram was built.
     from magphase import cli
 
-    monkeypatch.setattr(cli, "_load_scene_dir", _must_not_run)
+    monkeypatch.setattr(cli, "_scene", _must_not_run)
     argv = ["histogram", "--source", "oracle", "--scene", scene_dir, "--out", prefix]
     _expect_spec_error(capsys, argv, re.escape(f"--out '{prefix}' names no file"))
 

@@ -241,8 +241,8 @@ def test_histogram_exports(tmp_path, scene_pair):
     hist = histogram2d(magnitude_of(S), S, Y)
     csv_path = tmp_path / "h.csv"
     pgm_path = tmp_path / "h.pgm"
-    hist.to_csv(csv_path)
-    hist.to_pgm(pgm_path)
+    csv_path.write_text("".join(hist.csv()))
+    pgm_path.write_bytes(hist.pgm())
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "x_center,y_center,count"
     assert len(lines) == 1 + 50 * 50

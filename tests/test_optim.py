@@ -981,7 +981,7 @@ def test_trend_degenerate_pair_identical(scene_targets):
 def test_trend_csv_export(tmp_path, scene_targets):
     report = run_trend_experiment(scene_targets, CFG_SCENE, steps=50)
     path = tmp_path / "trend.csv"
-    report.to_csv(path)
+    path.write_text(report.csv())
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "arm,loss,si_sdr_db,msnr_db,psnr_db"
     assert len(lines) == 3
@@ -998,7 +998,7 @@ def test_trajectory_csv_schema(tmp_path, scene_targets):
     )
     result = optimize(problem)
     path = tmp_path / "traj.csv"
-    result.trajectory.to_csv(path)
+    path.write_text(result.trajectory.csv())
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "step,loss,si_sdr_db,msnr_db,psnr_db"
     assert len(lines) >= 3

@@ -17,7 +17,6 @@ from magphase.types import (
     TimeSignal,
     magnitude_of,
     phase_of,
-    validate_magnitude,
     validate_signal,
     validate_spectrogram,
 )
@@ -110,7 +109,7 @@ def test_spectrogram_nonfinite():
 
 def test_magnitude_negative_rejected():
     with pytest.raises(ShapeMismatchError):
-        validate_magnitude(MagSpectrogram(np.array([[-0.1, 0, 0]]), CFG))
+        validate_spectrogram(MagSpectrogram(np.array([[-0.1, 0, 0]]), CFG))
 
 
 def test_magnitude_container_refuses_a_negative_entry():
@@ -120,9 +119,9 @@ def test_magnitude_container_refuses_a_negative_entry():
     with pytest.raises(ShapeMismatchError, match="magnitude matrix has negative entries"):
         MagSpectrogram(-np.abs(S.data), CFG)
     signed_zero = MagSpectrogram(np.array([[-0.0, 0.0, 1.0]]), CFG)  # -0.0 is not below 0
-    validate_magnitude(signed_zero)
+    validate_spectrogram(signed_zero)
     with pytest.raises(NonFiniteError):  # -inf is refused as non-finite, like +inf and NaN
-        validate_magnitude(MagSpectrogram(np.array([[-np.inf, 0.0, 1.0]]), CFG))
+        validate_spectrogram(MagSpectrogram(np.array([[-np.inf, 0.0, 1.0]]), CFG))
 
 
 def test_spectrogram_keeps_its_phase_read_only():
@@ -220,7 +219,7 @@ def test_containers_cast_copy_and_freeze(make, field, dtype):
 
 def test_magnitude_bin_mismatch():
     with pytest.raises(ShapeMismatchError, match="magnitude matrix has 5 bins, config implies 3"):
-        validate_magnitude(MagSpectrogram(np.zeros((2, 5)), CFG))
+        validate_spectrogram(MagSpectrogram(np.zeros((2, 5)), CFG))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -228,4 +227,4 @@ def test_magnitude_nonfinite(bad):
     data = np.zeros((1, 3))
     data[0, 1] = bad
     with pytest.raises(NonFiniteError, match="magnitude matrix contains NaN or Inf"):
-        validate_magnitude(MagSpectrogram(data, CFG))
+        validate_spectrogram(MagSpectrogram(data, CFG))
