@@ -359,8 +359,8 @@ MUTANTS = (
     Mutant(
         "problem json read without decoding check",
         "src/magphase/cli.py",
-        "        except UnicodeDecodeError as exc:\n",
-        "        except ArithmeticError as exc:\n",
+        "        except (ValueError, RecursionError) as exc:\n",
+        "        except (json.JSONDecodeError, RecursionError) as exc:\n",
         ("tests/test_cli.py", "-k", "not_utf8"),
     ),
     Mutant(
@@ -459,8 +459,59 @@ MUTANTS = (
         "written file's directory left unmade",
         "src/magphase/cli.py",
         "        path.parent.mkdir(parents=True, exist_ok=True)\n",
-        "",
+        "        pass\n",
         ("tests/test_cli.py", "-k", "parent_directories"),
+    ),
+    Mutant(
+        "problem json recursion unrefused",
+        "src/magphase/cli.py",
+        "        except (ValueError, RecursionError) as exc:\n",
+        "        except ValueError as exc:\n",
+        ("tests/test_cli.py", "-k", "beyond_python_limits and nested_arrays"),
+    ),
+    Mutant(
+        "problem json overflow unrefused",
+        "src/magphase/cli.py",
+        "        except (TypeError, ValueError, OverflowError, ConfigInvalidError) as exc:\n",
+        "        except (TypeError, ValueError, ConfigInvalidError) as exc:\n",
+        ("tests/test_cli.py", "-k", "beyond_python_limits and step_size"),
+    ),
+    Mutant(
+        "custom phase shape unchecked",
+        "src/magphase/optim.py",
+        "        if ref is not None and phase.shape != ref.data.shape:\n",
+        "        if False:\n",
+        ("tests/test_optim.py", "-k", "custom_phase_of_another_shape"),
+    ),
+    Mutant(
+        "custom phase ignored silently",
+        "src/magphase/optim.py",
+        '    if problem.custom_phase is not None and problem.phase_source != "custom":\n',
+        "    if False:\n",
+        ("tests/test_optim.py", "-k", "custom_phase_under_another"),
+    ),
+    Mutant(
+        "masks takes stft from the package",
+        "src/magphase/masks.py",
+        "from .stft import istft\n",
+        "from . import stft as _stft\n\n\ndef istft(*args):\n    return _stft.istft(*args)\n",
+        ("tests/test_masks.py", "-k", "reimported"),
+    ),
+    Mutant(
+        "each file renamed as it is written",
+        "src/magphase/cli.py",
+        "                fh.writelines([content] if isinstance(content, (bytes, str)) else content)\n"
+        "        for path, tmp in temps.items():\n            tmp.replace(path)\n",
+        "                fh.writelines([content] if isinstance(content, (bytes, str)) else content)\n"
+        "            tmp.replace(path)\n",
+        ("tests/test_cli.py", "-k", "fails_leaves_no_file"),
+    ),
+    Mutant(
+        "directory destination unchecked",
+        "src/magphase/cli.py",
+        "        if path.is_dir():\n",
+        "        if False:\n",
+        ("tests/test_cli.py", "-k", "cannot_be_written"),
     ),
 )
 

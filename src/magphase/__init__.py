@@ -28,7 +28,7 @@ from .optim import (
     optimize,
     run_trend_experiment,
 )
-from .scenes import HarmonicTarget, Interference, ReverbSpec, Scene, SceneSpec, synth_rir, synth_scene
+from .scenes import Interference, ReverbSpec, Scene, SceneSpec, synth_rir, synth_scene
 from .stft import WindowPair, consistency_project, istft, stft, window_pair
 from .types import (
     MagSpectrogram,

@@ -13,7 +13,9 @@ them with one call to _write, then prints; so a refusal writes nothing.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -99,14 +101,28 @@ def _scene(args):
 
 
 def _write(files: dict) -> None:
-    """Write each {path: bytes, a str, or an iterable of str (streamed)}, making its parent first."""
-    for path, content in files.items():
+    """Write each {path: bytes, a str, or an iterable of str (streamed)}, all or none.
+
+    Every destination is checked and its parent made before anything is
+    written. Each file goes to a temporary name beside it; all are renamed
+    into place only once every write has succeeded, so an I/O error leaves
+    none of them behind."""
+    for path in files:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for path in files:
         path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            with open(path, "w") as fh:
-                fh.writelines([content] if isinstance(content, str) else content)
+    temps = {}
+    try:
+        for path, content in files.items():
+            temps[path] = tmp = path.with_name(f".{path.name}.partial")
+            with open(tmp, "wb" if isinstance(content, bytes) else "w") as fh:
+                fh.writelines([content] if isinstance(content, (bytes, str)) else content)
+        for path, tmp in temps.items():
+            tmp.replace(path)
+    finally:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
 
 
 def cmd_synth(args) -> int:
@@ -121,7 +137,7 @@ def cmd_synth(args) -> int:
         seed=args.seed,
         duration_s=args.duration,
         sample_rate_hz=args.sample_rate,
-        target=scenes.HarmonicTarget(f0_hz=args.f0),
+        f0_hz=args.f0,
         interference=scenes.Interference(kind=args.interference, snr_db=args.snr),
         reverb=reverb,
     )
@@ -215,12 +231,11 @@ def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.Optimi
     """The problem JSON of --problem (defaults if absent), with --steps applied."""
     doc = {}
     if args.problem is not None:
-        try:
+        try:  # ValueError covers UnicodeDecodeError, JSONDecodeError and int's digit limit
             doc = json.loads(Path(args.problem).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            raise SpecInvalidError(f"problem JSON {args.problem} is not UTF-8: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise SpecInvalidError(f"problem JSON {args.problem} is malformed: {exc}") from None
+        except (ValueError, RecursionError) as exc:
+            what = "not UTF-8" if isinstance(exc, UnicodeDecodeError) else "malformed"
+            raise SpecInvalidError(f"problem JSON {args.problem} is {what}: {exc}") from None
         if not isinstance(doc, dict):
             raise SpecInvalidError("problem JSON must be an object")
     unknown = sorted(set(doc) - _PROBLEM_KEYS)
@@ -236,7 +251,7 @@ def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.Optimi
     for key, value in doc.items():
         try:
             fields[key] = _PROBLEM_FIELDS[key](value)
-        except (TypeError, ValueError, ConfigInvalidError) as exc:
+        except (TypeError, ValueError, OverflowError, ConfigInvalidError) as exc:
             raise SpecInvalidError(f"invalid problem JSON value for {key}: {exc}") from None
     return optim.OptimizationProblem(targets=targets, cfg=cfg, **fields)
 

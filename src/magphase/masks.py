@@ -19,9 +19,9 @@ from enum import Enum
 
 import numpy as np
 
-from . import stft as _stft
 from .compensation import compensated_magnitude, phase_diff_map
 from .errors import ConfigInvalidError, ShapeMismatchError
+from .stft import istft
 from .types import (
     DEFAULT_SAMPLE_RATE_HZ,
     MagSpectrogram,
@@ -145,4 +145,4 @@ def apply_mask_resynth(
         if M.kind is MaskKind.IAM and iam_clamp is not None:
             gains = np.clip(gains, 0.0, iam_clamp)
         masked = gains * Y.data
-    return _stft.istft(Spectrogram(masked, Y.config), out_len, sample_rate_hz)
+    return istft(Spectrogram(masked, Y.config), out_len, sample_rate_hz)

@@ -65,6 +65,7 @@ which the tests verify against.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Optional
@@ -75,6 +76,8 @@ from .errors import (
     ConfigInvalidError,
     DivergedError,
     MissingTargetError,
+    NonFiniteError,
+    ShapeMismatchError,
 )
 from .losses import (
     MAGNITUDE_TAGS,
@@ -185,7 +188,13 @@ def fixed_phase(problem: OptimizationProblem) -> np.ndarray:
     if problem.phase_source == "custom":
         if problem.custom_phase is None:
             raise MissingTargetError("phase_source 'custom' needs custom_phase")
-        return np.asarray(problem.custom_phase, dtype=np.float64)
+        phase = np.asarray(problem.custom_phase, dtype=np.float64)
+        ref = problem.targets.Y if problem.targets.Y is not None else problem.targets.S
+        if ref is not None and phase.shape != ref.data.shape:
+            raise ShapeMismatchError(f"custom_phase is {phase.shape}, the targets {ref.data.shape}")
+        if not np.all(np.isfinite(phase)):
+            raise NonFiniteError("custom_phase holds NaN or Inf")
+        return phase
     raise ConfigInvalidError(f"unknown phase source {problem.phase_source!r}")
 
 
@@ -445,16 +454,18 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     signal. Neither holds the initial parameters, and the workspace goes
     with the run.
     """
-    if problem.steps < 1:
-        raise ConfigInvalidError("steps must be >= 1")
-    if not (problem.step_size > 0 and math.isfinite(problem.step_size)):
-        raise ConfigInvalidError("step_size must be positive")
+    if not isinstance(problem.steps, (int, np.integer)) or problem.steps < 1:
+        raise ConfigInvalidError("steps must be an integer >= 1")
+    if not 0 < problem.step_size <= sys.float_info.max:  # compares a huge int exactly
+        raise ConfigInvalidError("step_size must be positive and finite")
     if not (0.0 <= problem.momentum < 1.0):
         raise ConfigInvalidError("momentum must lie in [0, 1)")
     if problem.init not in _INITS:
         raise ConfigInvalidError(f"init must be one of {', '.join(_INITS)}, got {problem.init!r}")
     if not 0 <= problem.init_seed < 2**128:  # the range of a Philox key
         raise ConfigInvalidError(f"init_seed must lie in [0, 2^128), got {problem.init_seed}")
+    if problem.custom_phase is not None and problem.phase_source != "custom":
+        raise ConfigInvalidError("custom_phase applies only with phase_source 'custom'")
     loss = problem.loss
     if not isinstance(loss, LossKind):
         raise ConfigInvalidError(f"loss must be a LossKind, got {loss!r}")

@@ -126,7 +126,10 @@ class LossKind:
         for name, terms in (("time_weight", _TIME_TERM_TAGS), ("mag_weight", _MAG_TERM_TAGS)):
             has_term = self.tag in terms
             w = getattr(self, name)
-            w = float(has_term if w is None else w)
+            try:
+                w = float(has_term if w is None else w)
+            except OverflowError:  # an int beyond float64
+                w = np.inf
             if not np.isfinite(w) or w < 0:
                 raise ConfigInvalidError("loss weights must be finite and nonnegative")
             if w and not has_term:

@@ -48,7 +48,7 @@ def test_synth_writes_expected_files(scene_dir):
     for name in ("s.wav", "v.wav", "y.wav", "scene.json"):
         assert (scene_dir / name).exists()
     doc = json.loads((scene_dir / "scene.json").read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["seed"] == 3
     s = read_wav(scene_dir / "s.wav")
     assert s.sample_rate_hz == 8000
@@ -156,6 +156,35 @@ def test_metrics_makes_the_parent_directories_of_json_and_csv(scene_dir, tmp_pat
     assert run(*argv, "--json", json_out, "--csv", csv_out) == 0
     assert set(json.loads(json_out.read_text())) == {"si_sdr_db", "snr_db", "msnr_db", "psnr_db"}
     assert csv_out.read_text().startswith("si_sdr_db,snr_db,msnr_db,psnr_db\n")
+
+
+@pytest.mark.parametrize(
+    "csv, match",
+    [("isdir", r"Errno 21\] Is a directory: '.*isdir'"), ("afile/x.csv", r"Errno 17\] File exists: '.*afile'")],
+    ids=["csv_is_a_directory", "csv_under_a_file"],
+)
+def test_metrics_whose_csv_cannot_be_written_leaves_no_json(scene_dir, tmp_path, capsys, csv, match):
+    # Both exited 1 and left ok.json behind: it was written before the CSV failed.
+    d = tmp_path / "d"
+    (d / "isdir").mkdir(parents=True)
+    (d / "afile").write_text("")
+    argv = ["metrics", "--est", scene_dir / "y.wav", "--ref", scene_dir / "s.wav", "--win", 200, "--hop", 80]
+    assert run(*argv, "--json", d / "ok.json", "--csv", d / csv) == 1
+    assert re.fullmatch(f"io error: \\[{match}\n", capsys.readouterr().err)
+    assert sorted(p.name for p in d.iterdir()) == ["afile", "isdir"]
+    assert not any((d / "isdir").iterdir())
+
+
+def test_a_write_that_fails_leaves_no_file_and_no_temporary(tmp_path):
+    # Each file goes to a temporary name, and all are renamed only once
+    # every write has succeeded; a failure removes the temporaries.
+    def rows():
+        yield "a,b\n"
+        raise OSError("No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        cli._write({tmp_path / "first.json": "{}", tmp_path / "out" / "rows.csv": rows()})
+    assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == [Path("out")]
 
 
 def test_mask_iam_noiseless_recovers_source(clean_dir, tmp_path):
@@ -715,8 +744,19 @@ def _expect_exit_1_leaving_no_out(capsys, argv, out, match):
         (["--seed", 1, "--duration", 2097.2], r"2097\.2 s at 8000 Hz exceeds 16777216 samples"),
         # 10**400 Hz died with an OverflowError turning the scene's length into a float.
         (["--seed", 1, "--sample-rate", 10**400], rf"1\.0 s at {10**400} Hz exceeds 16777216 samples"),
+        # The reverb is checked once, in synth_rir, which runs before any scene-length array.
+        (["--seed", 1, "--reverb-rt60", 5], r"rt60 must lie in \[0\.05, 1\.0\] s, got 5\.0"),
+        (["--seed", 1, "--reverb-rt60", 0.3, "--drr=-1e9"], r"direct-to-reverb ratio -1000000000\.0 dB overflows the tail"),
     ],
-    ids=["negative_seed", "seed_2^120", "duration_1e9", "duration_over_2^24", "rate_1e400"],
+    ids=[
+        "negative_seed",
+        "seed_2^120",
+        "duration_1e9",
+        "duration_over_2^24",
+        "rate_1e400",
+        "rt60_5",
+        "drr_-1e9",
+    ],
 )
 def test_synth_refuses_a_scene_before_any_allocation(tmp_path, monkeypatch, capsys, argv, match):
     # A negative seed died in Philox's key with a ValueError traceback, and
@@ -858,6 +898,25 @@ def test_optimize_problem_that_is_not_utf8_is_refused(scene_dir, tmp_path, capsy
     (tmp_path / "p.json").write_bytes(b'{"init": "\xff"}')
     argv = ["optimize", "--scene", scene_dir, "--steps", 3, "--problem", tmp_path / "p.json"]
     match = re.escape(f"problem JSON {tmp_path / 'p.json'} is not UTF-8: ") + ".*byte 0xff"
+    _expect_spec_error(capsys, [*argv, "--out", tmp_path / "o"], match)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[" * 100000 + "]" * 100000, "is malformed: maximum recursion depth exceeded"),
+        ('{"steps": ' + "9" * 5000 + "}", "is malformed: Exceeds the limit"),
+        ('{"step_size": ' + str(10**400) + "}", "step_size: int too large to convert to float"),
+        ('{"loss": {"tag": "ri", "mag_weight": ' + str(10**400) + "}}", "loss weights must be finite"),
+    ],
+    ids=["nested_arrays", "5000_digit_steps", "401_digit_step_size", "401_digit_mag_weight"],
+)
+def test_optimize_problem_json_beyond_python_limits_is_refused(scene_dir, tmp_path, capsys, text, match):
+    # Each died with a traceback: RecursionError in the decoder, ValueError
+    # from the integer-digit limit, OverflowError in float().
+    (tmp_path / "p.json").write_text(text)
+    argv = ["optimize", "--scene", scene_dir, "--steps", 3, "--problem", tmp_path / "p.json"]
     _expect_spec_error(capsys, [*argv, "--out", tmp_path / "o"], match)
     assert not (tmp_path / "o").exists()
 

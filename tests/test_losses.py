@@ -305,6 +305,12 @@ def test_x0_variant_rejects_nonzero_time_weight():
                 LossKind(tag, **{name: -1.0})
 
 
+def test_a_weight_beyond_float64_is_refused():
+    # float(10**400) died with an OverflowError.
+    with pytest.raises(ConfigInvalidError, match="finite and nonnegative"):
+        LossKind(LossTag.RI, time_weight=10**400)
+
+
 def test_ri_istft_zero_for_consistent_truth():
     rng = np.random.default_rng(10)
     s = TimeSignal(rng.standard_normal(CASE_LEN), 8000)

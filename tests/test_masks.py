@@ -196,3 +196,22 @@ def test_iam_clamp_must_be_none_or_positive(clamp):
     for M in (iam(S, S), magnitude_of(S)):
         with pytest.raises(ConfigInvalidError, match=f"must be None or positive, got {clamp:g}"):
             apply_mask_resynth(M, S, 2, iam_clamp=clamp)
+
+
+def test_masks_reimported_after_the_package_still_resynthesizes(noisy_pair, monkeypatch):
+    # `from . import stft` in masks took the package attribute, which
+    # __init__ binds to the stft function once masks was first imported; a
+    # fresh import then raised "'function' object has no attribute 'istft'".
+    import importlib
+    import sys
+
+    import magphase
+
+    before = magphase.masks
+    monkeypatch.setattr(magphase, "masks", before)  # restored after the re-import rebinds it
+    monkeypatch.delitem(sys.modules, "magphase.masks")
+    fresh = importlib.import_module("magphase.masks")
+    assert fresh is not before
+    scene, _, Y = noisy_pair
+    out = fresh.apply_mask_resynth(fresh.psm(Y, Y), Y, len(scene.y), 8000)
+    assert np.max(np.abs(out.samples - scene.y.samples)) < 1e-10

@@ -7,7 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
-from magphase.errors import ConfigInvalidError, MissingTargetError, ZeroSignalError
+from magphase.errors import (
+    ConfigInvalidError,
+    MissingTargetError,
+    NonFiniteError,
+    ShapeMismatchError,
+    ZeroSignalError,
+)
 from magphase.losses import SEPARABLE_TAGS, LossKind, LossTag, LossValue, evaluate_loss
 from magphase.metrics import msnr, psnr, si_sdr
 from magphase.optim import (
@@ -1142,6 +1148,47 @@ def test_unknown_init_rejected(scene_targets):
     )
     with pytest.raises(ConfigInvalidError):
         optimize(problem)
+
+
+def _scene_problem(targets, **kw):
+    """A short free-mag-fixed-phase l2-complex problem on the scene, with kw set."""
+    kw = {"steps": 3, **kw}
+    return OptimizationProblem(Parameterization.FREE_MAG_FIXED_PHASE, QUAD_L2, targets, CFG_SCENE, **kw)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("steps", 2.5), ("step_size", 10**400)], ids=["fractional_steps", "401_digit_step_size"]
+)
+def test_a_budget_or_step_size_it_cannot_run_is_refused(scene_targets, field, value):
+    # steps=2.5 died in range() with a TypeError, and step_size=10**400 in
+    # math.isfinite with an OverflowError.
+    with pytest.raises(ConfigInvalidError, match=field):
+        optimize(_scene_problem(scene_targets, **{field: value}))
+
+
+@pytest.mark.parametrize("shape", [(1, None), (None,), (3, 3)], ids=["one_frame", "one_row", "3x3"])
+def test_a_custom_phase_of_another_shape_is_refused(scene_targets, shape):
+    # (1, F) and (F,) broadcast against the targets and ran; (3, 3) died in
+    # numpy's broadcasting with a bare ValueError.
+    bins = scene_targets.S.data.shape[1]
+    phase = np.zeros([bins if n is None else n for n in shape])
+    with pytest.raises(ShapeMismatchError, match="custom_phase is"):
+        optimize(_scene_problem(scene_targets, phase_source="custom", custom_phase=phase))
+
+
+def test_a_custom_phase_that_is_not_finite_is_refused(scene_targets):
+    # It was refused as DivergedError, "objective non-finite at the initial point".
+    phase = np.zeros(scene_targets.S.data.shape)
+    phase[3, 4] = np.nan
+    with pytest.raises(NonFiniteError, match="custom_phase"):
+        optimize(_scene_problem(scene_targets, phase_source="custom", custom_phase=phase))
+
+
+def test_a_custom_phase_under_another_phase_source_is_refused(scene_targets):
+    # It was ignored without a word: the run took the mixture phase.
+    phase = np.zeros(scene_targets.S.data.shape)
+    with pytest.raises(ConfigInvalidError, match="custom_phase applies only"):
+        optimize(_scene_problem(scene_targets, custom_phase=phase))
 
 
 @pytest.mark.parametrize("name", ["S", "Y"])

@@ -5,7 +5,6 @@ import pytest
 
 from magphase.errors import SpecInvalidError
 from magphase.scenes import (
-    HarmonicTarget,
     Interference,
     ReverbSpec,
     SceneSpec,
@@ -79,7 +78,7 @@ def test_pink_noise_is_low_frequency_weighted():
 
 
 def test_target_band_limits():
-    scene = synth_scene(SceneSpec(seed=7, target=HarmonicTarget(f0_hz=150.0)))
+    scene = synth_scene(SceneSpec(seed=7, f0_hz=150.0))
     spec = np.abs(np.fft.rfft(scene.s.samples)) ** 2
     f = np.fft.rfftfreq(len(scene.s), 1 / 8000)
     in_band = spec[(f >= 70) & (f <= 4100)].sum()
@@ -150,19 +149,48 @@ def test_spec_validation():
         synth_scene(SceneSpec(seed=0, reverb=ReverbSpec(rt60_s=5.0)))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SceneSpec(seed=0, duration_s=10**400),
+        SceneSpec(seed=0, f0_hz=10**400),
+        SceneSpec(seed=0, interference=Interference("white", 10**400)),
+        SceneSpec(seed=0, f0_hz=math.nan),
+        SceneSpec(seed=0, reverb=ReverbSpec(rt60_s=10**400)),
+        SceneSpec(seed=0, reverb=ReverbSpec(rt60_s=0.3, direct_to_reverb_db=10**400)),
+        SceneSpec(seed=0, reverb=ReverbSpec(rt60_s=math.nan)),
+    ],
+    ids=["duration", "f0", "snr", "nan_f0", "rt60", "drr", "nan_rt60"],
+)
+def test_spec_values_beyond_float64_are_refused(spec):
+    # A 401-digit int died in math.isfinite with an OverflowError.
+    with pytest.raises(SpecInvalidError):
+        synth_scene(spec)
+
+
 def test_spec_round_trip_dict():
     spec = SceneSpec(
         seed=9,
         duration_s=0.75,
         sample_rate_hz=16000,
-        target=HarmonicTarget(f0_hz=210.0),
+        f0_hz=210.0,
         interference=Interference("pink", 4.0),
         reverb=ReverbSpec(rt60_s=0.25, direct_to_reverb_db=3.0),
     )
     doc = spec.as_dict()
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["rng"] == "philox4x64"
-    assert SceneSpec.from_dict(doc) == spec
+    # Exactly what synth's flags set: the voice's constants are not settable.
+    assert doc == {
+        "schema_version": 2,
+        "rng": "philox4x64",
+        "seed": 9,
+        "duration_s": 0.75,
+        "sample_rate_hz": 16000,
+        "f0_hz": 210.0,
+        "interference": {"kind": "pink", "snr_db": 4.0},
+        "reverb": {"rt60_s": 0.25, "direct_to_reverb_db": 3.0},
+    }
 
 
 def test_fft_length_is_scipy_next_fast_len():
