@@ -137,10 +137,10 @@ MUTANTS = (
         ("tests/test_scenes.py", "-k", "fftconvolve"),
     ),
     Mutant(
-        "problem json steps through int",
-        "src/magphase/cli.py",
-        '    "steps": _only(int, "an integer"),',
-        '    "steps": int,',
+        "problem steps type unchecked",
+        "src/magphase/optim.py",
+        "        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:\n",
+        "        if steps < 1:\n",
         ("tests/test_cli.py", "-k", "fails_loudly"),
     ),
     Mutant(
@@ -330,8 +330,8 @@ MUTANTS = (
     Mutant(
         "init_seed range check dropped",
         "src/magphase/optim.py",
-        "    if not 0 <= problem.init_seed < 2**128:",
-        "    if False:",
+        "        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:\n",
+        "        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):\n",
         ("tests/test_optim.py", "-k", "validation_errors"),
     ),
     Mutant(
@@ -470,10 +470,11 @@ MUTANTS = (
         ("tests/test_cli.py", "-k", "beyond_python_limits and nested_arrays"),
     ),
     Mutant(
-        "problem json overflow unrefused",
-        "src/magphase/cli.py",
-        "        except (TypeError, ValueError, OverflowError, ConfigInvalidError) as exc:\n",
-        "        except (TypeError, ValueError, ConfigInvalidError) as exc:\n",
+        "real number overflow unrefused",
+        "src/magphase/types.py",
+        "    try:\n        return float(value)\n    except OverflowError:\n"
+        "        return math.inf if value > 0 else -math.inf\n",
+        "    return float(value)\n",
         ("tests/test_cli.py", "-k", "beyond_python_limits and step_size"),
     ),
     Mutant(
@@ -486,8 +487,8 @@ MUTANTS = (
     Mutant(
         "custom phase ignored silently",
         "src/magphase/optim.py",
-        '    if problem.custom_phase is not None and problem.phase_source != "custom":\n',
-        "    if False:\n",
+        '        if self.custom_phase is not None and self.phase_source != "custom":\n',
+        "        if False:\n",
         ("tests/test_optim.py", "-k", "custom_phase_under_another"),
     ),
     Mutant(
@@ -512,6 +513,56 @@ MUTANTS = (
         "        if path.is_dir():\n",
         "        if False:\n",
         ("tests/test_cli.py", "-k", "cannot_be_written"),
+    ),
+    Mutant(
+        "bool steps accepted",
+        "src/magphase/optim.py",
+        "        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:\n",
+        "        if not isinstance(steps, (int, np.integer)) or steps < 1:\n",
+        ("tests/test_optim.py", "-k", "built_only_from_fields"),
+    ),
+    Mutant(
+        "string weight accepted",
+        "src/magphase/types.py",
+        "    if isinstance(value, bool) or not isinstance(value, numbers.Real):\n",
+        "    if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):\n",
+        ("tests/test_losses.py", "-k", "weights_it_can_read"),
+    ),
+    Mutant(
+        "phase source checked under a fixed phase only",
+        "src/magphase/optim.py",
+        'for name, choices in (("init", _INITS), ("phase_source", _PHASE_SOURCES)):',
+        'for name, choices in (("init", _INITS),) + (("phase_source", _PHASE_SOURCES),) * (param is '
+        "Parameterization.FREE_MAG_FIXED_PHASE):",
+        ("tests/test_cli.py", "-k", "moon_under_free_ri"),
+    ),
+    Mutant(
+        "trend arm runs before the next is built",
+        "src/magphase/optim.py",
+        "    problems = [OptimizationProblem(fixed, loss, targets, cfg, steps=steps) for loss in loss_pair]\n",
+        "    problems = (OptimizationProblem(fixed, loss, targets, cfg, steps=steps) for loss in loss_pair)\n",
+        ("tests/test_cli.py", "-k", "before_either_arm"),
+    ),
+    Mutant(
+        "directories made for a failed write kept",
+        "src/magphase/cli.py",
+        "                d.rmdir()\n",
+        "                pass\n",
+        ("tests/test_cli.py", "-k", "parent_cannot_be_made"),
+    ),
+    Mutant(
+        "huge integer printed in full",
+        "src/magphase/errors.py",
+        "    if isinstance(value, int) and value.bit_length() > 256:\n",
+        "    if False:\n",
+        ("tests/test_scenes.py", "-k", "too_long_to_print"),
+    ),
+    Mutant(
+        "complex custom phase cast",
+        "src/magphase/optim.py",
+        "                if np.iscomplexobj(self.custom_phase):\n",
+        "                if False:\n",
+        ("tests/test_optim.py", "-k", "built_only_from_fields"),
     ),
 )
 

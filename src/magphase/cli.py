@@ -13,16 +13,18 @@ them with one call to _write, then prints; so a refusal writes nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import compensation, masks, metrics, optim, scenes, wavio
-from .errors import ConfigInvalidError, MagphaseError, SpecInvalidError
+from .errors import MagphaseError, SpecInvalidError
 from .losses import parse_loss_spec
 from .stft import stft
 from .types import StftConfig, magnitude_of
@@ -106,23 +108,28 @@ def _write(files: dict) -> None:
     Every destination is checked and its parent made before anything is
     written. Each file goes to a temporary name beside it; all are renamed
     into place only once every write has succeeded, so an I/O error leaves
-    none of them behind."""
+    none of them behind, nor a directory made for them."""
     for path in files:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    for path in files:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    temps = {}
+    made, temps = [], {}  # each directory made here follows the one it is in
     try:
+        for path in files:
+            made += reversed([d for d in path.parents if not d.exists()])
+            path.parent.mkdir(parents=True, exist_ok=True)
         for path, content in files.items():
             temps[path] = tmp = path.with_name(f".{path.name}.partial")
             with open(tmp, "wb" if isinstance(content, bytes) else "w") as fh:
                 fh.writelines([content] if isinstance(content, (bytes, str)) else content)
         for path, tmp in temps.items():
             tmp.replace(path)
-    finally:
+    except BaseException:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)
+        for d in reversed(made):
+            with contextlib.suppress(OSError):  # absent, or holding a file already renamed
+                d.rmdir()
+        raise
 
 
 def cmd_synth(args) -> int:
@@ -202,33 +209,13 @@ def cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _only(kind, what: str, convert=None):
-    """A converter that passes a JSON value of type kind, never a bool, and refuses others."""
-
-    def check(value):
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise TypeError(f"expected {what}, got {json.dumps(value)}")
-        return value if convert is None else convert(value)
-
-    return check
-
-
-# Problem JSON key -> converter; a key left out takes OptimizationProblem's default.
-_PROBLEM_FIELDS = {
-    "parameterization": optim.Parameterization,
-    "loss": parse_loss_spec,
-    "phase_source": _only(str, "a string"),
-    "init": _only(str, "a string"),
-    "init_seed": _only(int, "an integer"),
-    "steps": _only(int, "an integer"),
-    "step_size": _only((int, float), "a number", float),
-    "momentum": _only((int, float), "a number", float),
-}
-_PROBLEM_KEYS = frozenset(_PROBLEM_FIELDS) | {"schema_version"}
+# Problem JSON keys: the fields JSON can hold; a key left out takes the field's default.
+_PROBLEM_KEYS = {f.name for f in fields(optim.OptimizationProblem)} - {"targets", "cfg", "custom_phase"}
 
 
 def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.OptimizationProblem:
-    """The problem JSON of --problem (defaults if absent), with --steps applied."""
+    """The problem JSON of --problem (defaults if absent), with --steps applied. Only the
+    format is read here; the problem checks every value when it is built."""
     doc = {}
     if args.problem is not None:
         try:  # ValueError covers UnicodeDecodeError, JSONDecodeError and int's digit limit
@@ -238,22 +225,22 @@ def _load_problem(args, targets: optim.Targets, cfg: StftConfig) -> optim.Optimi
             raise SpecInvalidError(f"problem JSON {args.problem} is {what}: {exc}") from None
         if not isinstance(doc, dict):
             raise SpecInvalidError("problem JSON must be an object")
-    unknown = sorted(set(doc) - _PROBLEM_KEYS)
+    unknown = sorted(set(doc) - _PROBLEM_KEYS - {"schema_version"})
     if unknown:
         raise SpecInvalidError(f"unknown problem JSON keys: {', '.join(unknown)}")
     version = doc.pop("schema_version", 1)
     if version != 1:
         raise SpecInvalidError(f"unsupported problem schema_version {version!r}")
-    doc = {"parameterization": "free-mag-fixed-phase", "loss": "l2-complex", **doc}
     if args.steps is not None:
         doc["steps"] = args.steps
-    fields = {}
-    for key, value in doc.items():
-        try:
-            fields[key] = _PROBLEM_FIELDS[key](value)
-        except (TypeError, ValueError, OverflowError, ConfigInvalidError) as exc:
-            raise SpecInvalidError(f"invalid problem JSON value for {key}: {exc}") from None
-    return optim.OptimizationProblem(targets=targets, cfg=cfg, **fields)
+    # A name that is no parameterization's stays as it is, for the problem to refuse.
+    name = doc.pop("parameterization", "free-mag-fixed-phase")
+    param = next((p for p in optim.Parameterization if p.value == name), name)
+    try:
+        loss = parse_loss_spec(doc.pop("loss", "l2-complex"))
+        return optim.OptimizationProblem(param, loss, targets, cfg, **doc)
+    except MagphaseError as exc:
+        raise SpecInvalidError(f"invalid problem: {exc}") from None
 
 
 def cmd_optimize(args) -> int:

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a value."""
+
+
+def shown(value) -> str:
+    """value as an error message shows it: a string quoted; an integer too
+    long to print in full (Python refuses above 4300 digits) by its size."""
+    if isinstance(value, int) and value.bit_length() > 256:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value) if isinstance(value, str) else str(value)
 
 
 class MagphaseError(Exception):

@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError
+from .errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError, shown
 from .masks import psa_target
 from .stft import istft_adjoint, istft_array, num_frames_for, stft_adjoint, stft_array
 from .types import _MAG_TERM_TAGS, LossKind, LossTag
@@ -71,7 +71,7 @@ def parse_loss_tag(name: str) -> LossTag:
     for tag in LossTag:
         if tag.value == name:
             return tag
-    raise ConfigInvalidError(f"unknown loss tag {name!r}")
+    raise ConfigInvalidError(f"unknown loss tag {shown(name)}")
 
 
 _SPEC_KEYS = frozenset({"tag", "time_weight", "mag_weight"})
@@ -83,7 +83,7 @@ def parse_loss_spec(spec: str | dict) -> LossKind:
         return LossKind(parse_loss_tag(spec))
     if not isinstance(spec, dict) or "tag" not in spec or set(spec) - _SPEC_KEYS:
         raise ConfigInvalidError(
-            f"loss spec must be a tag name or {{tag, time_weight, mag_weight}}, got {spec!r}"
+            f"loss spec must be a tag name or {{tag, time_weight, mag_weight}}, got {shown(spec)}"
         )
     return LossKind(
         parse_loss_tag(spec["tag"]),

@@ -65,7 +65,6 @@ which the tests verify against.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import Optional
@@ -78,6 +77,7 @@ from .errors import (
     MissingTargetError,
     NonFiniteError,
     ShapeMismatchError,
+    shown,
 )
 from .losses import (
     MAGNITUDE_TAGS,
@@ -101,6 +101,7 @@ from .types import (
     StftConfig,
     TimeSignal,
     phase_of,
+    real_number,
 )
 
 QUAD_L2 = LossKind(LossTag.L2_COMPLEX)
@@ -120,10 +121,23 @@ _DOMAINS = {
     Parameterization.FREE_WAVEFORM: SPECTROGRAM_TAGS | WAVEFORM_TAGS,
 }
 _INITS = ("mixture", "zeros", "random")
+_PHASE_SOURCES = ("mixture", "oracle", "custom")
+# The fields a problem takes as objects of the package's own types.
+_TYPED = {"parameterization": Parameterization, "loss": LossKind, "targets": Targets, "cfg": StftConfig}
 
 
 @dataclass(frozen=True)
 class OptimizationProblem:
+    """A descent to run. It refuses a bad field when it is built, with a
+    MagphaseError, and nothing checks it again: steps (>= 1) and init_seed
+    (a Philox key, in [0, 2^128)) are integers, step_size (positive,
+    finite) and momentum (in [0, 1)) real numbers kept as floats, none of
+    them a bool; init and phase_source name one of their choices; the loss
+    suits the parameters; the targets were taken with cfg and hold what the
+    parameters, start and fixed phase read (a loss checks its own when it
+    runs); custom_phase comes only with phase_source 'custom' and, under a
+    fixed phase, is real, finite, shaped like the targets and kept as float64."""
+
     parameterization: Parameterization
     loss: LossKind
     targets: Targets
@@ -135,6 +149,62 @@ class OptimizationProblem:
     steps: int = 2000
     step_size: float = 0.5
     momentum: float = 0.9
+
+    def __post_init__(self):
+        for name, kind in _TYPED.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigInvalidError(f"{name} must be a {kind.__name__}, got {shown(value)}")
+        param, loss, targets, cfg = self.parameterization, self.loss, self.targets, self.cfg
+        if loss.tag not in _DOMAINS[param]:
+            raise MissingTargetError(f"loss {loss.tag.value} unsupported for {param.value} parameters")
+        for spec in (targets.S, targets.Y):
+            if spec is not None and spec.config != cfg:
+                raise ConfigInvalidError(f"a target was taken with {spec.config}, not with {cfg}")
+        steps, seed = self.steps, self.init_seed
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ConfigInvalidError(f"steps must be an integer >= 1, got {shown(steps)}")
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+            raise ConfigInvalidError(f"init_seed must be an integer in [0, 2^128), got {shown(seed)}")
+        object.__setattr__(self, "step_size", real_number("step_size", self.step_size))
+        if not 0 < self.step_size < math.inf:
+            raise ConfigInvalidError(f"step_size must be positive and finite, got {self.step_size}")
+        object.__setattr__(self, "momentum", real_number("momentum", self.momentum))
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigInvalidError(f"momentum must lie in [0, 1), got {self.momentum}")
+        for name, choices in (("init", _INITS), ("phase_source", _PHASE_SOURCES)):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in choices):
+                raise ConfigInvalidError(
+                    f"{name} must be one of {', '.join(choices)}, got {shown(value)}"
+                )
+        fixed = param is Parameterization.FREE_MAG_FIXED_PHASE
+        sized_by = "ys" if param is Parameterization.FREE_WAVEFORM else "YS"  # mixture first
+        if not fixed and all(getattr(targets, name) is None for name in sized_by):
+            raise MissingTargetError(
+                f"{param.value} parameters need {' or '.join(sized_by)} for their size"
+            )
+        if self.init == "mixture":
+            _require(targets, sized_by[0])
+        if fixed and self.phase_source != "custom":
+            _require(targets, "Y" if self.phase_source == "mixture" else "S")
+        if self.custom_phase is not None and self.phase_source != "custom":
+            raise ConfigInvalidError("custom_phase applies only with phase_source 'custom'")
+        if fixed and self.phase_source == "custom":
+            if self.custom_phase is None:
+                raise MissingTargetError("phase_source 'custom' needs custom_phase")
+            try:  # a complex phase would lose its imaginary part with only a warning
+                if np.iscomplexobj(self.custom_phase):
+                    raise TypeError
+                phase = np.asarray(self.custom_phase, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigInvalidError("custom_phase must be an array of real numbers") from None
+            ref = targets.Y if targets.Y is not None else targets.S
+            if ref is not None and phase.shape != ref.data.shape:
+                raise ShapeMismatchError(f"custom_phase is {phase.shape}, the targets {ref.data.shape}")
+            if not np.all(np.isfinite(phase)):
+                raise NonFiniteError("custom_phase holds NaN or Inf")
+            object.__setattr__(self, "custom_phase", phase)
 
 
 def _csv(key: str, rows) -> str:
@@ -179,23 +249,10 @@ class OptimizationResult:
 
 def fixed_phase(problem: OptimizationProblem) -> np.ndarray:
     """The phase a free-mag-fixed-phase problem pins its estimate to."""
-    if problem.phase_source == "mixture":
-        (Y,) = _require(problem.targets, "Y")
-        return phase_of(Y)
-    if problem.phase_source == "oracle":
-        (S,) = _require(problem.targets, "S")
-        return phase_of(S)
     if problem.phase_source == "custom":
-        if problem.custom_phase is None:
-            raise MissingTargetError("phase_source 'custom' needs custom_phase")
-        phase = np.asarray(problem.custom_phase, dtype=np.float64)
-        ref = problem.targets.Y if problem.targets.Y is not None else problem.targets.S
-        if ref is not None and phase.shape != ref.data.shape:
-            raise ShapeMismatchError(f"custom_phase is {phase.shape}, the targets {ref.data.shape}")
-        if not np.all(np.isfinite(phase)):
-            raise NonFiniteError("custom_phase holds NaN or Inf")
-        return phase
-    raise ConfigInvalidError(f"unknown phase source {problem.phase_source!r}")
+        return problem.custom_phase
+    targets = problem.targets
+    return phase_of(targets.Y if problem.phase_source == "mixture" else targets.S)
 
 
 def _identity(x):
@@ -231,12 +288,9 @@ def _parameterize(problem: OptimizationProblem):
 
     if waveform:
         y_ref = targets.y if targets.y is not None else targets.s
-        if y_ref is None:
-            raise MissingTargetError("free-waveform parameters need y or s for length")
         n = len(y_ref)
         if problem.init == "mixture":
-            (y_mix,) = _require(targets, "y")
-            x0 = y_mix.samples.copy()
+            x0 = targets.y.samples.copy()
         elif problem.init == "zeros":
             x0 = np.zeros(n)
         else:
@@ -264,8 +318,7 @@ def _parameterize(problem: OptimizationProblem):
         unit = np.exp(1j * phase)
         conj_unit = np.conj(unit) if coupled else None
         if problem.init == "mixture":
-            (Y,) = _require(targets, "Y")
-            x0 = np.abs(Y.data)
+            x0 = np.abs(targets.Y.data)
         elif problem.init == "zeros":
             x0 = np.zeros(phase.shape)
         else:
@@ -282,12 +335,9 @@ def _parameterize(problem: OptimizationProblem):
             return np.maximum(x, 0.0)
 
     else:
-        if ref is None:
-            raise MissingTargetError("free-ri parameters need Y or S for shape")
         shape = ref.data.shape
         if problem.init == "mixture":
-            (Y,) = _require(targets, "Y")
-            x0 = Y.data.copy()
+            x0 = targets.Y.data.copy()
         elif problem.init == "zeros":
             x0 = np.zeros(shape, dtype=np.complex128)
         else:
@@ -454,31 +504,8 @@ def optimize(problem: OptimizationProblem) -> OptimizationResult:
     signal. Neither holds the initial parameters, and the workspace goes
     with the run.
     """
-    if not isinstance(problem.steps, (int, np.integer)) or problem.steps < 1:
-        raise ConfigInvalidError("steps must be an integer >= 1")
-    if not 0 < problem.step_size <= sys.float_info.max:  # compares a huge int exactly
-        raise ConfigInvalidError("step_size must be positive and finite")
-    if not (0.0 <= problem.momentum < 1.0):
-        raise ConfigInvalidError("momentum must lie in [0, 1)")
-    if problem.init not in _INITS:
-        raise ConfigInvalidError(f"init must be one of {', '.join(_INITS)}, got {problem.init!r}")
-    if not 0 <= problem.init_seed < 2**128:  # the range of a Philox key
-        raise ConfigInvalidError(f"init_seed must lie in [0, 2^128), got {problem.init_seed}")
-    if problem.custom_phase is not None and problem.phase_source != "custom":
-        raise ConfigInvalidError("custom_phase applies only with phase_source 'custom'")
-    loss = problem.loss
-    if not isinstance(loss, LossKind):
-        raise ConfigInvalidError(f"loss must be a LossKind, got {loss!r}")
-    param = problem.parameterization
-    if not isinstance(param, Parameterization):
-        raise ConfigInvalidError(f"unknown parameterization {param!r}")
-    if loss.tag not in _DOMAINS[param]:
-        raise MissingTargetError(f"loss {loss.tag.value} unsupported for {param.value} parameters")
-    cfg, targets = problem.cfg, problem.targets
-    for spec in (targets.S, targets.Y):
-        if spec is not None and spec.config != cfg:
-            raise ConfigInvalidError(f"a target was taken with {spec.config}, not with {cfg}")
     x, point_at, chain, project, per_unit = _parameterize(problem)
+    loss, targets = problem.loss, problem.targets
 
     def evaluate(x):
         """The point at x, its loss, and a function computing the loss gradient in x."""
@@ -566,22 +593,16 @@ def run_trend_experiment(
     msnr(with) >= msnr(without) and si_sdr(with) <= si_sdr(without).
     """
     _require(targets, "S", "s", "Y")
+    fixed = Parameterization.FREE_MAG_FIXED_PHASE
+    # Both arms' problems are built, and so checked, before either runs.
+    problems = [OptimizationProblem(fixed, loss, targets, cfg, steps=steps) for loss in loss_pair]
     rows = []
-    for loss in loss_pair:
-        problem = OptimizationProblem(
-            parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
-            loss=loss,
-            targets=targets,
-            cfg=cfg,
-            phase_source="mixture",
-            init="mixture",
-            steps=steps,
-        )
+    for problem in problems:
         result = optimize(problem)
         traj = result.trajectory  # its last checkpoint is the returned state
         rows.append(
             TrendRow(
-                label=loss.tag.value,
+                label=problem.loss.tag.value,
                 final_loss=result.final_loss,
                 si_sdr_db=traj.si_sdr_db[-1],
                 msnr_db=traj.msnr_db[-1],

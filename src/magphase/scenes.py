@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SpecInvalidError
+from .errors import SpecInvalidError, shown
 from .types import TimeSignal
 
 RNG_ALGORITHM = "philox4x64"
@@ -102,7 +102,7 @@ def _validate_spec(spec: SceneSpec) -> None:
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     if not 0 <= seed < SEED_LIMIT:
-        raise SpecInvalidError(f"seed must lie in [0, 2^120), got {seed}")
+        raise SpecInvalidError(f"seed must lie in [0, 2^120), got {shown(seed)}")
     return np.random.Generator(np.random.Philox(key=(int(seed) << 8) + stream))
 
 

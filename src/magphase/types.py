@@ -11,6 +11,8 @@ narrow to float32.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import KW_ONLY, InitVar, dataclass
 from enum import Enum
 from functools import cached_property
@@ -22,11 +24,23 @@ from .errors import (
     EmptySignalError,
     NonFiniteError,
     ShapeMismatchError,
+    shown,
 )
 
 # Sample rate attached to synthesized containers when the caller does not
 # supply one; it is metadata only and never enters any computation.
 DEFAULT_SAMPLE_RATE_HZ = 16000
+
+
+def real_number(name: str, value) -> float:
+    """value as a float, an int beyond float64 as an infinity; ConfigInvalidError
+    unless value is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigInvalidError(f"{name} must be a real number, got {shown(value)}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _readonly(a, dtype, ndim: int, what: str, adopt: bool = False) -> np.ndarray:
@@ -113,9 +127,10 @@ _MAG_TERM_TAGS = frozenset(LossTag) - {
 class LossKind:
     """Loss selector: tag plus weights on the time/complex and magnitude terms.
 
-    A weight left at None is 1 where the kind has that term and 0 where it
-    has not; a nonzero weight on a term the kind lacks is an error, so
-    every weight a LossKind holds is one its loss reads.
+    A weight is a real number and not a bool, and is kept as a float. One
+    left at None is 1 where the kind has that term and 0 where it has not;
+    a nonzero weight on a term the kind lacks is an error, so every weight
+    a LossKind holds is one its loss reads.
     """
 
     tag: LossTag
@@ -123,14 +138,13 @@ class LossKind:
     mag_weight: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.tag, LossTag):
+            raise ConfigInvalidError(f"loss tag must be a LossTag, got {shown(self.tag)}")
         for name, terms in (("time_weight", _TIME_TERM_TAGS), ("mag_weight", _MAG_TERM_TAGS)):
             has_term = self.tag in terms
             w = getattr(self, name)
-            try:
-                w = float(has_term if w is None else w)
-            except OverflowError:  # an int beyond float64
-                w = np.inf
-            if not np.isfinite(w) or w < 0:
+            w = float(has_term) if w is None else real_number(name, w)
+            if not math.isfinite(w) or w < 0:
                 raise ConfigInvalidError("loss weights must be finite and nonnegative")
             if w and not has_term:
                 raise ConfigInvalidError(f"loss {self.tag.value} has no term for {name}, got {w:g}")

@@ -3,8 +3,8 @@ per-frame-loop and full-evaluation references for the STFT maps and the
 per-unit descent, the coupled descent that takes every try's gradient
 and the one whose every step restarts its search at the full step, the
 optimizer that rebuilds every view from the parameters, the metrics
-that take every reference term per call, and the scipy-based reference
-WAV reader.
+that take every reference term per call, the scipy-based reference
+WAV reader, and the edge values that probe a config's fields.
 
 Each loss case pins a random but well-conditioned evaluation point:
 every free entry and every residual the loss sees is bounded away from
@@ -44,6 +44,19 @@ from magphase.types import (
     phase_of,
     same_shape,
 )
+
+# Each field of a config is probed with these as well as with valid
+# values: building it either accepts the value or refuses it with a
+# MagphaseError, never with another exception.
+EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 0, -1, True, False, None, "", "0.5", [1],
+    10**400, 10**5000,
+)
+
+
+def real_not_bool(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
 
 CASE_CFG = StftConfig(32, 8, 32)
 CASE_LEN = 100

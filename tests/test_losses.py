@@ -1,15 +1,22 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from _oracles import (
     CASE_CFG,
     CASE_LEN,
     CASE_RATE,
+    EDGE_VALUES,
     bounded_complex,
     fd_gradient_rel_err,
     make_loss_case,
+    real_not_bool,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from magphase.errors import ConfigInvalidError, MissingTargetError, ShapeMismatchError
+from magphase.errors import ConfigInvalidError, MagphaseError, MissingTargetError, ShapeMismatchError
 from magphase.losses import (
     LossKind,
     LossTag,
@@ -309,6 +316,33 @@ def test_a_weight_beyond_float64_is_refused():
     # float(10**400) died with an OverflowError.
     with pytest.raises(ConfigInvalidError, match="finite and nonnegative"):
         LossKind(LossTag.RI, time_weight=10**400)
+
+
+_WEIGHTS = st.sampled_from([None, 0.0, 0.5, 2, np.float64(1.5), np.int64(3), *EDGE_VALUES])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tag=st.sampled_from(list(LossTag)), time_weight=_WEIGHTS, mag_weight=_WEIGHTS)
+# Each was accepted as a weight, or refused with a TypeError.
+@example(tag=LossTag.L2_COMPLEX, time_weight="2", mag_weight=None)
+@example(tag=LossTag.L2_COMPLEX, time_weight=True, mag_weight=None)
+@example(tag=LossTag.L2_COMPLEX_MAG, time_weight=None, mag_weight=[1])
+def test_a_loss_kind_keeps_only_weights_it_can_read(tag, time_weight, mag_weight):
+    # Building a LossKind either refuses it with a MagphaseError or keeps
+    # each weight as a finite, nonnegative float from a real, non-bool number.
+    try:
+        kind = LossKind(tag, time_weight=time_weight, mag_weight=mag_weight)
+    except MagphaseError:
+        return
+    for given_weight, kept in ((time_weight, kind.time_weight), (mag_weight, kind.mag_weight)):
+        if given_weight is not None:
+            assert real_not_bool(given_weight) and 0 <= given_weight <= sys.float_info.max
+        assert type(kept) is float and math.isfinite(kept) and kept >= 0
+
+
+def test_a_loss_kind_refuses_a_tag_that_is_not_a_loss_tag():
+    with pytest.raises(ConfigInvalidError, match="loss tag must be a LossTag, got 'ri'"):
+        LossKind("ri")
 
 
 def test_ri_istft_zero_for_consistent_truth():

@@ -1,14 +1,17 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import EDGE_VALUES, real_not_bool
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from magphase.compensation import compensated_magnitude, optimal_magnitude_along_phase
 from magphase.errors import (
     ConfigInvalidError,
+    MagphaseError,
     MissingTargetError,
     NonFiniteError,
     ShapeMismatchError,
@@ -1104,7 +1107,7 @@ def test_validation_errors(scene_targets):
     with pytest.raises(ConfigInvalidError):
         optimize(OptimizationProblem(**base, momentum=1.0))
     for seed in (-1, 2**128):  # outside the range of a Philox key
-        with pytest.raises(ConfigInvalidError, match="init_seed must lie in"):
+        with pytest.raises(ConfigInvalidError, match="init_seed must be an integer in"):
             optimize(OptimizationProblem(**base, init_seed=seed))
     with pytest.raises(MissingTargetError):
         optimize(
@@ -1127,27 +1130,25 @@ def test_validation_errors(scene_targets):
 
 
 def test_loss_must_be_a_loss_kind(scene_targets):
-    problem = OptimizationProblem(
-        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
-        loss="l2-complex",  # a bare tag name is not a LossKind
-        targets=scene_targets,
-        cfg=CFG_SCENE,
-    )
-    with pytest.raises(ConfigInvalidError):
-        optimize(problem)
+    with pytest.raises(ConfigInvalidError, match="loss must be a LossKind"):
+        OptimizationProblem(
+            parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+            loss="l2-complex",  # a bare tag name is not a LossKind
+            targets=scene_targets,
+            cfg=CFG_SCENE,
+        )
 
 
 def test_unknown_init_rejected(scene_targets):
     # An unknown init used to fall through to the random init silently.
-    problem = OptimizationProblem(
-        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
-        loss=QUAD_L2,
-        targets=scene_targets,
-        cfg=CFG_SCENE,
-        init="mixtrue",
-    )
-    with pytest.raises(ConfigInvalidError):
-        optimize(problem)
+    with pytest.raises(ConfigInvalidError, match="init must be one of"):
+        OptimizationProblem(
+            parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
+            loss=QUAD_L2,
+            targets=scene_targets,
+            cfg=CFG_SCENE,
+            init="mixtrue",
+        )
 
 
 def _scene_problem(targets, **kw):
@@ -1191,6 +1192,91 @@ def test_a_custom_phase_under_another_phase_source_is_refused(scene_targets):
         optimize(_scene_problem(scene_targets, custom_phase=phase))
 
 
+def test_an_init_seed_too_long_to_print_is_refused_by_its_size(scene_targets):
+    # Formatting the 5001-digit seed into the message raised ValueError
+    # (Python's 4300-digit limit) in place of ConfigInvalidError.
+    match = rf"init_seed must be an integer in \[0, 2\^128\), got an integer of {(10**5000).bit_length()} bits"
+    with pytest.raises(ConfigInvalidError, match=match):
+        _scene_problem(scene_targets, init_seed=10**5000)
+
+
+_PROBE_S = TimeSignal(np.sin(0.3 * np.arange(90)), 8000)
+_PROBE_Y = TimeSignal(_PROBE_S.samples + 0.1 * np.cos(1.7 * np.arange(90)), 8000)
+_PROBE_TARGETS = Targets(
+    S=stft(_PROBE_S, CFG_GRID), s=_PROBE_S, Y=stft(_PROBE_Y, CFG_GRID), y=_PROBE_Y
+)
+_PROBE_SHAPE = _PROBE_TARGETS.S.data.shape
+# Each field's valid values; a problem may still refuse a mix of them.
+_PROBE_FIELDS = {
+    "parameterization": list(Parameterization),
+    "loss": [QUAD_L2, LossKind(LossTag.RI_MAG), LossKind(LossTag.WAV), LossKind(LossTag.MSA)],
+    "targets": [_PROBE_TARGETS, Targets(S=_PROBE_TARGETS.S, s=_PROBE_S)],
+    "cfg": [CFG_GRID],
+    "phase_source": ["mixture", "oracle", "custom"],
+    "custom_phase": [None, np.zeros(_PROBE_SHAPE)],
+    "init": ["mixture", "zeros", "random"],
+    "init_seed": [0, 7, np.int64(3), 2**128 - 1],
+    "steps": [1, 3, np.int64(2)],
+    "step_size": [0.5, 1, np.float64(0.25)],
+    "momentum": [0.0, 0.9, np.float32(0.5)],
+}
+# Values that some field refuses, drawn for any field.
+_PROBE_BAD = (
+    *EDGE_VALUES, "moon", 2.5, 2**128, np.full(_PROBE_SHAPE, np.nan), np.zeros(_PROBE_SHAPE[1]),
+    np.ones(_PROBE_SHAPE, dtype=complex), StftConfig(16, 8, 16), Targets(),
+)
+_PROBE_BASE = dict(  # every field, at a valid value
+    parameterization=Parameterization.FREE_RI, loss=QUAD_L2, targets=_PROBE_TARGETS, cfg=CFG_GRID,
+    phase_source="mixture", custom_phase=None, init="mixture", init_seed=0, steps=3, step_size=0.5,
+    momentum=0.9,
+)
+
+
+def _probe(**fields):
+    return {"fields": {**_PROBE_BASE, **fields}, "bad": {}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.fixed_dictionaries({k: st.sampled_from(v) for k, v in _PROBE_FIELDS.items()}),
+    bad=st.dictionaries(st.sampled_from(sorted(_PROBE_FIELDS)), st.sampled_from(_PROBE_BAD), max_size=2),
+)
+# Each was accepted, or refused with a TypeError or ValueError.
+@example(**_probe(steps=True))
+@example(**_probe(step_size=True))
+@example(**_probe(init_seed=1.5))
+@example(**_probe(init_seed=True))
+@example(**_probe(phase_source="moon"))
+@example(**_probe(step_size="0.5"))
+@example(**_probe(momentum=None))
+@example(**_probe(init_seed=10**5000))
+# A complex custom phase was cast to float64, with only a ComplexWarning.
+@example(**_probe(
+    parameterization=Parameterization.FREE_MAG_FIXED_PHASE, phase_source="custom",
+    custom_phase=np.ones(_PROBE_SHAPE, dtype=complex),
+))
+def test_a_problem_is_built_only_from_fields_it_can_run(fields, bad):
+    # Building a problem either refuses it with a MagphaseError or keeps
+    # fields that each pass their own rule; no descent runs here.
+    fields = {**fields, **bad}
+    try:
+        problem = OptimizationProblem(**fields)
+    except MagphaseError:
+        return
+    steps, seed = fields["steps"], fields["init_seed"]
+    assert isinstance(steps, (int, np.integer)) and not isinstance(steps, bool) and steps >= 1
+    assert isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and 0 <= seed < 2**128
+    assert real_not_bool(fields["step_size"]) and 0 < fields["step_size"] <= sys.float_info.max
+    assert real_not_bool(fields["momentum"]) and 0 <= fields["momentum"] < 1
+    assert type(problem.step_size) is float and type(problem.momentum) is float
+    assert fields["init"] in ("mixture", "zeros", "random")
+    assert fields["phase_source"] in ("mixture", "oracle", "custom")
+    assert fields["custom_phase"] is None or fields["phase_source"] == "custom"
+    if problem.parameterization is Parameterization.FREE_MAG_FIXED_PHASE:  # where the phase is read
+        assert not np.iscomplexobj(fields["custom_phase"])  # cast to float64, it lost its imaginary part
+    assert isinstance(fields["targets"], Targets) and isinstance(fields["cfg"], StftConfig)
+
+
 @pytest.mark.parametrize("name", ["S", "Y"])
 def test_targets_taken_with_another_config_rejected(scene_targets, name):
     # Targets taken at 200/80/256 under a 240/80/256 problem used to run.
@@ -1198,17 +1284,11 @@ def test_targets_taken_with_another_config_rejected(scene_targets, name):
     assert scene_targets.S.config == StftConfig(200, 80, 256) != cfg
     other = {"S": stft(scene_targets.s, cfg), "Y": stft(scene_targets.y, cfg)}
     other[name] = getattr(scene_targets, name)
-    problem = OptimizationProblem(
-        parameterization=Parameterization.FREE_MAG_FIXED_PHASE,
-        loss=QUAD_L2,
-        targets=Targets(s=scene_targets.s, y=scene_targets.y, **other),
-        cfg=cfg,
-        steps=5,
-    )
+    targets = Targets(s=scene_targets.s, y=scene_targets.y, **other)
     with pytest.raises(ConfigInvalidError, match="a target was taken with"):
-        optimize(problem)
+        OptimizationProblem(Parameterization.FREE_MAG_FIXED_PHASE, QUAD_L2, targets, cfg, steps=5)
     with pytest.raises(ConfigInvalidError, match="a target was taken with"):
-        run_trend_experiment(problem.targets, cfg, steps=5)
+        run_trend_experiment(targets, cfg, steps=5)
 
 
 def test_nonfinite_objective_raises_diverged(scene_targets):
@@ -1297,14 +1377,12 @@ def test_separable_kernels_match_loss_contract(scene_targets, tag, param):
     from magphase.types import phase_of
 
     loss = LossKind(tag, mag_weight=0.7) if tag in _MAG_TERM_TAGS else LossKind(tag)
-    problem = OptimizationProblem(
-        parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE
-    )
+    fields = dict(parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE)
     if param is Parameterization.FREE_RI and tag in (LossTag.MSA, LossTag.PSA):
         with pytest.raises(MissingTargetError):  # magnitude loss on complex params
-            optimize(problem)
+            OptimizationProblem(**fields)
         return
-    per_unit = _parameterize(problem)[-1]
+    per_unit = _parameterize(OptimizationProblem(**fields))[-1]
     m = np.abs(scene_targets.Y.data) * 0.9
     u = np.exp(1j * phase_of(scene_targets.Y))
     if tag in (LossTag.MSA, LossTag.PSA):
@@ -1340,10 +1418,12 @@ def test_separable_kernels_at_units_match_full_maps(scene_targets, tag, param):
     from magphase.types import phase_of
 
     loss = LossKind(tag, mag_weight=0.7) if tag in _MAG_TERM_TAGS else LossKind(tag)
-    problem = OptimizationProblem(
-        parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE
-    )
-    per_unit = _parameterize(problem)[-1]
+    fields = dict(parameterization=param, loss=loss, targets=scene_targets, cfg=CFG_SCENE)
+    if param is Parameterization.FREE_RI and tag in (LossTag.MSA, LossTag.PSA):
+        with pytest.raises(MissingTargetError):  # magnitude loss on complex params
+            OptimizationProblem(**fields)
+        return
+    per_unit = _parameterize(OptimizationProblem(**fields))[-1]
     m = np.abs(scene_targets.Y.data) * 0.9
     m.reshape(-1)[::97] = 0.0  # the kernels' zero-magnitude branches
     if tag in (LossTag.MSA, LossTag.PSA):

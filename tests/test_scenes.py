@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ def test_rir_bounds():
         synth_rir(0.01, 8000)
     with pytest.raises(SpecInvalidError, match="sample rate must lie in"):
         synth_rir(0.3, 10**30)  # refused before its tail is allocated
+
+
+@pytest.mark.parametrize(
+    "build", [lambda seed: synth_scene(SceneSpec(seed=seed)), lambda seed: synth_rir(0.3, 8000, seed=seed)],
+    ids=["scene", "rir"],
+)
+def test_a_seed_too_long_to_print_is_refused_by_its_size(build):
+    # Formatting the 5001-digit seed into the message raised ValueError
+    # (Python's 4300-digit limit) in place of SpecInvalidError.
+    bits = (10**5000).bit_length()
+    with pytest.raises(SpecInvalidError, match=re.escape(f"seed must lie in [0, 2^120), got an integer of {bits} bits")):
+        build(10**5000)
 
 
 @pytest.mark.parametrize("drr", [math.nan, math.inf, -math.inf, -1e9])
