@@ -27,7 +27,7 @@ from . import compensation, masks, metrics, optim, scenes, wavio
 from .errors import MagphaseError, SpecInvalidError
 from .losses import parse_loss_spec
 from .stft import stft
-from .types import StftConfig, magnitude_of
+from .types import StftConfig, _samples, magnitude_of
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -48,17 +48,14 @@ def _stft_config(args, *signals) -> StftConfig:
         raise SpecInvalidError("--win and --hop must be given together")
     if args.win is not None and (args.win_ms is not None or args.hop_ms is not None):
         raise SpecInvalidError("--win-ms and --hop-ms do not apply with --win and --hop")
-    if args.win is not None:
-        cfg = StftConfig.for_window(args.win, args.hop)
-    else:
-        win_ms = args.win_ms if args.win_ms is not None else 32.0
-        hop_ms = args.hop_ms if args.hop_ms is not None else 8.0
-        cfg = StftConfig.from_ms(win_ms, hop_ms, signals[0].sample_rate_hz)
+    win, hop = args.win, args.hop
+    if win is None:  # counted before the config, which refuses a window numpy cannot index
+        ms = (32.0 if args.win_ms is None else args.win_ms, 8.0 if args.hop_ms is None else args.hop_ms)
+        win, hop = _samples(*ms, signals[0].sample_rate_hz)
     shortest = min(len(x) for x in signals)
-    if cfg.win_length_samples > shortest:
-        raise SpecInvalidError(
-            f"window of {cfg.win_length_samples} samples exceeds the {shortest}-sample signal"
-        )
+    if win > shortest:
+        raise SpecInvalidError(f"window of {win} samples exceeds the {shortest}-sample signal")
+    cfg = StftConfig.for_window(win, hop)
     if args.fft is not None:
         # cfg.fft_size is the power of two the window implies; far above it
         # the STFT would only allocate, or fail with a traceback.

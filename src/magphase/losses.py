@@ -100,13 +100,18 @@ class LossValue:
 
 @dataclass(frozen=True)
 class Targets:
-    """Oracle handles a loss, objective or checkpoint metric may need:
-    clean spectrogram/signal and mixture spectrogram/signal."""
+    """Oracle handles a loss, objective or checkpoint metric may need: clean
+    and mixture spectrogram/signal, each of its field's type or None."""
 
     S: Spectrogram | None = None
     s: TimeSignal | None = None
     Y: Spectrogram | None = None
     y: TimeSignal | None = None
+
+    def __post_init__(self):
+        for name, kind in (("S", Spectrogram), ("s", TimeSignal), ("Y", Spectrogram), ("y", TimeSignal)):
+            if not isinstance(value := getattr(self, name), kind | None):
+                raise ConfigInvalidError(f"{name} must be {kind.__name__} or None, not {type(value).__name__}")
 
 
 @dataclass(eq=False)

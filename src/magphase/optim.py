@@ -100,6 +100,7 @@ from .types import (
     Spectrogram,
     StftConfig,
     TimeSignal,
+    integer,
     phase_of,
     real_number,
 )
@@ -161,17 +162,10 @@ class OptimizationProblem:
         for spec in (targets.S, targets.Y):
             if spec is not None and spec.config != cfg:
                 raise ConfigInvalidError(f"a target was taken with {spec.config}, not with {cfg}")
-        steps, seed = self.steps, self.init_seed
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-            raise ConfigInvalidError(f"steps must be an integer >= 1, got {shown(steps)}")
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
-            raise ConfigInvalidError(f"init_seed must be an integer in [0, 2^128), got {shown(seed)}")
-        object.__setattr__(self, "step_size", real_number("step_size", self.step_size))
-        if not 0 < self.step_size < math.inf:
-            raise ConfigInvalidError(f"step_size must be positive and finite, got {self.step_size}")
-        object.__setattr__(self, "momentum", real_number("momentum", self.momentum))
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigInvalidError(f"momentum must lie in [0, 1), got {self.momentum}")
+        object.__setattr__(self, "steps", integer("steps", self.steps, 1, math.inf))
+        object.__setattr__(self, "init_seed", integer("init_seed", self.init_seed, 0, 2**128))
+        object.__setattr__(self, "step_size", real_number("step_size", self.step_size, 0.0, open_lo=True))
+        object.__setattr__(self, "momentum", real_number("momentum", self.momentum, 0.0, 1.0, open_hi=True))
         for name, choices in (("init", _INITS), ("phase_source", _PHASE_SOURCES)):
             value = getattr(self, name)
             if not (isinstance(value, str) and value in choices):

@@ -10,27 +10,25 @@ exactly to the requested SNR/SIR against the target. With reverb, the
 returned target stays the direct-path signal and the reverberant tail is
 folded into the interference, so the reference is always direct sound.
 
-All randomness flows from a Philox counter-based generator keyed by the
-scene seed, which must lie in [0, SEED_LIMIT), and the reverb is
-convolved with numpy's real FFT, so identical specs synthesize
+All randomness flows from a Philox generator keyed by the scene seed, and
+the reverb is convolved with numpy's real FFT, so identical specs give
 bit-identical audio wherever numpy's FFT gives the same bits.
 
-A scene holds at most MAX_SAMPLES samples (duration x sample rate): 2^24,
-about 35 minutes at 8 kHz or 5.8 minutes at 48 kHz, where each float64
-array of the scene takes 128 MiB. A longer one is refused before anything
-is allocated.
+The specs refuse a bad field with SpecInvalidError when built: a seed is
+an integer in [0, SEED_LIMIT), a rate a positive integer, every other
+number a finite real. A scene holds at most MAX_SAMPLES samples: 2^24,
+about 35 minutes at 8 kHz, each float64 array of it 128 MiB.
 """
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import SpecInvalidError, shown
-from .types import TimeSignal
+from .types import TimeSignal, integer, real_number
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -51,11 +49,20 @@ class Interference:
     kind: str = "white"  # "white" | "pink" | "second_talker"
     snr_db: float = 0.0  # interpreted as SIR for second_talker
 
+    def __post_init__(self):
+        if not (isinstance(self.kind, str) and self.kind in ("white", "pink", "second_talker")):
+            raise SpecInvalidError(f"unknown interference kind {shown(self.kind)}")
+        object.__setattr__(self, "snr_db", real_number("snr_db", self.snr_db, error=SpecInvalidError))
+
 
 @dataclass(frozen=True)
 class ReverbSpec:
-    rt60_s: float
+    rt60_s: float  # within RT60_RANGE_S
     direct_to_reverb_db: float = 0.0
+
+    def __post_init__(self):
+        for name, lo, hi in (("rt60_s", *RT60_RANGE_S), ("direct_to_reverb_db", -math.inf, math.inf)):
+            object.__setattr__(self, name, real_number(name, getattr(self, name), lo, hi, SpecInvalidError))
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,18 @@ class SceneSpec:
     f0_hz: float = 180.0  # the target voice's pitch
     interference: Interference = field(default_factory=Interference)
     reverb: Optional[ReverbSpec] = None
+
+    def __post_init__(self):
+        seed = integer("seed", self.seed, 0, SEED_LIMIT, SpecInvalidError)
+        duration = real_number("duration_s", self.duration_s, MIN_DURATION_S, error=SpecInvalidError)
+        rate = integer("sample_rate_hz", self.sample_rate_hz, 1, math.inf, SpecInvalidError)
+        if rate > MAX_SAMPLES / duration:  # int vs float compares exactly
+            raise SpecInvalidError(f"{duration} s at {shown(rate)} Hz exceeds {MAX_SAMPLES} samples")
+        f0 = real_number("f0_hz", self.f0_hz, 0.0, error=SpecInvalidError, open_lo=True)
+        for name, value in (("seed", seed), ("duration_s", duration), ("sample_rate_hz", rate), ("f0_hz", f0)):
+            object.__setattr__(self, name, value)
+        if not (isinstance(self.interference, Interference) and isinstance(self.reverb, ReverbSpec | None)):
+            raise SpecInvalidError("interference must be an Interference and reverb a ReverbSpec or None")
 
     def as_dict(self) -> dict:
         d = {"schema_version": 2, "rng": RNG_ALGORITHM, **asdict(self)}
@@ -83,27 +102,8 @@ class Scene:
     spec: SceneSpec
 
 
-def _validate_spec(spec: SceneSpec) -> None:
-    if not MIN_DURATION_S <= spec.duration_s <= sys.float_info.max:  # a huge int compares exactly
-        raise SpecInvalidError(f"duration must be >= {MIN_DURATION_S} s")
-    if spec.sample_rate_hz <= 0:
-        raise SpecInvalidError("sample rate must be positive")
-    if spec.sample_rate_hz > MAX_SAMPLES / spec.duration_s:  # int vs float compares exactly
-        raise SpecInvalidError(
-            f"{spec.duration_s} s at {spec.sample_rate_hz} Hz exceeds {MAX_SAMPLES} samples"
-        )
-    if not abs(spec.interference.snr_db) <= sys.float_info.max:
-        raise SpecInvalidError("snr/sir must be finite")
-    if spec.interference.kind not in ("white", "pink", "second_talker"):
-        raise SpecInvalidError(f"unknown interference kind {spec.interference.kind!r}")
-    if not 0 < spec.f0_hz <= sys.float_info.max:
-        raise SpecInvalidError("target f0 must be positive")
-
-
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    if not 0 <= seed < SEED_LIMIT:
-        raise SpecInvalidError(f"seed must lie in [0, 2^120), got {shown(seed)}")
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 8) + stream))
+    return np.random.Generator(np.random.Philox(key=(seed << 8) + stream))
 
 
 def _harmonic_voice(rng: np.random.Generator, f0_hz: float, n: int, sr: int) -> np.ndarray:
@@ -183,16 +183,11 @@ def synth_rir(
 
     The amplitude envelope decays by 60 dB at rt60_s; the tail is scaled
     so the direct-to-reverberant energy ratio equals direct_to_reverb_db,
-    which must be finite and leave the tail's gain within float range.
-    """
-    lo, hi = RT60_RANGE_S
-    if not lo <= rt60_s <= hi:  # refuses NaN, and compares a huge int exactly
-        raise SpecInvalidError(f"rt60 must lie in [{lo}, {hi}] s, got {rt60_s}")
-    if not abs(direct_to_reverb_db) <= sys.float_info.max:
-        raise SpecInvalidError(f"direct-to-reverb ratio must be finite, got {direct_to_reverb_db}")
-    if not 0 < sample_rate_hz <= MAX_SAMPLES:
-        raise SpecInvalidError(f"sample rate must lie in (0, {MAX_SAMPLES}] Hz")
-    rng = _rng(seed, stream=7)
+    which must leave the tail's gain within float range. The arguments are
+    checked as a spec's, the rate also against MAX_SAMPLES."""
+    rt60_s, direct_to_reverb_db = astuple(ReverbSpec(rt60_s, direct_to_reverb_db))
+    sample_rate_hz = integer("sample_rate_hz", sample_rate_hz, 1, MAX_SAMPLES + 1, SpecInvalidError)
+    rng = _rng(integer("seed", seed, 0, SEED_LIMIT, SpecInvalidError), stream=7)
     n = int(round(1.5 * rt60_s * sample_rate_hz))
     t = np.arange(1, n + 1) / sample_rate_hz
     envelope = 10.0 ** (-3.0 * t / rt60_s)  # -60 dB amplitude at rt60
@@ -211,7 +206,6 @@ def synth_rir(
 
 def synth_scene(spec: SceneSpec) -> Scene:
     """Generate (s, v, y); y = s + v holds exactly at sample level."""
-    _validate_spec(spec)
     sr = spec.sample_rate_hz
     n = int(round(spec.duration_s * sr))
     rng = _rng(spec.seed)

@@ -31,24 +31,41 @@ from .errors import (
 # supply one; it is metadata only and never enters any computation.
 DEFAULT_SAMPLE_RATE_HZ = 16000
 
+_INDEX_LIMIT = int(np.iinfo(np.intp).max) + 1  # every length is an index numpy can hold
 
-def real_number(name: str, value) -> float:
-    """value as a float, an int beyond float64 as an infinity; ConfigInvalidError
-    unless value is a real number and not a bool."""
+
+def integer(name: str, value, lo: int, hi, error=ConfigInvalidError) -> int:
+    """value as an int; error unless an integer (Python's or numpy's, not a bool) in [lo, hi)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= int(value) < hi:
+        top = f"2^{hi.bit_length() - 1}" if hi != math.inf and hi > 2**16 and hi.bit_count() == 1 else hi
+        raise error(f"{name} must be an integer in [{lo}, {top}), got {shown(value)}")
+    return int(value)
+
+
+def real_number(name: str, value, lo=-math.inf, hi=math.inf, error=ConfigInvalidError, *,
+                open_lo=False, open_hi=False) -> float:
+    """value as a float; error unless real, not a bool, finite and in [lo, hi] (ends open as asked)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigInvalidError(f"{name} must be a real number, got {shown(value)}")
+        raise error(f"{name} must be a real number, got {shown(value)}")
     try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        x = float(value)
+    except OverflowError:  # an int beyond float64
+        x = math.inf
+    if not (math.isfinite(x) and (lo < x if open_lo else lo <= x) and (x < hi if open_hi else x <= hi)):
+        left, right = "(" if open_lo or lo == -math.inf else "[", ")" if open_hi or hi == math.inf else "]"
+        raise error(f"{name} must be a finite number in {left}{lo}, {hi}{right}, got {shown(value)}")
+    return x
 
 
 def _readonly(a, dtype, ndim: int, what: str, adopt: bool = False) -> np.ndarray:
     """A frozen copy of a cast to dtype, or a itself frozen if adopt;
-    ShapeMismatchError unless it is ndim-D. Adopting relies on NumPy 2's
-    copy=False, which raises ValueError where a copy would be needed (a not
-    an array of dtype)."""
-    arr = np.array(a, dtype=dtype, copy=not adopt)
+    ShapeMismatchError unless it is an ndim-D array of numbers. Adopting
+    relies on NumPy 2's copy=False, which raises ValueError where a copy
+    would be needed (a not an array of dtype)."""
+    try:
+        arr = np.array(a, dtype=dtype, copy=not adopt)
+    except () if adopt else (TypeError, ValueError, OverflowError):
+        raise ShapeMismatchError(f"{what} must be an array of numbers, got a {type(a).__name__}") from None
     if arr.ndim != ndim:
         raise ShapeMismatchError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -64,18 +81,12 @@ class StftConfig:
     fft_size: int
 
     def __post_init__(self):
-        wl = self.win_length_samples
-        hl = self.hop_length_samples
-        if wl < 2 or hl < 1:  # a one-sample periodic window is 0, and so is its STFT
-            raise ConfigInvalidError(
-                f"window must be at least 2 samples and hop at least 1, got {wl} and {hl}"
-            )
-        if hl > wl:
-            raise ConfigInvalidError(f"hop {hl} exceeds window length {wl}")
-        if self.fft_size < wl:
-            raise ConfigInvalidError(
-                f"fft_size {self.fft_size} smaller than window length {wl}"
-            )
+        # A length numpy can index; a one-sample periodic window is 0, and so is its STFT.
+        wl = integer("win_length_samples", self.win_length_samples, 2, _INDEX_LIMIT)
+        hl = integer("hop_length_samples", self.hop_length_samples, 1, wl + 1)
+        fft = integer("fft_size", self.fft_size, wl, _INDEX_LIMIT)
+        for name, value in (("win_length_samples", wl), ("hop_length_samples", hl), ("fft_size", fft)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_bins(self) -> int:
@@ -89,11 +100,13 @@ class StftConfig:
 
     @classmethod
     def from_ms(cls, win_ms: float, hop_ms: float, sample_rate_hz: int) -> "StftConfig":
-        if not (np.isfinite(win_ms) and np.isfinite(hop_ms)):
-            raise ConfigInvalidError(f"window and hop must be finite ms, got {win_ms}, {hop_ms}")
-        wl = int(round(win_ms * sample_rate_hz / 1000.0))
-        hl = int(round(hop_ms * sample_rate_hz / 1000.0))
-        return cls.for_window(wl, hl)
+        return cls.for_window(*_samples(win_ms, hop_ms, sample_rate_hz))
+
+
+def _samples(win_ms: float, hop_ms: float, rate: int) -> tuple:
+    """Window and hop in ms as whole samples; ConfigInvalidError for a count that is not finite."""
+    return tuple(round(real_number(f"{what} of {ms} ms at {shown(rate)} Hz", ms * rate / 1000.0))
+                 for what, ms in (("window", win_ms), ("hop", hop_ms)))
 
 
 class LossTag(Enum):
@@ -127,10 +140,10 @@ _MAG_TERM_TAGS = frozenset(LossTag) - {
 class LossKind:
     """Loss selector: tag plus weights on the time/complex and magnitude terms.
 
-    A weight is a real number and not a bool, and is kept as a float. One
-    left at None is 1 where the kind has that term and 0 where it has not;
-    a nonzero weight on a term the kind lacks is an error, so every weight
-    a LossKind holds is one its loss reads.
+    A weight is a finite, nonnegative real number, not a bool, kept as a
+    float. One left at None is 1 where the kind has that term and 0 where
+    it has not; a nonzero weight on a term the kind lacks is an error, so
+    every weight a LossKind holds is one its loss reads.
     """
 
     tag: LossTag
@@ -143,9 +156,7 @@ class LossKind:
         for name, terms in (("time_weight", _TIME_TERM_TAGS), ("mag_weight", _MAG_TERM_TAGS)):
             has_term = self.tag in terms
             w = getattr(self, name)
-            w = float(has_term) if w is None else real_number(name, w)
-            if not math.isfinite(w) or w < 0:
-                raise ConfigInvalidError("loss weights must be finite and nonnegative")
+            w = float(has_term) if w is None else real_number(name, w, 0.0)
             if w and not has_term:
                 raise ConfigInvalidError(f"loss {self.tag.value} has no term for {name}, got {w:g}")
             object.__setattr__(self, name, w)
@@ -161,6 +172,8 @@ class TimeSignal:
     adopt: InitVar[bool] = False  # samples are a new float64 array no one else holds
 
     def __post_init__(self, adopt):
+        rate = integer("sample_rate_hz", self.sample_rate_hz, 1, _INDEX_LIMIT)  # a second's length
+        object.__setattr__(self, "sample_rate_hz", rate)
         samples = _readonly(self.samples, np.float64, 1, "time signal", adopt)
         object.__setattr__(self, "samples", samples)
 
@@ -223,15 +236,9 @@ def same_shape(*arrays: np.ndarray) -> None:
 
 
 def validate_signal(x: TimeSignal) -> None:
-    """Raise if the signal violates its invariants.
-
-    Raises EmptySignalError for zero length, NonFiniteError for NaN/Inf,
-    ConfigInvalidError for a non-positive sample rate.
-    """
+    """Raise EmptySignalError for zero length, NonFiniteError for NaN/Inf."""
     if len(x) < 1:
         raise EmptySignalError("signal has no samples")
-    if x.sample_rate_hz <= 0:
-        raise ConfigInvalidError(f"sample rate must be positive, got {x.sample_rate_hz}")
     if not np.all(np.isfinite(x.samples)):
         raise NonFiniteError("signal contains NaN or Inf")
 

@@ -101,7 +101,10 @@ def read_wav(path) -> TimeSignal:
 
 
 def wav_bytes(signal: TimeSignal, name) -> bytes:
-    """The bytes write_wav writes; SpecInvalidError, naming name, for a signal float32 cannot hold."""
+    """The bytes write_wav writes; SpecInvalidError, naming name, for what a float32 WAV cannot hold."""
+    rate = signal.sample_rate_hz
+    if 4 * rate >= 2**32:
+        raise SpecInvalidError(f"{name}: a float32 WAV header cannot hold a rate of {rate} Hz")
     with np.errstate(over="ignore"):
         data = signal.samples.astype("<f4")
     if not np.all(np.isfinite(data)):
@@ -110,7 +113,6 @@ def wav_bytes(signal: TimeSignal, name) -> bytes:
     if not data.any() and signal.samples.any():
         peak = np.max(np.abs(signal.samples))
         raise SpecInvalidError(f"{name}: a float32 WAV rounds every sample to zero, the largest {peak:.3g}")
-    rate = signal.sample_rate_hz
     fmt = struct.pack("<HHIIHHH", _FLOAT, 1, rate, 4 * rate, 4, 32, 0)
     header = (
         b"WAVE"

@@ -78,9 +78,9 @@ def test_synth_invalid_snr_exits_nonzero(tmp_path, capsys):
 @pytest.mark.parametrize(
     "drr, match",
     [
-        ("nan", "direct-to-reverb ratio must be finite"),
-        ("inf", "direct-to-reverb ratio must be finite"),
-        ("-inf", "direct-to-reverb ratio must be finite"),
+        ("nan", r"direct_to_reverb_db must be a finite number in \(-inf, inf\), got nan"),
+        ("inf", r"direct_to_reverb_db must be a finite number in \(-inf, inf\), got inf"),
+        ("-inf", r"direct_to_reverb_db must be a finite number in \(-inf, inf\), got -inf"),
         ("-1e9", r"direct-to-reverb ratio -1000000000\.0 dB overflows the tail"),
     ],
     ids=["nan", "inf", "-inf", "-1e9"],
@@ -323,9 +323,9 @@ def _expect_spec_error(capsys, argv, match):
         # ri has no magnitude term, so a weight on it would be ignored.
         ('{"loss": {"tag": "ri", "mag_weight": 2.0}}', "ri has no term for mag_weight"),
         # Each value must have its type; nothing is truncated or parsed.
-        ('{"steps": 3.9}', "invalid problem: steps must be an integer >= 1, got 3.9"),
-        ('{"steps": true}', "invalid problem: steps must be an integer >= 1, got True"),
-        ('{"steps": "3"}', "invalid problem: steps must be an integer >= 1, got '3'"),
+        ('{"steps": 3.9}', r"invalid problem: steps must be an integer in \[1, inf\), got 3.9"),
+        ('{"steps": true}', r"invalid problem: steps must be an integer in \[1, inf\), got True"),
+        ('{"steps": "3"}', r"invalid problem: steps must be an integer in \[1, inf\), got '3'"),
         ('{"init_seed": 2.7}', "invalid problem: init_seed must be an integer in .*, got 2.7"),
         ('{"step_size": "0.5"}', "invalid problem: step_size must be a real number, got '0.5'"),
         ('{"momentum": false}', "invalid problem: momentum must be a real number, got False"),
@@ -512,7 +512,7 @@ def test_fft_flag_sets_the_fft_size(scene_dir, tmp_path, capsys):
         assert run(*base, *flags, "--fft", 512, "--json", json_out) == 0
         assert json_out.read_text() == expected
     assert run(*base, "--win", 200, "--hop", 80, "--fft", 100) == 1
-    assert "fft_size 100 smaller than window length 200" in capsys.readouterr().err
+    assert "fft_size must be an integer in [200, 2^63), got 100" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fft", [4097, 2**40, 10**20])
@@ -695,20 +695,23 @@ _STFT_COMMANDS = {
 @pytest.mark.parametrize(
     "flags, match",
     [
-        (("--win-ms", "nan"), r"window and hop must be finite ms, got nan, 8\.0"),
-        (("--win-ms", "inf"), r"window and hop must be finite ms, got inf, 8\.0"),
-        (("--hop-ms=-inf",), r"window and hop must be finite ms, got 32\.0, -inf"),
+        (("--win-ms", "nan"), r"window of nan ms at 8000 Hz must be a finite number in \(-inf, inf\), got nan"),
+        (("--win-ms", "inf"), r"window of inf ms at 8000 Hz must be a finite number in \(-inf, inf\), got inf"),
+        (("--hop-ms=-inf",), r"hop of -inf ms at 8000 Hz must be a finite number in \(-inf, inf\), got -inf"),
         (("--win-ms", "1e30"), r"window of \d+ samples exceeds the 8000-sample signal"),
+        # 1e306 ms is finite, but its count of samples overflows to inf.
+        (("--win-ms", "1e306"), r"window of 1e\+306 ms at 8000 Hz must be a finite number .*, got inf"),
+        (("--hop-ms", "1e306"), r"hop of 1e\+306 ms at 8000 Hz must be a finite number .*, got inf"),
         (("--win", 10**9, "--hop", 1), "window of 1000000000 samples exceeds the 8000-sample signal"),
         (("--win", 100000, "--hop", 50000), "window of 100000 samples exceeds the 8000-sample signal"),
     ],
-    ids=["nan_ms", "inf_ms", "neg_inf_hop_ms", "huge_ms", "huge_win", "win_over_signal"],
+    ids=["nan_ms", "inf_ms", "neg_inf_hop_ms", "huge_ms", "1e306_ms", "1e306_hop_ms", "huge_win", "win_over_signal"],
 )
 def test_window_the_signal_cannot_hold_exits_1_before_any_stft(
     scene_dir, tmp_path, monkeypatch, capsys, command, flags, match
 ):
-    # These died with ValueError or OverflowError tracebacks (nan, inf and
-    # 1e30 ms in from_ms or in the STFT's allocation), or, for a window
+    # These died with ValueError or OverflowError tracebacks (nan, inf,
+    # 1e30 and 1e306 ms in from_ms or in the STFT's allocation), or, for a window
     # the 8000-sample scene cannot hold, ran on a single padded frame.
     from magphase import cli
 
@@ -737,7 +740,7 @@ def test_a_one_sample_window_exits_1_before_any_stft(
         argv = [*_STFT_COMMANDS["optimize"](scene_dir, out), "--trend"]
     else:
         argv = _STFT_COMMANDS[command](scene_dir, out)
-    match = "window must be at least 2 samples and hop at least 1, got 1 and 1"
+    match = re.escape("win_length_samples must be an integer in [2, 2^63), got 1")
     _expect_exit_1(capsys, [*argv, *flags], match)
     assert not out.exists()
 
@@ -751,14 +754,14 @@ def _expect_exit_1_leaving_no_out(capsys, argv, out, match):
 @pytest.mark.parametrize(
     "argv, match",
     [
-        (["--seed", -1], r"seed must lie in \[0, 2\^120\), got -1"),
-        (["--seed", 2**120], rf"seed must lie in \[0, 2\^120\), got {2**120}"),
+        (["--seed", -1], r"seed must be an integer in \[0, 2\^120\), got -1"),
+        (["--seed", 2**120], rf"seed must be an integer in \[0, 2\^120\), got {2**120}"),
         (["--seed", 1, "--duration", "1e9"], r"1000000000\.0 s at 8000 Hz exceeds 16777216 samples"),
         (["--seed", 1, "--duration", 2097.2], r"2097\.2 s at 8000 Hz exceeds 16777216 samples"),
         # 10**400 Hz died with an OverflowError turning the scene's length into a float.
-        (["--seed", 1, "--sample-rate", 10**400], rf"1\.0 s at {10**400} Hz exceeds 16777216 samples"),
+        (["--seed", 1, "--sample-rate", 10**400], r"1\.0 s at an integer of 1329 bits Hz exceeds 16777216 samples"),
         # The reverb is checked once, in synth_rir, which runs before any scene-length array.
-        (["--seed", 1, "--reverb-rt60", 5], r"rt60 must lie in \[0\.05, 1\.0\] s, got 5\.0"),
+        (["--seed", 1, "--reverb-rt60", 5], r"rt60_s must be a finite number in \[0\.05, 1\.0\], got 5\.0"),
         (["--seed", 1, "--reverb-rt60", 0.3, "--drr=-1e9"], r"direct-to-reverb ratio -1000000000\.0 dB overflows the tail"),
     ],
     ids=[
@@ -877,6 +880,21 @@ def test_mask_on_a_scene_too_faint_for_float32_leaves_no_out(tmp_path, capsys, k
     _expect_exit_1_leaving_no_out(capsys, argv, out, match)
 
 
+@pytest.mark.parametrize("command", ["mask", "optimize"])
+def test_a_scene_at_a_rate_no_wav_header_holds_exits_1_leaving_no_out(scene_dir, tmp_path, capsys, command):
+    # A header may say 2^31 Hz, but a float32 WAV's byte rate, 4 x rate,
+    # must fit 32 bits: writing the result died with a struct.error traceback.
+    fast = tmp_path / "fast"
+    fast.mkdir()
+    for name in ("s.wav", "y.wav"):
+        data = bytearray((scene_dir / name).read_bytes())
+        data[24:28] = (2**31).to_bytes(4, "little")  # the fmt chunk's rate field
+        (fast / name).write_bytes(bytes(data))
+    assert read_wav(fast / "y.wav").sample_rate_hz == 2**31
+    argv = [*_STFT_COMMANDS[command](fast, tmp_path / "o")[:-2], "--win", 200, "--hop", 80]
+    _expect_exit_1_leaving_no_out(capsys, argv, tmp_path / "o", ".*: a float32 WAV header cannot hold a rate of 2147483648 Hz")
+
+
 def _planted(*args):
     raise SpecInvalidError("planted at the last output")
 
@@ -962,8 +980,8 @@ def test_optimize_problem_that_is_not_utf8_is_refused(scene_dir, tmp_path, capsy
     [
         ("[" * 100000 + "]" * 100000, "is malformed: maximum recursion depth exceeded"),
         ('{"steps": ' + "9" * 5000 + "}", "is malformed: Exceeds the limit"),
-        ('{"step_size": ' + str(10**400) + "}", "step_size must be positive and finite, got inf"),
-        ('{"loss": {"tag": "ri", "mag_weight": ' + str(10**400) + "}}", "loss weights must be finite"),
+        ('{"step_size": ' + str(10**400) + "}", r"step_size must be a finite number in \(0\.0, inf\), got an integer of 1329 bits"),
+        ('{"loss": {"tag": "ri", "mag_weight": ' + str(10**400) + "}}", r"mag_weight must be a finite number in \[0\.0, inf\)"),
     ],
     ids=["nested_arrays", "5000_digit_steps", "401_digit_step_size", "401_digit_mag_weight"],
 )

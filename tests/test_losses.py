@@ -314,7 +314,7 @@ def test_x0_variant_rejects_nonzero_time_weight():
 
 def test_a_weight_beyond_float64_is_refused():
     # float(10**400) died with an OverflowError.
-    with pytest.raises(ConfigInvalidError, match="finite and nonnegative"):
+    with pytest.raises(ConfigInvalidError, match=r"time_weight must be a finite number in \[0\.0, inf\)"):
         LossKind(LossTag.RI, time_weight=10**400)
 
 

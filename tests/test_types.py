@@ -1,15 +1,23 @@
+import re
+
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from _oracles import EDGE_VALUES, real_not_bool
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from magphase.errors import (
     ConfigInvalidError,
     EmptySignalError,
+    MagphaseError,
     NonFiniteError,
     ShapeMismatchError,
 )
+from magphase.losses import Targets
 from magphase.masks import MaskKind, MaskMatrix
+from magphase.scenes import MAX_SAMPLES, MIN_DURATION_S, RT60_RANGE_S, SEED_LIMIT, Interference, ReverbSpec, SceneSpec
 from magphase.types import (
     MagSpectrogram,
     Spectrogram,
@@ -166,7 +174,7 @@ def test_config_invariants():
         StftConfig(8, 2, 4)  # fft < window
     with pytest.raises(ConfigInvalidError):
         StftConfig(0, 1, 4)
-    with pytest.raises(ConfigInvalidError, match="at least 2 samples"):
+    with pytest.raises(ConfigInvalidError, match=re.escape("win_length_samples must be an integer in [2, 2^63)")):
         StftConfig(1, 1, 1)  # a one-sample periodic window is identically 0
 
 
@@ -228,3 +236,113 @@ def test_magnitude_nonfinite(bad):
     data[0, 1] = bad
     with pytest.raises(NonFiniteError, match="magnitude matrix contains NaN or Inf"):
         validate_spectrogram(MagSpectrogram(data, CFG))
+
+
+# Each container's fields, each with values it must keep; EDGE_VALUES are
+# drawn for every field as well.
+_CONTAINER_FIELDS = {
+    StftConfig: {
+        "win_length_samples": [200, 16, np.int64(32)],
+        "hop_length_samples": [80, 8, np.int32(4)],
+        "fft_size": [256, 16, np.uint16(64)],
+    },
+    TimeSignal: {"samples": [np.ones(8), [0.5, -0.5]], "sample_rate_hz": [8000, np.int64(16000), 2**31]},
+    SceneSpec: {
+        "seed": [0, 3, np.int64(5), SEED_LIMIT - 1],
+        "duration_s": [1.0, 2, np.float64(0.5)],
+        "sample_rate_hz": [8000, np.int64(16000), 11025],
+        "f0_hz": [180.0, 110, np.float32(247.5)],
+        "interference": [Interference(), Interference("pink", 3.0)],
+        "reverb": [None, ReverbSpec(0.3, 3.0)],
+    },
+    Interference: {"kind": ["white", "pink", "second_talker"], "snr_db": [0.0, -5, np.float64(7.5)]},
+    ReverbSpec: {"rt60_s": [0.05, 1, np.float32(0.5)], "direct_to_reverb_db": [0.0, -3, np.float64(6.0)]},
+    Targets: {
+        "S": [None, spec([1, 2, 3])],
+        "s": [None, TimeSignal([1.0], 8000)],
+        "Y": [None, spec([1j, 0, 1])],
+        "y": [None, TimeSignal([0.5], 8000)],
+    },
+}
+
+
+def _kept_int(given, kept, lo, hi) -> bool:
+    return real_not_bool(given) and given == kept and type(kept) is int and lo <= kept < hi
+
+
+def _kept_real(given, kept, lo=-math.inf, hi=math.inf) -> bool:
+    return real_not_bool(given) and given == kept and type(kept) is float and math.isfinite(kept) and lo <= kept <= hi
+
+
+def _passes_its_rules(obj, fields) -> bool:
+    """Each field the container kept passes its rule, and is the value it was given."""
+    kept = {name: getattr(obj, name) for name in fields}
+    if isinstance(obj, StftConfig):
+        wl = kept["win_length_samples"]
+        return (
+            _kept_int(fields["win_length_samples"], wl, 2, 2**63)
+            and _kept_int(fields["hop_length_samples"], kept["hop_length_samples"], 1, wl + 1)
+            and _kept_int(fields["fft_size"], kept["fft_size"], wl, 2**63)
+        )
+    if isinstance(obj, TimeSignal):
+        return _kept_int(fields["sample_rate_hz"], kept["sample_rate_hz"], 1, 2**63) and obj.samples.ndim == 1
+    if isinstance(obj, SceneSpec):
+        return (
+            _kept_int(fields["seed"], kept["seed"], 0, SEED_LIMIT)
+            and _kept_real(fields["duration_s"], kept["duration_s"], MIN_DURATION_S)
+            and _kept_int(fields["sample_rate_hz"], kept["sample_rate_hz"], 1, math.inf)
+            and kept["sample_rate_hz"] * kept["duration_s"] <= MAX_SAMPLES
+            and _kept_real(fields["f0_hz"], kept["f0_hz"], 0.0) and kept["f0_hz"] > 0
+            and isinstance(kept["interference"], Interference)
+            and isinstance(kept["reverb"], (ReverbSpec, type(None)))
+        )
+    if isinstance(obj, Interference):
+        return kept["kind"] in ("white", "pink", "second_talker") and _kept_real(fields["snr_db"], kept["snr_db"])
+    if isinstance(obj, ReverbSpec):
+        return _kept_real(fields["rt60_s"], kept["rt60_s"], *RT60_RANGE_S) and _kept_real(
+            fields["direct_to_reverb_db"], kept["direct_to_reverb_db"]
+        )
+    kinds = {"S": Spectrogram, "s": TimeSignal, "Y": Spectrogram, "y": TimeSignal}
+    return all(v is fields[k] and isinstance(v, (kinds[k], type(None))) for k, v in kept.items())
+
+
+_CASES = st.sampled_from(list(_CONTAINER_FIELDS)).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.fixed_dictionaries(
+            {name: st.sampled_from([*values, *EDGE_VALUES]) for name, values in _CONTAINER_FIELDS[kind].items()}
+        ),
+    )
+)
+
+
+def _case(kind, **fields):
+    return ((kind, {**{k: v[0] for k, v in _CONTAINER_FIELDS[kind].items()}, **fields}),)
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=_CASES)
+# Each was built, or failed with a bare TypeError or ValueError, or later,
+# in stft, with a TypeError or numpy's ValueError.
+@example(*_case(StftConfig, win_length_samples=200.5))
+@example(*_case(StftConfig, fft_size=256.0))
+@example(*_case(StftConfig, fft_size=2**70))
+@example(*_case(StftConfig, win_length_samples="200"))
+@example(*_case(SceneSpec, seed=1.5))
+@example(*_case(SceneSpec, seed=True))
+@example(*_case(SceneSpec, sample_rate_hz=8000.5))
+@example(*_case(SceneSpec, sample_rate_hz=True))
+@example(*_case(SceneSpec, duration_s="1"))
+@example(*_case(Interference, snr_db="3"))
+@example(*_case(ReverbSpec, rt60_s="0.3"))
+@example(*_case(TimeSignal, sample_rate_hz=-5))
+@example(*_case(TimeSignal, sample_rate_hz="x"))
+# An array target raised a bare AttributeError when a problem read its config.
+@example(*_case(Targets, S=np.ones((3, 9))))
+def test_a_container_is_built_only_from_fields_that_pass_their_rules(case):
+    kind, fields = case
+    try:
+        obj = kind(**fields)
+    except MagphaseError:
+        return
+    assert _passes_its_rules(obj, fields), (kind.__name__, fields)

@@ -9,6 +9,7 @@ change on purpose: a file on which the reference raised a raw exception
 (its RIFF size ends before the data chunk) is read as if its size were
 right, and a cut RF64 file, which the reference read, is refused.
 """
+import re
 import struct
 import subprocess
 import sys
@@ -205,6 +206,17 @@ def test_write_wav_refuses_a_signal_float32_rounds_to_silence(tmp_path):
     assert not path.exists()
     write_wav(path, TimeSignal([0.0, 0.0], 16000))  # silence stays writable
     assert read_wav(path).samples.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("rate", [2**30, 2**31, 2**32 - 1])
+def test_write_wav_refuses_a_rate_its_header_cannot_hold(tmp_path, rate):
+    # The byte rate, 4 x rate, did not fit its 32-bit field: a struct.error.
+    path = tmp_path / "fast.wav"
+    with pytest.raises(SpecInvalidError, match=re.escape(f"{path}: a float32 WAV header cannot hold a rate of {rate} Hz")):
+        write_wav(path, TimeSignal([0.25, -0.5], rate))
+    assert not path.exists()
+    write_wav(path, TimeSignal([0.25, -0.5], 2**30 - 1))  # the largest rate it holds
+    assert read_wav(path).sample_rate_hz == 2**30 - 1
 
 
 def riff(*chunks) -> bytes:
